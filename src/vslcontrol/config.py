@@ -17,6 +17,7 @@ the optional window/dt keys.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -96,6 +97,13 @@ class RunConfig:
             raise ConfigError("need at least 2 snapshots")
         if self.n_cells < 2:
             raise ConfigError("need at least 2 cells")
+        for f in fields(self):
+            if "float" not in f.type:
+                continue
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else () if value is None else (value,)
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{f.name} must be finite")
 
 
 # exact key layout of the INI surface: (section, key, config field)

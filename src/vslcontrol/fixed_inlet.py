@@ -35,9 +35,9 @@ import numpy as np
 from .errors import CertificationError, ConvergenceError, DomainError, StateEscapeError
 from .fundamental_diagram import FundamentalDiagram, _bisect
 from .free_inlet import PicardSettings
-from .profile import DensityProfile, Scenario
+from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import cumulative_trapezoid, integral_to
-from .trace import SimulationTrace
+from .trace import SimulationTrace, law_trace
 
 U_TOL = 1e-9  # tolerance band on u <= 1 for semi-analytic states
 
@@ -65,7 +65,14 @@ class FixedInletGains:
     decay_rate = sigma - gamma * length; slope_reserve is the band width a
     above; min_concavity and max_back_slope are the Q and q grid estimates.
     certified is True when every sufficient condition passed.
+
+    The record is the law: `controls` evaluates u on a node grid, the inlet
+    node is held at rho_star (pins_inlet is True), and `law` names it in
+    metadata.
     """
+
+    law = "fixed_inlet"
+    pins_inlet = True
 
     sigma: float
     gamma: float
@@ -80,6 +87,27 @@ class FixedInletGains:
 
     def failed_conditions(self) -> tuple[ConditionResult, ...]:
         return tuple(c for c in self.conditions if not c.passed)
+
+    def controls(self, diagram: FundamentalDiagram, x: np.ndarray, rho: np.ndarray,
+                 u_tol: float = U_TOL) -> tuple[np.ndarray, np.ndarray, None]:
+        """(u, f(rho), None) at the nodes x for densities rho.
+
+        u is exactly 1 at x = 0 on admissible data.  Raises StateEscapeError
+        when the flow vanishes or u leaves (0, 1 + u_tol]; u is clipped to 1.
+        """
+        dev = rho - self.rho_star
+        budget = _flow_budget(self, diagram, x, cumulative_trapezoid(x, dev),
+                              float(np.max(np.abs(dev))))
+        fv = np.asarray(diagram.flow(rho), dtype=float)
+        if np.any(fv <= 0.0):
+            raise StateEscapeError("flow vanished; control undefined")
+        u = budget / fv
+        bad = (u <= 0.0) | (u > 1.0 + u_tol)
+        if np.any(bad):
+            i = int(np.argmax(np.where(bad, np.abs(u - 0.5), -1.0)))
+            raise StateEscapeError(
+                f"control {u[i]:.6g} left (0, 1] at x = {x[i]:.6g}; profile not admissible")
+        return np.minimum(u, 1.0), fv, None
 
 
 def calibrate(diagram: FundamentalDiagram, rho_star: float, length: float,
@@ -170,7 +198,7 @@ def admissible(gains: FixedInletGains, diagram: FundamentalDiagram,
     Checks rho(0) = rho_star (within 1e-9 * rho_max) and the flow-slack
     inequality at every grid node; reports the worst slack and where.
     """
-    _check_pairing(gains, profile)
+    check_pairing(gains, profile)
     boundary_gap = abs(float(profile.values[0]) - gains.rho_star)
     boundary_ok = boundary_gap <= 1e-9 * diagram.rho_max
     lhs = _flow_budget(gains, diagram, profile.x,
@@ -182,31 +210,11 @@ def admissible(gains: FixedInletGains, diagram: FundamentalDiagram,
                                min_slack, float(profile.x[idx]), boundary_gap)
 
 
-def control(gains: FixedInletGains, diagram: FundamentalDiagram,
-            profile: DensityProfile, x: float, u_tol: float = U_TOL) -> float:
-    """u(x) for the current profile; exactly 1 at x = 0."""
-    _check_pairing(gains, profile)
-    budget = float(diagram.flow(gains.rho_star)) \
-        + gains.sigma * profile.cumulative_deviation(x) \
-        - 0.5 * gains.gamma * x ** 2 * profile.sup_deviation()
-    den = float(diagram.flow(profile.value_at(x)))
-    if den <= 0.0:
-        raise StateEscapeError("flow vanished; control undefined")
-    u = budget / den
-    if u <= 0.0 or u > 1.0 + u_tol:
-        raise StateEscapeError(
-            f"control {u:.6g} left (0, 1] at x = {x:.6g}; profile not admissible")
-    return min(u, 1.0)
-
-
 def control_profile(gains: FixedInletGains, diagram: FundamentalDiagram,
                     profile: DensityProfile, u_tol: float = U_TOL) -> np.ndarray:
     """u at every grid node."""
-    _check_pairing(gains, profile)
-    u, _ = _control_values(gains, diagram, profile.x, profile.values,
-                           profile.node_deviation_integrals(),
-                           profile.sup_deviation(), u_tol)
-    return u
+    check_pairing(gains, profile)
+    return gains.controls(diagram, profile.x, profile.values, u_tol)[0]
 
 
 def simulate(scenario: Scenario, gains: FixedInletGains,
@@ -219,7 +227,7 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
     grid carries settings.time_samples nodes per unit time.
     """
     d = scenario.diagram
-    _check_scenario_pairing(gains, scenario)
+    check_pairing(gains, scenario)
     adm = admissible(gains, d, scenario.rho0)
     if not adm.ok:
         raise DomainError(
@@ -262,33 +270,17 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
     wJ = grow * g
     cumJ = cumulative_trapezoid(tn, wJ)
     targets = scenario.output_times
-    nt, nx = targets.size, x.size
-    rho_out = np.empty((nt, nx))
-    u_out = np.empty((nt, nx))
-    inlet = np.empty(nt)
-    outlet = np.empty(nt)
-    sup = np.empty(nt)
-    gap = 0.0
+    rho_out = np.empty((targets.size, x.size))
     for j, t in enumerate(targets):
         Jt = integral_to(tn, wJ, cumJ, float(t))
         damp = float(np.exp(-gains.sigma * t))
-        vals = gains.rho_star + damp * dev0 + gains.gamma * x * (damp * Jt)
-        Dn = cumulative_trapezoid(x, vals - gains.rho_star)
-        sup_t = float(np.max(np.abs(vals - gains.rho_star)))
-        signed_t = float(np.max(vals - gains.rho_star))
-        gap = max(gap, abs(sup_t - signed_t))
-        u, fv = _control_values(gains, d, x, vals, Dn, sup_t, U_TOL)
-        rho_out[j] = vals
-        u_out[j] = u
-        inlet[j] = u[0] * fv[0]
-        outlet[j] = u[-1] * fv[-1]
-        sup[j] = sup_t
+        rho_out[j] = gains.rho_star + damp * dev0 + gains.gamma * x * (damp * Jt)
+    dev = rho_out - gains.rho_star
+    gap = float(np.max(np.max(np.abs(dev), axis=1) - np.max(dev, axis=1)))
     gap_tol = 1e-8 * max(1.0, sup0)
-    return SimulationTrace(
-        times=targets, x=x, rho=rho_out, u=u_out, rho_star=gains.rho_star,
-        sup_deviation=sup, inlet_flow=inlet, outlet_flow=outlet, bottleneck_x=None,
-        metadata={
-            "law": "fixed_inlet",
+    return law_trace(
+        gains, d, targets, x, rho_out, U_TOL, metadata={
+            "law": gains.law,
             "sigma": gains.sigma,
             "gamma": gains.gamma,
             "length": gains.length,
@@ -315,28 +307,3 @@ def _flow_budget(gains: FixedInletGains, diagram: FundamentalDiagram,
                  x: np.ndarray, node_integrals: np.ndarray, sup: float) -> np.ndarray:
     return float(diagram.flow(gains.rho_star)) + gains.sigma * node_integrals \
         - 0.5 * gains.gamma * x ** 2 * sup
-
-
-def _control_values(gains: FixedInletGains, diagram: FundamentalDiagram,
-                    x: np.ndarray, values: np.ndarray, node_integrals: np.ndarray,
-                    sup: float, u_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    budget = _flow_budget(gains, diagram, x, node_integrals, sup)
-    fv = np.asarray(diagram.flow(values), dtype=float)
-    if np.any(fv <= 0.0):
-        raise StateEscapeError("flow vanished; control undefined")
-    u = budget / fv
-    if np.any(u <= 0.0) or np.any(u > 1.0 + u_tol):
-        bad = int(np.argmax(np.where((u <= 0.0) | (u > 1.0 + u_tol), np.abs(u - 0.5), -1.0)))
-        raise StateEscapeError(
-            f"control {u[bad]:.6g} left (0, 1] at x = {x[bad]:.6g}; profile not admissible")
-    return np.minimum(u, 1.0), fv
-
-
-def _check_pairing(gains: FixedInletGains, profile: DensityProfile) -> None:
-    if profile.rho_star != gains.rho_star or profile.length != gains.length:
-        raise DomainError("gains and profile disagree on rho_star or length")
-
-
-def _check_scenario_pairing(gains: FixedInletGains, scenario: Scenario) -> None:
-    if scenario.rho_star != gains.rho_star or scenario.length != gains.length:
-        raise DomainError("gains and scenario disagree on rho_star or length")

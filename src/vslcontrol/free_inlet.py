@@ -23,20 +23,28 @@ contraction factor is kept below `safety` by the window length).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StateEscapeError
 from .fundamental_diagram import FundamentalDiagram
-from .profile import DensityProfile, Scenario
+from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import cumulative_trapezoid, integral_to
-from .trace import SimulationTrace
+from .trace import SimulationTrace, law_trace
 
 
 @dataclass(frozen=True)
 class FreeInletGain:
-    """Feedback gain k for a road of the given length and target density."""
+    """Feedback gain k for a road of the given length and target density.
+
+    The record is the law: `controls` evaluates u on a node grid, the inlet
+    is left free (pins_inlet is False), and `law` names it in metadata.
+    """
+
+    law = "free_inlet"
+    pins_inlet = False
 
     gain: float
     length: float
@@ -49,6 +57,22 @@ class FreeInletGain:
             raise DomainError(
                 f"gain must lie in (0, {1.0 / (self.length * self.rho_star):.6g}) "
                 f"= (0, 1/(length*rho_star))")
+
+    def controls(self, diagram: FundamentalDiagram, x: np.ndarray, rho: np.ndarray,
+                 u_tol: float = 0.0) -> tuple[np.ndarray, np.ndarray, int]:
+        """(u, f(rho), bottleneck index) at the nodes x for densities rho.
+
+        The bottleneck index is the smallest minimizer of f(rho) M, where
+        u equals 1 exactly.  u never exceeds 1 by construction, so u_tol is
+        accepted only to share the fixed law's signature.
+        """
+        fv = np.asarray(diagram.flow(rho), dtype=float)
+        weighted = fv / (1.0 + self.gain * cumulative_trapezoid(x, rho - self.rho_star))
+        idx = int(np.argmin(weighted))
+        value = float(weighted[idx])
+        if value <= 0.0:
+            raise StateEscapeError("weighted flow lost positivity")
+        return value / weighted, fv, idx
 
 
 @dataclass(frozen=True)
@@ -74,55 +98,30 @@ class PicardSettings:
     retry_cap: int = 5
 
     def __post_init__(self):
-        if self.window is not None and self.window <= 0.0:
-            raise DomainError("window must be positive")
+        if self.window is not None and not (0.0 < self.window < math.inf):
+            raise DomainError("window must be positive and finite")
         if self.time_samples < 2:
             raise DomainError("need at least 2 time samples")
         if not (0.0 < self.safety < 1.0):
             raise DomainError("safety must lie in (0, 1)")
-        if self.tol <= 0.0 or self.max_iter < 1 or self.retry_cap < 0:
-            raise DomainError("tol, max_iter and retry_cap must be positive")
-
-
-def weight(gain: FreeInletGain, profile: DensityProfile, x: float) -> float:
-    """M(rho, x) = 1 / (1 + k D(x)); equals 1 at x = 0 and at equilibrium."""
-    _check_pairing(gain, profile)
-    den = 1.0 + gain.gain * profile.cumulative_deviation(x)
-    if den <= 0.0:
-        raise StateEscapeError("weight denominator lost positivity")
-    return 1.0 / den
+        if not (0.0 < self.tol < math.inf) or self.max_iter < 1 or self.retry_cap < 0:
+            raise DomainError("tol, max_iter and retry_cap must be positive, tol finite")
 
 
 def bottleneck(gain: FreeInletGain, diagram: FundamentalDiagram,
                profile: DensityProfile) -> tuple[float, float]:
     """Minimum of f(rho) M over the grid and its smallest minimizer."""
-    _, value, idx = _control_values(gain, diagram, profile.values,
-                                    profile.node_deviation_integrals())
-    return value, float(profile.x[idx])
-
-
-def control(gain: FreeInletGain, diagram: FundamentalDiagram,
-            profile: DensityProfile, x: float) -> float:
-    """u(x) = P / (f(rho(x)) M(rho, x)) for any position on the road.
-
-    Equals 1 exactly at the bottleneck and never exceeds 1.
-    """
-    _check_pairing(gain, profile)
-    value, _ = bottleneck(gain, diagram, profile)
-    rho_x = profile.value_at(x)
-    den = float(diagram.flow(rho_x)) * weight(gain, profile, x)
-    if den <= 0.0:
-        raise StateEscapeError("flow vanished; control undefined")
-    return min(value / den, 1.0)
+    check_pairing(gain, profile)
+    _, fv, idx = gain.controls(diagram, profile.x, profile.values)
+    value = fv[idx] / (1.0 + gain.gain * profile.node_deviation_integrals()[idx])
+    return float(value), float(profile.x[idx])
 
 
 def control_profile(gain: FreeInletGain, diagram: FundamentalDiagram,
                     profile: DensityProfile) -> np.ndarray:
     """u at every grid node."""
-    _check_pairing(gain, profile)
-    u, _, _ = _control_values(gain, diagram, profile.values,
-                              profile.node_deviation_integrals())
-    return u
+    check_pairing(gain, profile)
+    return gain.controls(diagram, profile.x, profile.values)[0]
 
 
 def decay_rate_bound(gain: FreeInletGain, diagram: FundamentalDiagram,
@@ -161,7 +160,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     fails to converge is halved and retried (up to settings.retry_cap).
     """
     d = scenario.diagram
-    _check_scenario_pairing(gain, scenario)
+    check_pairing(gain, scenario)
     if not (gain.rho_star < d.delta):
         raise DomainError("rho_star must lie strictly below the diagram's "
                           "limit-reduction threshold")
@@ -177,27 +176,8 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     targets = scenario.output_times
     x = scenario.rho0.x
     dev = scenario.rho0.values - scenario.rho_star
-    nt, nx = targets.size, x.size
-
-    rho_out = np.empty((nt, nx))
-    u_out = np.empty((nt, nx))
-    inlet = np.empty(nt)
-    outlet = np.empty(nt)
-    sup = np.empty(nt)
-    bott = np.empty(nt)
-
-    def record(j: int, vals: np.ndarray) -> None:
-        Dn = cumulative_trapezoid(x, vals - scenario.rho_star)
-        u, value, idx = _control_values(gain, d, vals, Dn)
-        rho_out[j] = vals
-        u_out[j] = u
-        fv = np.asarray(d.flow(vals), dtype=float)
-        inlet[j] = u[0] * fv[0]
-        outlet[j] = u[-1] * fv[-1]
-        sup[j] = float(np.max(np.abs(vals - scenario.rho_star)))
-        bott[j] = x[idx]
-
-    record(0, scenario.rho0.values.copy())
+    rho_out = np.empty((targets.size, x.size))
+    rho_out[0] = scenario.rho0.values
     j = 1
     t0 = 0.0
     window = window0
@@ -220,25 +200,23 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
         n_windows += 1
         max_iters = max(max_iters, iters)
         max_ratio = max(max_ratio, ratio)
-        while j < nt and targets[j] <= t0 + span + eps:
+        while j < targets.size and targets[j] <= t0 + span + eps:
             s_local = min(targets[j] - t0, span)
             shrink = np.exp(-gain.gain * integral_to(tn, g, cumg, s_local))
-            record(j, scenario.rho_star + dev * shrink)
+            rho_out[j] = scenario.rho_star + dev * shrink
             j += 1
         dev = dev * np.exp(-gain.gain * cumg[-1])
         t0 += span
 
-    if j < nt:
+    if j < targets.size:
         raise ConvergenceError("window march ended before the last output time")
 
     lowest = float(np.min(scenario.rho0.values))
     rate = decay_rate_bound(gain, d, lowest)
     floor = rate / gain.gain
-    return SimulationTrace(
-        times=targets, x=x, rho=rho_out, u=u_out, rho_star=scenario.rho_star,
-        sup_deviation=sup, inlet_flow=inlet, outlet_flow=outlet, bottleneck_x=bott,
-        metadata={
-            "law": "free_inlet",
+    return law_trace(
+        gain, d, targets, x, rho_out, 0.0, metadata={
+            "law": gain.law,
             "gain": gain.gain,
             "length": gain.length,
             "rho_star": scenario.rho_star,
@@ -257,19 +235,6 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
                 "tol": settings.tol,
             },
         })
-
-
-def _control_values(gain: FreeInletGain, diagram: FundamentalDiagram,
-                    values: np.ndarray, node_integrals: np.ndarray
-                    ) -> tuple[np.ndarray, float, int]:
-    """(u at nodes, bottleneck value, index of its smallest position)."""
-    weighted = np.asarray(diagram.flow(values), dtype=float) / (
-        1.0 + gain.gain * node_integrals)
-    idx = int(np.argmin(weighted))
-    value = float(weighted[idx])
-    if value <= 0.0:
-        raise StateEscapeError("weighted flow lost positivity")
-    return value / weighted, value, idx
 
 
 def _solve_window(diagram: FundamentalDiagram, gain: FreeInletGain, rho_star: float,
@@ -306,13 +271,3 @@ def _solve_window(diagram: FundamentalDiagram, gain: FreeInletGain, rho_star: fl
         prev_diff = diff
     raise ConvergenceError(
         f"window of length {span:.6g} did not converge in {settings.max_iter} iterations")
-
-
-def _check_pairing(gain: FreeInletGain, profile: DensityProfile) -> None:
-    if profile.rho_star != gain.rho_star or profile.length != gain.length:
-        raise DomainError("gain and profile disagree on rho_star or length")
-
-
-def _check_scenario_pairing(gain: FreeInletGain, scenario: Scenario) -> None:
-    if scenario.rho_star != gain.rho_star or scenario.length != gain.length:
-        raise DomainError("gain and scenario disagree on rho_star or length")

@@ -7,9 +7,9 @@ Cross-checks the semi-analytic simulators by integrating
 with the feedback u recomputed from the current grid state at every stage.
 Two schemes: a second-order central flux difference driven by classic RK4
 (the default), and first-order upwinding with forward Euler as a blunt
-fallback.  The fixed-inlet law holds rho(t, 0) = rho_star, so its inlet
-node is frozen; the free-inlet law sets the inlet flow through u itself and
-needs no boundary pin.
+fallback.  A law that pins its inlet (the fixed-inlet law holds
+rho(t, 0) = rho_star) has its inlet node frozen; the free-inlet law sets the
+inlet flow through u itself and needs no boundary pin.
 
 This module trades accuracy for independence: nothing here reuses the
 closed-form structure of the laws beyond the feedback formulas themselves.
@@ -17,15 +17,14 @@ closed-form structure of the laws beyond the feedback formulas themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fixed_inlet, free_inlet
 from .errors import DomainError, SolverDivergenceError, StepSizeError
-from .profile import Scenario
-from .quadrature import cumulative_trapezoid
-from .trace import SimulationTrace
+from .profile import Scenario, check_pairing
+from .trace import SimulationTrace, law_trace
 
 SCHEMES = ("central_flux_rk4", "upwind_euler")
 ORACLE_U_TOL = 1e-3  # discretization wiggle allowance on u <= 1
@@ -54,26 +53,32 @@ class OracleSettings:
             raise DomainError("need at least 4 cells")
         if not (0.0 < self.cfl_cap <= 1.0):
             raise DomainError("cfl_cap must lie in (0, 1]")
-        if self.dt is not None and self.dt <= 0.0:
-            raise DomainError("dt must be positive")
-        if self.escape_factor <= 1.0:
-            raise DomainError("escape_factor must exceed 1")
+        if self.dt is not None and not (0.0 < self.dt < math.inf):
+            raise DomainError("dt must be positive and finite")
+        if not (1.0 < self.escape_factor < math.inf):
+            raise DomainError("escape_factor must be finite and exceed 1")
 
 
 def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettings()
               ) -> SimulationTrace:
-    """Integrate the closed loop driven by `gains` over the scenario horizon.
+    """Integrate the closed loop driven by the law `gains` over the scenario horizon.
 
-    gains is either a FreeInletGain or a FixedInletGains record; the
-    feedback (and inlet handling) dispatches on that type.  The initial
-    profile is linearly resampled onto the oracle grid.
+    gains is a law record (FreeInletGain or FixedInletGains) for the
+    scenario's road: every stage takes u and f(rho) from gains.controls,
+    and the inlet node is frozen when gains.pins_inlet.  The initial profile
+    is linearly resampled onto the oracle grid.  metadata records the step
+    count, the CFL number and the mass-balance residual
+    |integral (rho_T - rho_0) dx - integral (inlet - outlet) dt|, both by
+    trapezoids over the snapshots.
     """
+    if not callable(getattr(gains, "controls", None)):
+        raise DomainError(f"unsupported gains record {type(gains).__name__}")
+    check_pairing(gains, scenario)
     d = scenario.diagram
     n = settings.n_cells
     x = np.linspace(0.0, scenario.length, n + 1)
     h = scenario.length / n
     rho = np.interp(x, scenario.rho0.x, scenario.rho0.values)
-    pin_inlet, controller = _dispatch(gains, scenario, x)
 
     smax = d.max_abs_slope
     cap = settings.cfl_cap * h / smax
@@ -93,16 +98,15 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     escape = settings.escape_factor * max(sup0, 0.05 * d.rho_max)
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        u, _ = controller(state)
-        q = u * np.asarray(d.flow(state), dtype=float)
+        u, fv, _ = gains.controls(d, x, state, ORACLE_U_TOL)
+        q = u * fv
         out = -np.gradient(q, h, edge_order=2)
-        if pin_inlet:
+        if gains.pins_inlet:
             out[0] = 0.0
         return out
 
     def euler_upwind_step(state: np.ndarray) -> np.ndarray:
-        u, _ = controller(state)
-        fv = np.asarray(d.flow(state), dtype=float)
+        u, fv, _ = gains.controls(d, x, state, ORACLE_U_TOL)
         q = u * fv
         speed = u * np.asarray(d.flow_slope(state), dtype=float)
         back = np.empty_like(q)
@@ -112,34 +116,15 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
         fwd[:-1] = np.diff(q) / h
         fwd[-1] = back[-1]
         dq = np.where(speed >= 0.0, back, fwd)
-        if pin_inlet:
+        if gains.pins_inlet:
             dq[0] = 0.0
         return state - dt * dq
 
     targets = scenario.output_times
-    nt, nx = targets.size, x.size
-    rho_out = np.empty((nt, nx))
-    u_out = np.empty((nt, nx))
-    inlet = np.empty(nt)
-    outlet = np.empty(nt)
-    sup = np.empty(nt)
-    bott = np.full(nt, np.nan)
-    track_bottleneck = isinstance(gains, free_inlet.FreeInletGain)
-
-    def record(j: int, state: np.ndarray) -> None:
-        u, extra = controller(state)
-        fv = np.asarray(d.flow(state), dtype=float)
-        rho_out[j] = state
-        u_out[j] = u
-        inlet[j] = u[0] * fv[0]
-        outlet[j] = u[-1] * fv[-1]
-        sup[j] = float(np.max(np.abs(state - scenario.rho_star)))
-        if track_bottleneck:
-            bott[j] = x[extra]
-
-    record(0, rho)
+    rho_out = np.empty((targets.size, x.size))
+    rho_out[0] = rho
     total_steps = 0
-    for j in range(1, nt):
+    for j in range(1, targets.size):
         for _ in range(n_steps):
             if settings.scheme == "central_flux_rk4":
                 k1 = rhs(rho)
@@ -158,14 +143,11 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
             raise SolverDivergenceError(
                 f"deviation {worst:.3g} escaped the band {escape:.3g} "
                 f"near t = {targets[j]:.6g}")
-        record(j, rho)
+        rho_out[j] = rho
 
-    return SimulationTrace(
-        times=targets, x=x, rho=rho_out, u=u_out, rho_star=scenario.rho_star,
-        sup_deviation=sup, inlet_flow=inlet, outlet_flow=outlet,
-        bottleneck_x=bott if track_bottleneck else None,
-        metadata={
-            "law": "free_inlet" if track_bottleneck else "fixed_inlet",
+    trace = law_trace(
+        gains, d, targets, x, rho_out, ORACLE_U_TOL, metadata={
+            "law": gains.law,
             "oracle": True,
             "rho_star": scenario.rho_star,
             "scheme": settings.scheme,
@@ -174,6 +156,10 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
             "steps": total_steps,
             "cfl": dt * smax / h,
         })
+    trace.metadata["mass_balance_residual"] = float(abs(
+        np.trapezoid(trace.rho[-1] - trace.rho[0], trace.x)
+        - np.trapezoid(trace.inlet_flow - trace.outlet_flow, trace.times)))
+    return trace
 
 
 @dataclass(frozen=True)
@@ -215,33 +201,3 @@ def compare(a: SimulationTrace, b: SimulationTrace) -> TraceComparison:
         dg[j] = float(np.max(np.abs(a.rho[j] - rb)))
         cg[j] = float(np.max(np.abs(a.u[j] - ub)))
     return TraceComparison(times=a.times.copy(), density_gaps=dg, control_gaps=cg)
-
-
-def _dispatch(gains, scenario: Scenario, x: np.ndarray):
-    """(pin_inlet, controller) for the given gains record.
-
-    controller(state) returns (u at nodes, extra), extra being the
-    bottleneck index for the free law and the flow array for the fixed one.
-    """
-    d = scenario.diagram
-    rho_star = scenario.rho_star
-    if isinstance(gains, free_inlet.FreeInletGain):
-        free_inlet._check_scenario_pairing(gains, scenario)
-
-        def run_free(state: np.ndarray):
-            Dn = cumulative_trapezoid(x, state - rho_star)
-            u, _, idx = free_inlet._control_values(gains, d, state, Dn)
-            return u, idx
-
-        return False, run_free
-    if isinstance(gains, fixed_inlet.FixedInletGains):
-        fixed_inlet._check_scenario_pairing(gains, scenario)
-
-        def run_fixed(state: np.ndarray):
-            Dn = cumulative_trapezoid(x, state - rho_star)
-            sup_t = float(np.max(np.abs(state - rho_star)))
-            return fixed_inlet._control_values(
-                gains, d, x, state, Dn, sup_t, ORACLE_U_TOL)
-
-        return True, run_fixed
-    raise DomainError(f"unsupported gains record {type(gains).__name__}")

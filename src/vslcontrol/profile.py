@@ -11,6 +11,7 @@ and the sup-norm deviation max |rho - rho_star| over the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fundamental_diagram import FundamentalDiagram
-from .quadrature import cumulative_trapezoid, integral_to
+from .quadrature import cumulative_trapezoid
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,45 +46,13 @@ class DensityProfile:
     def x(self) -> np.ndarray:
         return np.linspace(0.0, self.length, self.values.size)
 
-    @cached_property
-    def _cum_deviation(self) -> np.ndarray:
-        return cumulative_trapezoid(self.x, self.values - self.rho_star)
-
-    def cumulative_deviation(self, x: float) -> float:
-        """D(x), exact through the last (linear) partial cell."""
-        if x < -1e-12 or x > self.length * (1.0 + 1e-12):
-            raise DomainError(f"position {x} outside [0, {self.length}]")
-        return integral_to(self.x, self.values - self.rho_star, self._cum_deviation,
-                           min(max(x, 0.0), self.length))
-
     def node_deviation_integrals(self) -> np.ndarray:
-        """D at every grid node (no copy; treat as read-only)."""
-        return self._cum_deviation
+        """D at every grid node."""
+        return cumulative_trapezoid(self.x, self.values - self.rho_star)
 
     def sup_deviation(self) -> float:
         """max |rho - rho_star| over the grid."""
         return float(np.max(np.abs(self.values - self.rho_star)))
-
-    def value_at(self, x: float) -> float:
-        """Linear interpolation of rho at x."""
-        if x < -1e-12 or x > self.length * (1.0 + 1e-12):
-            raise DomainError(f"position {x} outside [0, {self.length}]")
-        return float(np.interp(x, self.x, self.values))
-
-    def max_second_difference(self) -> float:
-        """max |rho_{i+1} - 2 rho_i + rho_{i-1}| / h^2, a roughness indicator.
-
-        Reported for information only; profiles are not required to be
-        smooth, merely bounded in this sense for the invariance arguments
-        to be meaningful at the discrete level.
-        """
-        h = self.length / (self.values.size - 1)
-        if self.values.size < 3:
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.values, 2)))) / h ** 2
-
-    def with_values(self, values: np.ndarray) -> "DensityProfile":
-        return DensityProfile(self.length, values, self.rho_star)
 
 
 def uniform_profile(length: float, n_cells: int, rho_star: float,
@@ -133,6 +102,9 @@ class Scenario:
     output_interval: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.length, self.rho_star,
+                                              self.horizon, self.output_interval)):
+            raise DomainError("length, rho_star, horizon and output_interval must be finite")
         if self.horizon <= 0.0:
             raise DomainError("horizon must be positive")
         if not (0.0 < self.output_interval <= self.horizon):
@@ -152,3 +124,13 @@ class Scenario:
         if abs(n * self.output_interval - self.horizon) > 1e-9 * self.horizon:
             n = int(np.ceil(self.horizon / self.output_interval))
         return np.linspace(0.0, self.horizon, n + 1)
+
+
+def check_pairing(gains, road: DensityProfile | Scenario) -> None:
+    """Raise DomainError unless gains and road share length and rho_star.
+
+    road is a DensityProfile or a Scenario; gains is either law's record.
+    """
+    if road.rho_star != gains.rho_star or road.length != gains.length:
+        raise DomainError(f"gains and {type(road).__name__.lower()} disagree "
+                          "on rho_star or length")

@@ -73,38 +73,49 @@ class RunResult:
 
 
 def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
-    """Execute the configured law(s), write all artifacts, check invariants."""
+    """Execute the configured law(s), write all artifacts, check invariants.
+
+    The scenario, every law's gains and the solver settings are built
+    before anything is written, so a refused config leaves no directory.
+    """
     base = out_dir if out_dir is not None else cfg.output_dir
-    os.makedirs(base, exist_ok=True)
     scenario = build_scenario(cfg)
-    save_config(cfg, os.path.join(base, "config.ini"))
     laws = ("free_inlet", "fixed_inlet") if cfg.law == "both" else (cfg.law,)
+    gains = {law: _build_gains(cfg, scenario, law) for law in laws}
+    picard = build_picard(cfg)
+    oracle = build_oracle_settings(cfg) if cfg.oracle_enabled else None
+    os.makedirs(base, exist_ok=True)
+    save_config(cfg, os.path.join(base, "config.ini"))
     results = []
     for law in laws:
-        results.append(_run_law(cfg, scenario, law, os.path.join(base, law)))
+        results.append(_run_law(cfg, scenario, law, gains[law], picard, oracle,
+                                os.path.join(base, law)))
     return RunResult(directory=base, laws=tuple(results))
 
 
-def _run_law(cfg: RunConfig, scenario: Scenario, law: str, law_dir: str) -> LawResult:
+def _build_gains(cfg: RunConfig, scenario: Scenario, law: str):
+    if law == "free_inlet":
+        return build_free_gain(cfg)
+    return fixed_inlet.calibrate(scenario.diagram, cfg.rho_star, cfg.length,
+                                 cfg.sigma, cfg.gamma, cfg.mode)
+
+
+def _run_law(cfg: RunConfig, scenario: Scenario, law: str, gains,
+             picard: free_inlet.PicardSettings, oracle: pde_oracle.OracleSettings | None,
+             law_dir: str) -> LawResult:
     os.makedirs(law_dir, exist_ok=True)
     d = scenario.diagram
-    picard = build_picard(cfg)
     if law == "free_inlet":
-        gain = build_free_gain(cfg)
-        trace = free_inlet.simulate(scenario, gain, picard)
-        checks = _free_checks(cfg, scenario, gain, trace)
-        gains_record = gain
+        trace = free_inlet.simulate(scenario, gains, picard)
+        checks = _free_checks(cfg, scenario, gains, trace)
     else:
-        gains = fixed_inlet.calibrate(d, cfg.rho_star, cfg.length,
-                                      cfg.sigma, cfg.gamma, cfg.mode)
         trace = fixed_inlet.simulate(scenario, gains, picard)
         checks = _fixed_checks(cfg, scenario, gains, trace)
-        gains_record = gains
 
     _write_trace(law_dir, d, trace)
     oracle_gap = None
-    if cfg.oracle_enabled:
-        otrace = pde_oracle.integrate(scenario, gains_record, build_oracle_settings(cfg))
+    if oracle is not None:
+        otrace = pde_oracle.integrate(scenario, gains, oracle)
         odir = os.path.join(law_dir, "oracle")
         os.makedirs(odir, exist_ok=True)
         _write_trace(odir, d, otrace)

@@ -56,6 +56,29 @@ class SimulationTrace:
             raise DomainError("sup_deviation column disagrees with the stored profiles")
 
 
+def law_trace(gains, diagram, times: np.ndarray, x: np.ndarray, rho: np.ndarray,
+              u_tol: float, metadata: dict) -> SimulationTrace:
+    """Trace of the densities rho (one row per time) under the law `gains`.
+
+    u and the boundary flows come from gains.controls(diagram, x, row, u_tol)
+    on each row, which also runs the law's domain and escape checks.
+    """
+    u = np.empty_like(rho)
+    inlet = np.empty(len(times))
+    outlet = np.empty(len(times))
+    extras = []
+    for j, row in enumerate(rho):
+        u[j], fv, extra = gains.controls(diagram, x, row, u_tol)
+        inlet[j] = u[j, 0] * fv[0]
+        outlet[j] = u[j, -1] * fv[-1]
+        extras.append(extra)
+    return SimulationTrace(
+        times=times, x=x, rho=rho, u=u, rho_star=gains.rho_star,
+        sup_deviation=np.max(np.abs(rho - gains.rho_star), axis=1),
+        inlet_flow=inlet, outlet_flow=outlet,
+        bottleneck_x=None if extras[0] is None else x[extras], metadata=metadata)
+
+
 def fitted_decay_rate(trace: SimulationTrace) -> float:
     """Least-squares exponential decay rate of sup_deviation over time.
 

@@ -23,14 +23,21 @@ information).  Criteria:
       with the other margins passing; not an error path
   11  the randomized property battery passes with >= 200 cases per
       property, Picard contraction factors within their bounds
+
+The preset runs also pin the determinism contract: their density.csv,
+control.csv and norms.csv hash to the SHA-256 digests the benchmark checks
+(PRESET_SHA256 in benchmarks/workloads.py).
 """
 
+import hashlib
+import os
 import time
 import zlib
 
 import numpy as np
 import pytest
 
+from conftest import load_benchmark_module
 from test_properties import N_CASES, PROPERTY_CHECKS
 from vslcontrol import fixed_inlet, free_inlet, pde_oracle, runner, sampled_profile
 from vslcontrol.config import (build_free_gain, build_oracle_settings,
@@ -222,3 +229,15 @@ def test_criterion_11_property_battery(fixed_run):
     _report(11, ok, f"{len(counts)} properties x >= {min(counts.values())} "
                     f"cases; fixed-law contraction ratio "
                     f"{picard['max_contraction_ratio']:.4f} <= 0.8333")
+
+
+def test_preset_artifacts_match_pinned_digests(free_run, fixed_run, fig7_run):
+    runs = {"paper-sec5-free": free_run[0], "paper-sec5-fixed": fixed_run[0],
+            "paper-fig7": fig7_run[0]}
+    pinned = load_benchmark_module("workloads").PRESET_SHA256
+    assert {name for name, _ in pinned} == set(runs)
+    for (name, filename), want in pinned.items():
+        law_dir = runs[name].law(preset(name).law).directory
+        with open(os.path.join(law_dir, filename), "rb") as fh:
+            got = hashlib.sha256(fh.read()).hexdigest()
+        assert got == want, f"{name}/{filename}"

@@ -9,7 +9,7 @@ Proves:
   3.  admissibility: equilibrium and the reference bump pass with the
       binding slack at the inlet; a profile off the set point at x = 0 is
       rejected via the boundary gap
-  4.  control: u(0) = 1 bitwise, the frozen u(0, 1) value, escape errors
+  4.  controls: u(0) = 1 bitwise, the frozen u(0, 1) value, escape errors
       outside the certified band
   5.  simulate: inlet density pinned, inlet control exactly 1, sup decay
       under exp(-(sigma - gamma L) t), Picard contraction ratio below the
@@ -118,11 +118,17 @@ class TestAdmissible:
 
 class TestControl:
     def test_inlet_is_exactly_one(self, fixed_gains, diagram, bump400):
-        assert fixed_inlet.control(fixed_gains, diagram, bump400, 0.0) == 1.0
+        u, fv, extra = fixed_gains.controls(diagram, bump400.x, bump400.values)
+        assert u[0] == 1.0
+        assert fv[0] == float(diagram.flow(0.7))
+        assert extra is None
 
     def test_outlet_reference_value(self, fixed_gains, diagram, bump400):
-        got = fixed_inlet.control(fixed_gains, diagram, bump400, 1.0)
-        assert got == pytest.approx(U_OUTLET, abs=1e-6)
+        u, _, _ = fixed_gains.controls(diagram, bump400.x, bump400.values)
+        assert bump400.x[-1] == 1.0
+        assert u[-1] == pytest.approx(U_OUTLET, abs=1e-6)
+        np.testing.assert_array_equal(
+            u, fixed_inlet.control_profile(fixed_gains, diagram, bump400))
 
     def test_profile_stays_in_unit_interval(self, fixed_gains, diagram, bump400):
         u = fixed_inlet.control_profile(fixed_gains, diagram, bump400)

@@ -2,8 +2,8 @@
 
 Proves:
   1.  the gain window (0, 1/(L rho_star)) is enforced
-  2.  the congestion weight is 1 at the inlet and at equilibrium, and
-      matches 1/(1 + k D(x)) on the reference bump
+  2.  the congestion weight M = 1/(1 + k D) is 1 at the inlet and at
+      equilibrium, and u = P / (f M) holds node by node on the reference bump
   3.  the bottleneck search returns the global grid minimum of f M with
       the smallest minimizer, and agrees with a brute-force scan
   4.  the control is 1 exactly at the bottleneck, never above 1, and the
@@ -14,7 +14,8 @@ Proves:
       obeys the exponential envelope at every output time; window and
       contraction metadata honor the safety bound
   7.  domain errors: oversized Picard window, rho_star at or above the
-      limit-reduction threshold, mismatched gain/profile pairing
+      limit-reduction threshold, mismatched gain/profile pairing, non-finite
+      Picard settings
 """
 
 import numpy as np
@@ -43,25 +44,43 @@ class TestGain:
     def test_pairing_mismatch_rejected(self, free_gain, diagram):
         p = bump_profile(1.0, 50, 0.9)
         with pytest.raises(DomainError):
-            free_inlet.weight(free_gain, p, 0.5)
+            free_inlet.control_profile(free_gain, diagram, p)
+        with pytest.raises(DomainError):
+            free_inlet.bottleneck(free_gain, diagram, p)
+
+
+def _controls(gain, diagram, profile):
+    return gain.controls(diagram, profile.x, profile.values)
 
 
 class TestWeight:
-    def test_one_at_inlet(self, free_gain, bump400):
-        assert free_inlet.weight(free_gain, bump400, 0.0) == 1.0
+    # M = 1/(1 + k D) enters u = P / (f M); checked through the law's controls
+    def test_one_at_inlet(self, free_gain, diagram, bump400):
+        u, fv, _ = _controls(free_gain, diagram, bump400)
+        value, _ = free_inlet.bottleneck(free_gain, diagram, bump400)
+        assert bump400.node_deviation_integrals()[0] == 0.0
+        assert u[0] == value / fv[0]  # M(0) = 1 exactly
 
     def test_one_at_equilibrium(self, free_gain, diagram):
         p = uniform_profile(1.0, 200, 0.7)
-        for x in (0.0, 0.31, 1.0):
-            assert free_inlet.weight(free_gain, p, x) == 1.0
+        u, fv, idx = _controls(free_gain, diagram, p)
+        assert np.all(p.node_deviation_integrals() == 0.0)
+        assert np.all(u == 1.0)
+        assert np.all(fv == float(diagram.flow(0.7)))
+        assert idx == 0
 
-    def test_bump_full_road(self, free_gain, bump400):
-        got = free_inlet.weight(free_gain, bump400, 1.0)
-        want = 1.0 / (1.0 + 0.3 * bump400.cumulative_deviation(1.0))
-        assert got == pytest.approx(want, rel=1e-15)
+    def test_bump_full_road(self, free_gain, diagram, bump400):
+        u, fv, _ = _controls(free_gain, diagram, bump400)
+        value, _ = free_inlet.bottleneck(free_gain, diagram, bump400)
+        m = 1.0 / (1.0 + 0.3 * bump400.node_deviation_integrals())
+        np.testing.assert_allclose(u, value / (fv * m), rtol=1e-15, atol=0)
 
-    def test_below_one_under_congestion(self, free_gain, bump400):
-        assert free_inlet.weight(free_gain, bump400, 0.5) < 1.0
+    def test_below_one_under_congestion(self, free_gain, diagram, bump400):
+        # u f = P / M exceeds P wherever M < 1, i.e. at every node past the inlet
+        u, fv, _ = _controls(free_gain, diagram, bump400)
+        value, _ = free_inlet.bottleneck(free_gain, diagram, bump400)
+        assert np.all(bump400.node_deviation_integrals()[1:] > 0.0)
+        assert np.all(u[1:] * fv[1:] > value)
 
 
 class TestBottleneck:
@@ -87,7 +106,9 @@ class TestBottleneck:
 class TestControl:
     def test_saturates_at_bottleneck(self, free_gain, diagram, bump400):
         _, xstar = free_inlet.bottleneck(free_gain, diagram, bump400)
-        assert free_inlet.control(free_gain, diagram, bump400, xstar) == 1.0
+        u, _, idx = _controls(free_gain, diagram, bump400)
+        assert bump400.x[idx] == xstar
+        assert u[idx] == 1.0
 
     def test_never_exceeds_one(self, free_gain, diagram, bump400):
         u = free_inlet.control_profile(free_gain, diagram, bump400)
@@ -96,8 +117,11 @@ class TestControl:
 
     def test_inlet_flow_equals_bottleneck(self, free_gain, diagram, bump400):
         value, _ = free_inlet.bottleneck(free_gain, diagram, bump400)
-        u0 = free_inlet.control(free_gain, diagram, bump400, 0.0)
-        assert u0 * float(diagram.flow(0.7)) == pytest.approx(value, rel=1e-15)
+        u, fv, _ = _controls(free_gain, diagram, bump400)
+        assert fv[0] == float(diagram.flow(0.7))
+        assert u[0] * fv[0] == pytest.approx(value, rel=1e-15)
+        np.testing.assert_array_equal(u, free_inlet.control_profile(free_gain, diagram,
+                                                                    bump400))
 
 
 class TestDecayRateBound:
@@ -196,6 +220,11 @@ class TestPicardSettings:
             PicardSettings(safety=1.0)
         with pytest.raises(DomainError):
             PicardSettings(tol=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                PicardSettings(tol=bad)
+            with pytest.raises(DomainError):
+                PicardSettings(window=bad)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Independent finite-volume integrator used to cross-check the closed forms.
 
 Proves:
-  1.  settings validation (scheme names, cell floor, cfl window, dt sign)
+  1.  settings validation (scheme names, cell floor, cfl window, dt sign,
+      non-finite dt and escape factor)
   2.  equilibrium initial data is preserved to machine precision by both
       schemes under both laws
   3.  short-horizon integration tracks the semi-analytic solution on a
@@ -11,7 +12,7 @@ Proves:
       rejected, different space grids are resampled
   6.  conservation bookkeeping: interior mass change matches boundary
       fluxes to discretization accuracy
-  7.  unsupported gains records are rejected
+  7.  records that are not laws, and laws for another road, are rejected
 """
 
 import numpy as np
@@ -42,6 +43,11 @@ class TestSettings:
             OracleSettings(cfl_cap=0.0)
         with pytest.raises(DomainError):
             OracleSettings(dt=-0.1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                OracleSettings(dt=bad)
+            with pytest.raises(DomainError):
+                OracleSettings(escape_factor=bad)
 
 
 class TestEquilibrium:

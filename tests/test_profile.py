@@ -1,8 +1,9 @@
 """Density profiles and their quadrature/norm primitives.
 
 Proves:
-  1.  cumulative deviation: zero at x = 0, exact for constant deviation,
-      the quartic bump integral over [0,1] within O(h^2), additive over
+  1.  cumulative deviation (node integrals plus quadrature.integral_to
+      between nodes): zero at x = 0, exact for constant deviation, the
+      quartic bump integral over [0,1] within O(h^2), additive over
       subintervals, exact partial-cell behavior between nodes
   2.  trapezoid error on the bump shrinks 4x when the grid doubles
   3.  sup deviation: reference value 0.5184 at the on-grid maximizer,
@@ -11,7 +12,8 @@ Proves:
       coefficients; uniform defaults to the set point
   5.  validation errors: nonpositive values, bad length, too few nodes
   6.  scenario wiring: output times include endpoints, mismatched
-      profiles rejected, densities above rho_max rejected
+      profiles rejected, densities above rho_max rejected, non-finite
+      horizon, interval, length or set point rejected
 """
 
 import numpy as np
@@ -19,33 +21,41 @@ import pytest
 
 from vslcontrol import (DensityProfile, DomainError, Scenario, bump_profile,
                         polynomial_profile, sampled_profile, uniform_profile)
+from vslcontrol.quadrature import integral_to
 
 BUMP_INTEGRAL = 0.32  # exact: 4 * (1.44/3 - 2.4/4 + 1/5)
 BUMP_SUP = 0.5184     # at x = 0.6
 
 
+def deviation_to(p, x):
+    """D(x) of profile p, exact through the last (linear) partial cell."""
+    return integral_to(p.x, p.values - p.rho_star, p.node_deviation_integrals(), x)
+
+
 class TestCumulativeDeviation:
     def test_zero_at_origin(self, bump400):
-        assert bump400.cumulative_deviation(0.0) == 0.0
+        assert bump400.node_deviation_integrals()[0] == 0.0
+        assert deviation_to(bump400, 0.0) == 0.0
 
     def test_constant_deviation_is_linear(self):
         p = uniform_profile(2.0, 100, 0.5, value=1.5)
-        assert p.cumulative_deviation(2.0) == pytest.approx(2.0, rel=1e-14)
-        assert p.cumulative_deviation(0.7) == pytest.approx(0.7, rel=1e-14)
+        assert p.node_deviation_integrals()[-1] == pytest.approx(2.0, rel=1e-14)
+        assert deviation_to(p, 2.0) == pytest.approx(2.0, rel=1e-14)
+        assert deviation_to(p, 0.7) == pytest.approx(0.7, rel=1e-14)
 
     def test_bump_integral_reference(self, bump400):
-        err = bump400.cumulative_deviation(1.0) - BUMP_INTEGRAL
+        err = bump400.node_deviation_integrals()[-1] - BUMP_INTEGRAL
         # Euler-Maclaurin: -(h^2/12) * (dev'(1) - dev'(0)) with dev'(1) = -1.28
         assert err == pytest.approx((1.0 / 400) ** 2 / 12.0 * 1.28 * -1.0, rel=1e-3)
         assert abs(err) < 1e-6
 
     def test_refinement_is_second_order(self):
-        errs = [abs(bump_profile(1.0, n, 0.7).cumulative_deviation(1.0)
+        errs = [abs(bump_profile(1.0, n, 0.7).node_deviation_integrals()[-1]
                     - BUMP_INTEGRAL) for n in (200, 400)]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.02)
 
     def test_additive_over_subintervals(self, bump400):
-        full = bump400.cumulative_deviation(1.0)
+        full = deviation_to(bump400, 1.0)
         # node integrals telescope
         D = bump400.node_deviation_integrals()
         assert D[-1] == pytest.approx(full, abs=1e-15)
@@ -55,13 +65,7 @@ class TestCumulativeDeviation:
     def test_partial_cell_is_linear_interpolation_of_integrand(self):
         p = sampled_profile(1.0, 1.0, np.array([1.0, 2.0, 1.0]))
         # between nodes 0 and 1 the deviation ramps 0 -> 1 over width 0.5
-        assert p.cumulative_deviation(0.25) == pytest.approx(0.25 * 0.5 / 2.0, rel=1e-12)
-
-    def test_outside_domain_rejected(self, bump400):
-        with pytest.raises(DomainError):
-            bump400.cumulative_deviation(-0.1)
-        with pytest.raises(DomainError):
-            bump400.cumulative_deviation(1.1)
+        assert deviation_to(p, 0.25) == pytest.approx(0.25 * 0.5 / 2.0, rel=1e-12)
 
 
 class TestSupDeviation:
@@ -93,13 +97,6 @@ class TestBuilders:
         p = uniform_profile(1.0, 10, 0.9)
         assert np.all(p.values == 0.9)
 
-    def test_value_at_interpolates(self, bump400):
-        x = 0.333
-        lo = bump400.values[133]
-        hi = bump400.values[134]
-        w = (x - 133 * 0.0025) / 0.0025
-        assert bump400.value_at(x) == pytest.approx(lo * (1 - w) + hi * w, rel=1e-12)
-
 
 class TestValidation:
     def test_nonpositive_values_rejected(self):
@@ -114,10 +111,6 @@ class TestValidation:
         with pytest.raises(DomainError):
             DensityProfile(0.0, np.array([0.5, 0.5]), 0.5)
 
-    def test_max_second_difference_of_linear_profile(self):
-        p = sampled_profile(1.0, 0.5, np.linspace(0.4, 0.8, 21))
-        assert p.max_second_difference() == pytest.approx(0.0, abs=1e-9)
-
 
 class TestScenario:
     def test_output_times_cover_horizon(self, free_scenario):
@@ -128,6 +121,14 @@ class TestScenario:
         with pytest.raises(DomainError):
             Scenario(diagram=diagram, length=1.0, rho_star=0.8, rho0=bump400,
                      horizon=10.0, output_interval=1.0)
+
+    def test_non_finite_inputs_rejected(self, diagram, bump400):
+        good = dict(diagram=diagram, length=1.0, rho_star=0.7, rho0=bump400,
+                    horizon=10.0, output_interval=1.0)
+        for key in ("length", "rho_star", "horizon", "output_interval"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(DomainError):
+                    Scenario(**{**good, key: bad})
 
     def test_density_above_capacity_limit_rejected(self, diagram):
         vals = np.full(11, 0.7)

@@ -5,7 +5,8 @@ and returning the number of cases it ran; PROPERTY_CHECKS maps names to
 those functions so the acceptance suite can re-run the whole battery.
 
 Covered invariants:
-  quadrature_affine_exactness   cumulative deviation integrates affine data
+  quadrature_affine_exactness   cumulative deviation (node integrals plus
+                                integral_to) integrates affine data
                                 exactly, vanishes at 0, and is additive
   limit_inversion_round_trip    flow -> limit inversion undoes vsl_flow on
                                 the monotone branch, scalar and vectorized
@@ -22,7 +23,9 @@ Covered invariants:
   sup_norm_axioms               the deviation norm is absolutely
                                 homogeneous and subadditive
   oracle_agreement              independent finite-volume runs track the
-                                closed forms and conserve mass
+                                closed forms and conserve mass; the
+                                oracle's recorded mass-balance residual
+                                equals the one computed here
   config_round_trip             serialize/parse is the identity on random
                                 configurations
 """
@@ -36,7 +39,7 @@ from vslcontrol import (ExponentialDiagram, FreeInletGain, OracleSettings,
                         uniform_profile, validate_assumptions)
 from vslcontrol.config import (RunConfig, parse_config, serialize_config,
                                with_overrides)
-from vslcontrol.quadrature import cumulative_trapezoid
+from vslcontrol.quadrature import cumulative_trapezoid, integral_to
 
 N_CASES = 200
 STANDARD = ExponentialDiagram(rho_max=1.6)
@@ -51,12 +54,14 @@ def quadrature_affine_exactness(rng, n_cases=N_CASES):
         beta = rng.uniform(-0.25, 0.25)
         x = np.linspace(0.0, length, n + 1)
         p = sampled_profile(length, rho_star, rho_star + alpha + beta * x)
-        assert p.cumulative_deviation(0.0) == 0.0
+        D = p.node_deviation_integrals()
+        dev_to = lambda q: integral_to(p.x, p.values - rho_star, D, q)
+        assert D[0] == 0.0 and dev_to(0.0) == 0.0
         q1, q2 = np.sort(rng.uniform(0.0, length, size=2))
         exact = lambda t: alpha * t + beta * t * t / 2.0
         for q in (q1, q2, length):
-            assert p.cumulative_deviation(q) == pytest.approx(exact(q), abs=1e-13)
-        both = p.cumulative_deviation(q2) - p.cumulative_deviation(q1)
+            assert dev_to(q) == pytest.approx(exact(q), abs=1e-13)
+        both = dev_to(q2) - dev_to(q1)
         assert both == pytest.approx(exact(q2) - exact(q1), abs=1e-13)
     return n_cases
 
@@ -216,10 +221,11 @@ def sup_norm_axioms(rng, n_cases=N_CASES):
         assert s1 >= 0.0
         c = rng.uniform(-1.5, 1.5)
         if np.all(rho_star + c * dev1 > 0.0):
-            assert p1.with_values(rho_star + c * dev1).sup_deviation() == \
+            scaled = sampled_profile(length, rho_star, rho_star + c * dev1)
+            assert scaled.sup_deviation() == \
                 pytest.approx(abs(c) * s1, rel=1e-13, abs=1e-15)
         if np.all(rho_star + dev1 + dev2 > 0.0):
-            both = p1.with_values(rho_star + dev1 + dev2).sup_deviation()
+            both = sampled_profile(length, rho_star, rho_star + dev1 + dev2).sup_deviation()
             assert both <= s1 + s2 + 1e-15
         assert uniform_profile(length, n, rho_star).sup_deviation() == 0.0
     return n_cases
@@ -248,6 +254,7 @@ def oracle_agreement(rng, n_cases=N_CASES):
         dm = np.trapezoid(num.rho[-1] - num.rho[0], num.x)
         net = np.trapezoid(num.inlet_flow - num.outlet_flow, num.times)
         assert dm == pytest.approx(net, abs=2e-3)
+        assert num.metadata["mass_balance_residual"] == abs(dm - net)
     return n_cases
 
 

@@ -13,9 +13,15 @@ Proves:
       status line per law; the [project.scripts] entry point declared in
       pyproject.toml resolves to vslcontrol.cli:main and runs as its own
       process
+  8.  a non-finite float in any config key, a gain outside its window and a
+      strict calibration failure all exit 2 with an error line and leave no
+      run directory
+  9.  every layer the benchmark's span recorder wraps is reached through
+      module attributes by a run with both laws and the oracle, then compare
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,9 +30,10 @@ import numpy as np
 import pytest
 
 import vslcontrol
+from conftest import load_benchmark_module
 from vslcontrol import cli, runner
-from vslcontrol.config import (ConfigError, PRESETS, RunConfig, load_config,
-                               parse_config, preset, save_config,
+from vslcontrol.config import (_FIELD_TYPES, _LAYOUT, ConfigError, PRESETS, RunConfig,
+                               load_config, parse_config, preset, save_config,
                                serialize_config, with_overrides)
 
 # short horizons need a looser terminal u-gap than the presets' long-run targets
@@ -225,6 +232,30 @@ class TestCli:
                       "--strict", "--override"])
         assert exc.value.code == 2
 
+    def test_non_finite_floats_exit_two(self, tmp_path, capsys):
+        floats = [(key, name) for _, key, name in _LAYOUT if "float" in _FIELD_TYPES[name]]
+        assert len(floats) == 24
+        p = tmp_path / "c.ini"
+        out = tmp_path / "o"
+        for key, name in floats:
+            for bad in ("nan", "inf"):
+                p.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {bad}",
+                                    serialize_config(RunConfig())))
+                rc = cli.main(["run", "--config", str(p), "--out", str(out)])
+                err = capsys.readouterr().err
+                assert rc == 2 and err.startswith("error:"), (key, bad, rc, err)
+                assert name in err, err
+                assert not out.exists()
+
+    def test_refused_config_writes_no_directory(self, tmp_path, capsys):
+        p = str(tmp_path / "c.ini")
+        save_config(with_overrides(preset("paper-sec5-free"), free_gain=2.0), p)
+        for source in (["--config", p], ["--preset", "paper-sec5-fixed", "--strict"]):
+            out = tmp_path / "o"
+            assert cli.main(["run", *source, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error:")
+            assert not out.exists(), source
+
     def test_console_script_entry_point(self, tmp_path):
         # An installed `vslcontrol` script is only the wrapper pip generates
         # from [project.scripts]; check that mapping and run its target in a
@@ -243,3 +274,26 @@ class TestCli:
             capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "gain" in proc.stdout, proc.stderr
+
+
+class TestBenchmarkHooks:
+    def test_every_traced_target_records_a_span(self, tmp_path, capsys):
+        tracing = load_benchmark_module("tracing")
+        cfg = with_overrides(preset("paper-sec5-free"), n_cells=40, horizon=1.0,
+                             snapshots=3, law="both", mode="override",
+                             oracle_enabled=True, oracle_n_cells=40,
+                             free_u_gap_tol=1.0, fixed_u_gap_tol=1.0)
+        p = str(tmp_path / "c.ini")
+        save_config(cfg, p)
+        out = str(tmp_path / "o")
+        law_dir = os.path.join(out, "free_inlet")
+        recorder = tracing.Recorder()
+        recorder.install()
+        try:
+            assert cli.main(["run", "--config", p, "--out", out]) == 0
+            assert cli.main(["compare", law_dir, os.path.join(law_dir, "oracle")]) == 0
+        finally:
+            recorder.uninstall()
+        seen = {span.name for span in recorder.spans}
+        want = {tracing._span_name(m, a) for m, a, _ in tracing.TARGETS}
+        assert not want - seen, sorted(want - seen)
