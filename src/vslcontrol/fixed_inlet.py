@@ -29,6 +29,7 @@ gamma L / sigma < 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import CertificationError, ConvergenceError, DomainError, StateEsca
 from .fundamental_diagram import FundamentalDiagram, _bisect
 from .free_inlet import PicardSettings
 from .profile import DensityProfile, Scenario, check_pairing
-from .quadrature import cumulative_trapezoid, integral_to
+from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
 
 U_TOL = 1e-9  # tolerance band on u <= 1 for semi-analytic states
@@ -66,9 +67,9 @@ class FixedInletGains:
     above; min_concavity and max_back_slope are the Q and q grid estimates.
     certified is True when every sufficient condition passed.
 
-    The record is the law: `controls` evaluates u on a node grid, the inlet
-    node is held at rho_star (pins_inlet is True), and `law` names it in
-    metadata.
+    The record is the law: `controller` binds it to a node grid and
+    `controls` evaluates u there once, the inlet node is held at rho_star
+    (pins_inlet is True), and `law` names it in metadata.
     """
 
     law = "fixed_inlet"
@@ -88,26 +89,38 @@ class FixedInletGains:
     def failed_conditions(self) -> tuple[ConditionResult, ...]:
         return tuple(c for c in self.conditions if not c.passed)
 
+    def controller(self, diagram: FundamentalDiagram, x: np.ndarray, u_tol: float = U_TOL
+                   ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, None]]:
+        """The law on the nodes x: evaluate(rho) -> (u, f(rho), None).
+
+        u is exactly 1 at x = 0 on admissible data.  Every evaluation runs
+        the diagram's domain check and raises StateEscapeError when the flow
+        vanishes or u leaves (0, 1 + u_tol]; u is clipped to 1.
+        """
+        budget = _flow_budget(self, diagram, x)
+        rho_star, flow, dx, ceiling = self.rho_star, diagram.flow, np.diff(x), 1.0 + u_tol
+
+        def evaluate(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+            dev = rho - rho_star
+            top = budget(running_trapezoid(dx, dev), float(np.abs(dev).max()))
+            fv = np.asarray(flow(rho), dtype=float)
+            # fmin/fmax skip NaN exactly as the elementwise comparisons do
+            if np.fmin.reduce(fv) <= 0.0:
+                raise StateEscapeError("flow vanished; control undefined")
+            u = top / fv
+            if np.fmin.reduce(u) <= 0.0 or np.fmax.reduce(u) > ceiling:
+                bad = (u <= 0.0) | (u > ceiling)
+                i = int(np.argmax(np.where(bad, np.abs(u - 0.5), -1.0)))
+                raise StateEscapeError(
+                    f"control {u[i]:.6g} left (0, 1] at x = {x[i]:.6g}; profile not admissible")
+            return np.minimum(u, 1.0), fv, None
+
+        return evaluate
+
     def controls(self, diagram: FundamentalDiagram, x: np.ndarray, rho: np.ndarray,
                  u_tol: float = U_TOL) -> tuple[np.ndarray, np.ndarray, None]:
-        """(u, f(rho), None) at the nodes x for densities rho.
-
-        u is exactly 1 at x = 0 on admissible data.  Raises StateEscapeError
-        when the flow vanishes or u leaves (0, 1 + u_tol]; u is clipped to 1.
-        """
-        dev = rho - self.rho_star
-        budget = _flow_budget(self, diagram, x, cumulative_trapezoid(x, dev),
-                              float(np.max(np.abs(dev))))
-        fv = np.asarray(diagram.flow(rho), dtype=float)
-        if np.any(fv <= 0.0):
-            raise StateEscapeError("flow vanished; control undefined")
-        u = budget / fv
-        bad = (u <= 0.0) | (u > 1.0 + u_tol)
-        if np.any(bad):
-            i = int(np.argmax(np.where(bad, np.abs(u - 0.5), -1.0)))
-            raise StateEscapeError(
-                f"control {u[i]:.6g} left (0, 1] at x = {x[i]:.6g}; profile not admissible")
-        return np.minimum(u, 1.0), fv, None
+        """(u, f(rho), None) at the nodes x for densities rho."""
+        return self.controller(diagram, x, u_tol)(rho)
 
 
 def calibrate(diagram: FundamentalDiagram, rho_star: float, length: float,
@@ -201,8 +214,8 @@ def admissible(gains: FixedInletGains, diagram: FundamentalDiagram,
     check_pairing(gains, profile)
     boundary_gap = abs(float(profile.values[0]) - gains.rho_star)
     boundary_ok = boundary_gap <= 1e-9 * diagram.rho_max
-    lhs = _flow_budget(gains, diagram, profile.x,
-                       profile.node_deviation_integrals(), profile.sup_deviation())
+    lhs = _flow_budget(gains, diagram, profile.x)(profile.node_deviation_integrals(),
+                                                  profile.sup_deviation())
     slack = np.asarray(diagram.flow(profile.values), dtype=float) - lhs
     idx = int(np.argmin(slack))
     min_slack = float(slack[idx])
@@ -251,9 +264,14 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
     worst_ratio = 0.0
     ratio_floor = 1e3 * settings.tol
     iters = 0
+    # one buffer for every iterate: freeing and reallocating a matrix this
+    # size each iteration made the allocator return it to the system and
+    # fault it back in
+    inner = np.empty((tn.size, x.size))
     for it in range(settings.max_iter):
         J = cumulative_trapezoid(tn, grow * g)
-        inner = dev0[None, :] + gains.gamma * J[:, None] * x[None, :]
+        np.multiply(gains.gamma * J[:, None], x[None, :], out=inner)
+        inner += dev0[None, :]
         g_new = shrink * inner.max(axis=1)
         diff = float(np.max(np.abs(g_new - g)))
         if prev_diff is not None and prev_diff > ratio_floor:
@@ -303,7 +321,13 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
         })
 
 
-def _flow_budget(gains: FixedInletGains, diagram: FundamentalDiagram,
-                 x: np.ndarray, node_integrals: np.ndarray, sup: float) -> np.ndarray:
-    return float(diagram.flow(gains.rho_star)) + gains.sigma * node_integrals \
-        - 0.5 * gains.gamma * x ** 2 * sup
+def _flow_budget(gains: FixedInletGains, diagram: FundamentalDiagram, x: np.ndarray
+                 ) -> Callable[[np.ndarray, float], np.ndarray]:
+    """(D, S) -> f(rho_star) + sigma D - (gamma x^2 / 2) S on the nodes x.
+
+    f(rho_star) and gamma x^2 / 2 are computed here, once per grid.
+    """
+    f_star = float(diagram.flow(gains.rho_star))
+    sigma = gains.sigma
+    quad = 0.5 * gains.gamma * x ** 2
+    return lambda node_integrals, sup: f_star + sigma * node_integrals - quad * sup

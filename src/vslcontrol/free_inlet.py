@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StateEscapeError
 from .fundamental_diagram import FundamentalDiagram
 from .profile import DensityProfile, Scenario, check_pairing
-from .quadrature import cumulative_trapezoid, integral_to
+from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
 
 
@@ -39,8 +40,9 @@ from .trace import SimulationTrace, law_trace
 class FreeInletGain:
     """Feedback gain k for a road of the given length and target density.
 
-    The record is the law: `controls` evaluates u on a node grid, the inlet
-    is left free (pins_inlet is False), and `law` names it in metadata.
+    The record is the law: `controller` binds it to a node grid and
+    `controls` evaluates u there once, the inlet is left free (pins_inlet
+    is False), and `law` names it in metadata.
     """
 
     law = "free_inlet"
@@ -58,21 +60,32 @@ class FreeInletGain:
                 f"gain must lie in (0, {1.0 / (self.length * self.rho_star):.6g}) "
                 f"= (0, 1/(length*rho_star))")
 
-    def controls(self, diagram: FundamentalDiagram, x: np.ndarray, rho: np.ndarray,
-                 u_tol: float = 0.0) -> tuple[np.ndarray, np.ndarray, int]:
-        """(u, f(rho), bottleneck index) at the nodes x for densities rho.
+    def controller(self, diagram: FundamentalDiagram, x: np.ndarray, u_tol: float = 0.0
+                   ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, int]]:
+        """The law on the nodes x: evaluate(rho) -> (u, f(rho), bottleneck index).
 
         The bottleneck index is the smallest minimizer of f(rho) M, where
         u equals 1 exactly.  u never exceeds 1 by construction, so u_tol is
-        accepted only to share the fixed law's signature.
+        accepted only to share the fixed law's signature.  Every evaluation
+        runs the diagram's domain check and the positivity check.
         """
-        fv = np.asarray(diagram.flow(rho), dtype=float)
-        weighted = fv / (1.0 + self.gain * cumulative_trapezoid(x, rho - self.rho_star))
-        idx = int(np.argmin(weighted))
-        value = float(weighted[idx])
-        if value <= 0.0:
-            raise StateEscapeError("weighted flow lost positivity")
-        return value / weighted, fv, idx
+        k, rho_star, flow, dx = self.gain, self.rho_star, diagram.flow, np.diff(x)
+
+        def evaluate(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+            fv = np.asarray(flow(rho), dtype=float)
+            weighted = fv / (1.0 + k * running_trapezoid(dx, rho - rho_star))
+            idx = int(weighted.argmin())
+            value = float(weighted[idx])
+            if value <= 0.0:
+                raise StateEscapeError("weighted flow lost positivity")
+            return value / weighted, fv, idx
+
+        return evaluate
+
+    def controls(self, diagram: FundamentalDiagram, x: np.ndarray, rho: np.ndarray,
+                 u_tol: float = 0.0) -> tuple[np.ndarray, np.ndarray, int]:
+        """(u, f(rho), bottleneck index) at the nodes x for densities rho."""
+        return self.controller(diagram, x, u_tol)(rho)
 
 
 @dataclass(frozen=True)
@@ -157,7 +170,8 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
 
     Solves the bottleneck fixed point window by window, then evaluates the
     factorized solution at the scenario's output times.  A window that
-    fails to converge is halved and retried (up to settings.retry_cap).
+    fails to converge is halved and retried (up to settings.retry_cap);
+    metadata["picard"]["halvings"] counts those retries.
     """
     d = scenario.diagram
     check_pairing(gain, scenario)
@@ -182,6 +196,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     t0 = 0.0
     window = window0
     n_windows = 0
+    halvings = 0
     max_iters = 0
     max_ratio = 0.0
     eps = 1e-12 * max(1.0, scenario.horizon)
@@ -196,6 +211,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
                 if attempt == settings.retry_cap:
                     raise
                 span *= 0.5
+                halvings += 1
                 window = min(window, span)  # keep the shrunken window from here on
         n_windows += 1
         max_iters = max(max_iters, iters)
@@ -228,6 +244,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
             "window": window0,
             "picard": {
                 "windows": n_windows,
+                "halvings": halvings,
                 "max_iterations": max_iters,
                 "max_contraction_ratio": max_ratio,
                 "factor_bound": min(_contraction_coefficient(gain, d) * window0,

@@ -23,6 +23,7 @@ Two structural assumptions are used by the controllers built on top:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -129,7 +130,10 @@ class FundamentalDiagram:
     def _check_density(self, rho) -> np.ndarray:
         r = np.asarray(rho, dtype=float)
         tol = DENSITY_TOL_REL * max(1.0, self.rho_max)
-        if np.any(r < -tol) or np.any(r > self.rho_max + tol):
+        # fmin/fmax skip NaN, so this rejects exactly the arrays holding an
+        # entry below -tol or above rho_max + tol, in one pass each
+        if r.size and (np.fmin.reduce(r, axis=None) < -tol
+                       or np.fmax.reduce(r, axis=None) > self.rho_max + tol):
             raise DomainError(f"density outside [0, {self.rho_max}]")
         return r
 
@@ -152,6 +156,10 @@ class ExponentialDiagram(FundamentalDiagram):
     rho_max: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.flow_scale, self.density_scale, self.shape,
+                                              self.vsl_sensitivity, self.rho_max)):
+            raise DomainError("flow_scale, density_scale, shape, vsl_sensitivity "
+                              "and rho_max must be finite")
         if self.flow_scale <= 0 or self.density_scale <= 0 or self.shape <= 0:
             raise DomainError("flow_scale, density_scale and shape must be positive")
         if self.vsl_sensitivity < 0:
@@ -309,12 +317,16 @@ class TabulatedDiagram(FundamentalDiagram):
         grid = np.asarray(self.rho_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 4:
             raise DomainError("rho_grid must be a 1-d array with at least 4 nodes")
+        if not np.all(np.isfinite(grid)):
+            raise DomainError("rho_grid must be finite")
         if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
             raise DomainError("rho_grid must start at 0 and increase strictly")
         for name in ("flow_values", "slope_values", "curvature_values"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != grid.shape:
                 raise DomainError(f"{name} must match rho_grid in shape")
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "rho_grid", grid)
 

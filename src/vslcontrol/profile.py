@@ -34,10 +34,10 @@ class DensityProfile:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise DomainError("values must be a 1-d array with at least 2 nodes")
-        if self.length <= 0.0:
-            raise DomainError("length must be positive")
-        if self.rho_star <= 0.0:
-            raise DomainError("rho_star must be positive")
+        if not (0.0 < self.length < math.inf):
+            raise DomainError("length must be positive and finite")
+        if not (0.0 < self.rho_star < math.inf):
+            raise DomainError("rho_star must be positive and finite")
         if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
             raise DomainError("densities must be finite and strictly positive")
         object.__setattr__(self, "values", vals)

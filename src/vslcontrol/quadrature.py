@@ -11,9 +11,17 @@ def cumulative_trapezoid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Returns an array the same length as x; entry i is the integral from
     x[0] to x[i] of the piecewise-linear interpolant of y.
     """
+    return running_trapezoid(np.diff(x), y)
+
+
+def running_trapezoid(dx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """cumulative_trapezoid on the grid whose steps are dx = np.diff(x).
+
+    For callers that integrate on one grid many times and take dx once.
+    """
     out = np.empty_like(np.asarray(y, dtype=float))
     out[0] = 0.0
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x), out=out[1:])
+    (0.5 * (y[1:] + y[:-1]) * dx).cumsum(out=out[1:])
     return out
 
 

@@ -60,15 +60,17 @@ def law_trace(gains, diagram, times: np.ndarray, x: np.ndarray, rho: np.ndarray,
               u_tol: float, metadata: dict) -> SimulationTrace:
     """Trace of the densities rho (one row per time) under the law `gains`.
 
-    u and the boundary flows come from gains.controls(diagram, x, row, u_tol)
-    on each row, which also runs the law's domain and escape checks.
+    u and the boundary flows come from the law bound once to the grid,
+    gains.controller(diagram, x, u_tol), evaluated on each row, which also
+    runs the law's domain and escape checks.
     """
+    evaluate = gains.controller(diagram, x, u_tol)
     u = np.empty_like(rho)
     inlet = np.empty(len(times))
     outlet = np.empty(len(times))
     extras = []
     for j, row in enumerate(rho):
-        u[j], fv, extra = gains.controls(diagram, x, row, u_tol)
+        u[j], fv, extra = evaluate(row)
         inlet[j] = u[j, 0] * fv[0]
         outlet[j] = u[j, -1] * fv[-1]
         extras.append(extra)

@@ -12,7 +12,8 @@ Proves:
       the lower density bound, and saturates above rho_star
   6.  simulate: equilibrium stays put with u = 1 everywhere; the bump run
       obeys the exponential envelope at every output time; window and
-      contraction metadata honor the safety bound
+      contraction metadata honor the safety bound; a window halved after a
+      failed Picard solve is counted in metadata["picard"]["halvings"]
   7.  domain errors: oversized Picard window, rho_star at or above the
       limit-reduction threshold, mismatched gain/profile pairing, non-finite
       Picard settings
@@ -182,6 +183,23 @@ class TestSimulate:
         assert picard["windows"] == int(np.ceil(30.0 / WINDOW))
         assert picard["max_contraction_ratio"] <= 0.5 + 1e-12
         assert picard["max_iterations"] <= 30
+        assert picard["halvings"] == 0
+
+    def test_halving_is_counted(self, free_scenario, free_gain, monkeypatch):
+        solve = free_inlet._solve_window
+        failures = []
+
+        def fail_once(*args):
+            if not failures:
+                failures.append(args[5])
+                raise ConvergenceError("forced")
+            return solve(*args)
+
+        monkeypatch.setattr(free_inlet, "_solve_window", fail_once)
+        tr = free_inlet.simulate(free_scenario, free_gain)
+        assert tr.metadata["picard"]["halvings"] == 1
+        assert failures == [pytest.approx(WINDOW, rel=1e-12)]
+        assert tr.metadata["picard"]["windows"] == int(np.ceil(30.0 / (WINDOW / 2)))
 
     def test_oversized_window_rejected(self, free_scenario, free_gain):
         with pytest.raises(DomainError):

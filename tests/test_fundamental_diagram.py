@@ -16,6 +16,9 @@ Proves:
   9.  analytic slope/curvature match central differences at O(h^2)
  10.  speed_limits solves F(rho, l) = u f(rho) vectorized, both a = 0
       and a > 0
+ 11.  the density check accepts and rejects exactly what the elementwise
+      comparisons do at the +-tol edges, for 0-d, 1-d, 2-d and empty input
+ 12.  non-finite constructor fields are rejected with DomainError
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ import pytest
 from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram,
                         TabulatedDiagram, UnsupportedDiagramError, speed_limits,
                         validate_assumptions)
+from vslcontrol.fundamental_diagram import DENSITY_TOL_REL
 
 F_AT_1 = 0.3678794411714423216
 F_AT_07 = 0.34760971265398666029
@@ -51,6 +55,10 @@ class TestExponentialFlow:
             diagram.flow(-0.01)
         with pytest.raises(DomainError):
             diagram.flow(1.7)
+
+    def test_empty_input_gives_empty_flow(self, diagram):
+        out = diagram.flow(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_scaled_family(self):
         d = ExponentialDiagram(flow_scale=2.5, density_scale=0.5, shape=2.0,
@@ -238,3 +246,55 @@ def test_no_critical_density_raises():
         rho_max=1.6)
     with pytest.raises(AssumptionError):
         t.critical_density
+
+
+class TestDensityCheck:
+    """The one-pass check against the elementwise predicate it replaced."""
+
+    @staticmethod
+    def elementwise_rejects(diagram, r):
+        tol = DENSITY_TOL_REL * max(1.0, diagram.rho_max)
+        return bool(np.any(r < -tol) or np.any(r > diagram.rho_max + tol))
+
+    def test_edges_in_every_shape(self, diagram):
+        tol = DENSITY_TOL_REL * max(1.0, diagram.rho_max)
+        top = diagram.rho_max + tol
+        edges = [-tol, np.nextafter(-tol, -np.inf), top, np.nextafter(top, np.inf),
+                 0.0, diagram.rho_max, np.nan, np.inf, -np.inf]
+        inputs = [np.array([])]
+        for v in edges:
+            inputs += [np.asarray(v), np.array([0.7, v, 1.0]),
+                       np.array([[0.7, 1.0], [v, 0.3]]), np.array([np.nan, v])]
+        verdicts = set()
+        for r in inputs:
+            rejects = self.elementwise_rejects(diagram, r)
+            verdicts.add(rejects)
+            if rejects:
+                with pytest.raises(DomainError):
+                    diagram._check_density(r)
+            else:
+                assert diagram._check_density(r).shape == r.shape
+        assert verdicts == {True, False}
+
+
+class TestNonFiniteFields:
+    @pytest.mark.parametrize("field", ["flow_scale", "density_scale", "shape",
+                                       "vsl_sensitivity", "rho_max"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_exponential(self, field, bad):
+        with pytest.raises(DomainError):
+            ExponentialDiagram(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["rho_grid", "flow_values", "slope_values",
+                                       "curvature_values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("node", [3, -1])
+    def test_tabulated(self, field, bad, node):
+        grid = np.linspace(0.0, 1.6, 11)
+        tables = dict(rho_grid=grid, flow_values=grid * (2.0 - grid),
+                      slope_values=2.0 - 2.0 * grid, curvature_values=np.full_like(grid, -2.0))
+        TabulatedDiagram(**tables)
+        spoiled = tables[field].copy()
+        spoiled[node] = bad
+        with pytest.raises(DomainError):
+            TabulatedDiagram(**{**tables, field: spoiled})

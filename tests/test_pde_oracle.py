@@ -13,14 +13,18 @@ Proves:
   6.  conservation bookkeeping: interior mass change matches boundary
       fluxes to discretization accuracy
   7.  records that are not laws, and laws for another road, are rejected
+  8.  the lean right-hand side (law bound once, slice stencil) gives the
+      same bits as a plain loop over gains.controls and np.gradient, or
+      the upwind step, for both laws under both schemes
+  9.  a bound law still runs its domain and escape checks on every call
 """
 
 import numpy as np
 import pytest
 
 from vslcontrol import (DomainError, FreeInletGain, OracleSettings, Scenario,
-                        StepSizeError, bump_profile, fixed_inlet, free_inlet,
-                        pde_oracle, uniform_profile)
+                        StateEscapeError, StepSizeError, bump_profile, fixed_inlet,
+                        free_inlet, pde_oracle, uniform_profile)
 
 
 def short_scenario(diagram, n_cells=80, horizon=2.0):
@@ -164,3 +168,103 @@ class TestDispatch:
         wrong = FreeInletGain(0.3, 1.0, 0.9)
         with pytest.raises(DomainError):
             pde_oracle.integrate(sc, wrong, OracleSettings(n_cells=40))
+
+
+def reference_rows(scenario, gains, n_cells, scheme, dt, n_steps):
+    """The oracle as a plain loop: gains.controls and np.gradient every stage.
+
+    Returns the state after every n_steps steps, one row per output time.
+    """
+    d = scenario.diagram
+    x = np.linspace(0.0, scenario.length, n_cells + 1)
+    h = scenario.length / n_cells
+    rho = np.interp(x, scenario.rho0.x, scenario.rho0.values)
+
+    def rhs(state):
+        u, fv, _ = gains.controls(d, x, state, pde_oracle.ORACLE_U_TOL)
+        out = -np.gradient(u * fv, h, edge_order=2)
+        if gains.pins_inlet:
+            out[0] = 0.0
+        return out
+
+    def upwind(state):
+        u, fv, _ = gains.controls(d, x, state, pde_oracle.ORACLE_U_TOL)
+        q = u * fv
+        speed = u * d.flow_slope(state)
+        back = np.empty_like(q)
+        back[1:] = np.diff(q) / h
+        back[0] = (q[1] - q[0]) / h
+        fwd = np.empty_like(q)
+        fwd[:-1] = np.diff(q) / h
+        fwd[-1] = back[-1]
+        dq = np.where(speed >= 0.0, back, fwd)
+        if gains.pins_inlet:
+            dq[0] = 0.0
+        return state - dt * dq
+
+    rows = [rho]
+    for _ in range(scenario.output_times.size - 1):
+        for _ in range(n_steps):
+            if scheme == "central_flux_rk4":
+                k1 = rhs(rho)
+                k2 = rhs(rho + 0.5 * dt * k1)
+                k3 = rhs(rho + 0.5 * dt * k2)
+                k4 = rhs(rho + dt * k3)
+                rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            else:
+                rho = upwind(rho)
+        rows.append(rho)
+    return np.array(rows)
+
+
+class TestLeanPath:
+    @pytest.mark.parametrize("scheme", pde_oracle.SCHEMES)
+    @pytest.mark.parametrize("law", ["free", "fixed"])
+    def test_bitwise_equal_to_plain_loop(self, diagram, free_gain, fixed_gains, law, scheme):
+        gains = free_gain if law == "free" else fixed_gains
+        p = bump_profile(1.0, 60, 0.7, amplitude=2.0)
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=p,
+                      horizon=1.0, output_interval=0.5)
+        tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=60, scheme=scheme))
+        dt, steps = tr.metadata["dt"], tr.metadata["steps"]
+        ref = reference_rows(sc, gains, 60, scheme, dt, steps // (sc.output_times.size - 1))
+        assert np.array_equal(tr.rho[-1], ref[-1])
+        assert np.array_equal(tr.rho, ref)
+
+
+class TestChecksEveryCall:
+    @pytest.mark.parametrize("law", ["free", "fixed"])
+    def test_domain_checked_after_a_good_call(self, diagram, free_gain, fixed_gains, law):
+        gains = free_gain if law == "free" else fixed_gains
+        x = np.linspace(0.0, 1.0, 61)
+        evaluate = gains.controller(diagram, x, pde_oracle.ORACLE_U_TOL)
+        good = np.full(x.size, 0.7)
+        u, fv, _ = evaluate(good)
+        assert np.all(u == 1.0)
+        for bad_value in (1.7, -0.01):
+            row = good.copy()
+            row[30] = bad_value
+            with pytest.raises(DomainError):
+                evaluate(row)
+        np.testing.assert_array_equal(evaluate(good)[1], fv)
+
+    def test_fixed_law_escape_message(self, diagram, fixed_gains):
+        x = np.linspace(0.0, 1.0, 101)
+        evaluate = fixed_gains.controller(diagram, x, pde_oracle.ORACLE_U_TOL)
+        evaluate(np.full(x.size, 0.7))
+        row = np.full(x.size, 0.7)
+        row[50] = 0.3
+        with pytest.raises(StateEscapeError) as info:
+            evaluate(row)
+        assert str(info.value) == ("control 1.5405 left (0, 1] at x = 0.5; "
+                                   "profile not admissible")
+        # the same row passes under a band that reaches u = 1.5405, clipped to 1
+        u, _, _ = fixed_gains.controller(diagram, x, 0.541)(row)
+        assert u.max() == 1.0
+        with pytest.raises(StateEscapeError):
+            fixed_gains.controller(diagram, x, 0.540)(row)
+        row[20] = 1e-12
+        with pytest.raises(StateEscapeError) as info:
+            evaluate(row)
+        assert str(info.value) == ("control 3.4579e+11 left (0, 1] at x = 0.2; "
+                                   "profile not admissible")

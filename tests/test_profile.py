@@ -10,7 +10,8 @@ Proves:
       zero only at equilibrium, isolated-spike case
   4.  builders: bump pins rho(0) = rho_star; polynomial matches the bump
       coefficients; uniform defaults to the set point
-  5.  validation errors: nonpositive values, bad length, too few nodes
+  5.  validation errors: nonpositive values, bad length, too few nodes,
+      non-finite length or set point
   6.  scenario wiring: output times include endpoints, mismatched
       profiles rejected, densities above rho_max rejected, non-finite
       horizon, interval, length or set point rejected
@@ -110,6 +111,13 @@ class TestValidation:
     def test_bad_length_rejected(self):
         with pytest.raises(DomainError):
             DensityProfile(0.0, np.array([0.5, 0.5]), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_length_or_set_point_rejected(self, bad):
+        with pytest.raises(DomainError):
+            DensityProfile(bad, np.array([0.7, 0.7]), 0.7)
+        with pytest.raises(DomainError):
+            DensityProfile(1.0, np.array([0.7, 0.7]), bad)
 
 
 class TestScenario:
