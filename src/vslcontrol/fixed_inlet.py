@@ -28,6 +28,7 @@ gamma L / sigma < 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,6 +42,7 @@ from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
 
 U_TOL = 1e-9  # tolerance band on u <= 1 for semi-analytic states
+_BLOCK_ELEMENTS = 65536  # entries in simulate's Picard work block (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,8 @@ def calibrate(diagram: FundamentalDiagram, rho_star: float, length: float,
     """
     if mode not in ("strict", "override"):
         raise DomainError(f"unknown calibration mode {mode!r}")
-    if sigma <= 0.0 or gamma <= 0.0 or length <= 0.0:
-        raise DomainError("sigma, gamma and length must be positive")
+    if not all(math.isfinite(v) and v > 0.0 for v in (sigma, gamma, length)):
+        raise DomainError("sigma, gamma and length must be finite and positive")
     ceiling = min(diagram.delta, diagram.critical_density, diagram.rho_max / 2.0)
     if not (0.0 < rho_star < ceiling):
         raise DomainError(
@@ -256,36 +258,9 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
     sup0 = scenario.rho0.sup_deviation()
     n_sub = max(settings.time_samples, int(np.ceil(scenario.horizon * settings.time_samples)))
     tn = np.linspace(0.0, scenario.horizon, n_sub + 1)
-    grow = np.exp(gains.sigma * tn)
-    shrink = np.exp(-gains.sigma * tn)
+    g, iters, worst_ratio = _sup_path(gains, x, dev0, sup0, tn, settings)
 
-    g = np.full(tn.size, sup0)
-    prev_diff = None
-    worst_ratio = 0.0
-    ratio_floor = 1e3 * settings.tol
-    iters = 0
-    # one buffer for every iterate: freeing and reallocating a matrix this
-    # size each iteration made the allocator return it to the system and
-    # fault it back in
-    inner = np.empty((tn.size, x.size))
-    for it in range(settings.max_iter):
-        J = cumulative_trapezoid(tn, grow * g)
-        np.multiply(gains.gamma * J[:, None], x[None, :], out=inner)
-        inner += dev0[None, :]
-        g_new = shrink * inner.max(axis=1)
-        diff = float(np.max(np.abs(g_new - g)))
-        if prev_diff is not None and prev_diff > ratio_floor:
-            worst_ratio = max(worst_ratio, diff / prev_diff)
-        g = g_new
-        iters = it + 1
-        if diff <= settings.tol:
-            break
-        prev_diff = diff
-    else:
-        raise ConvergenceError(
-            f"whole-horizon iteration did not converge in {settings.max_iter} iterations")
-
-    wJ = grow * g
+    wJ = np.exp(gains.sigma * tn) * g
     cumJ = cumulative_trapezoid(tn, wJ)
     targets = scenario.output_times
     rho_out = np.empty((targets.size, x.size))
@@ -319,6 +294,47 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
                 "tol": settings.tol,
             },
         })
+
+
+def _sup_path(gains: FixedInletGains, x: np.ndarray, dev0: np.ndarray, sup0: float,
+              tn: np.ndarray, settings: PicardSettings) -> tuple[np.ndarray, int, float]:
+    """Whole-horizon Picard iteration for the signed sup path g on tn.
+
+    g(t) = exp(-sigma t) max_i (dev0_i + gamma x_i J(t)), with J the running
+    integral of exp(sigma s) g(s).  Returns g, the iteration count and the
+    worst ratio of successive sup-norm updates.
+    """
+    grow = np.exp(gains.sigma * tn)
+    shrink = np.exp(-gains.sigma * tn)
+    g = np.full(tn.size, sup0)
+    prev_diff = None
+    worst_ratio = 0.0
+    ratio_floor = 1e3 * settings.tol
+    # max_i (dev0_i + gamma J(t) x_i) is taken over blocks of time rows in
+    # one reused buffer of about _BLOCK_ELEMENTS entries, so memory stays
+    # O(n_t + n) whatever the horizon; the max is exact in any order
+    rows = max(1, _BLOCK_ELEMENTS // x.size)
+    block = np.empty((min(rows, tn.size), x.size))
+    peak = np.empty(tn.size)
+    for it in range(settings.max_iter):
+        J = cumulative_trapezoid(tn, grow * g)
+        gJ = gains.gamma * J
+        for s in range(0, tn.size, rows):
+            e = min(s + rows, tn.size)
+            b = block[:e - s]
+            np.multiply(gJ[s:e, None], x, out=b)
+            b += dev0
+            b.max(axis=1, out=peak[s:e])
+        g_new = shrink * peak
+        diff = float(np.max(np.abs(g_new - g)))
+        if prev_diff is not None and prev_diff > ratio_floor:
+            worst_ratio = max(worst_ratio, diff / prev_diff)
+        g = g_new
+        if diff <= settings.tol:
+            return g, it + 1, worst_ratio
+        prev_diff = diff
+    raise ConvergenceError(
+        f"whole-horizon iteration did not converge in {settings.max_iter} iterations")
 
 
 def _flow_budget(gains: FixedInletGains, diagram: FundamentalDiagram, x: np.ndarray

@@ -130,10 +130,11 @@ class FundamentalDiagram:
     def _check_density(self, rho) -> np.ndarray:
         r = np.asarray(rho, dtype=float)
         tol = DENSITY_TOL_REL * max(1.0, self.rho_max)
-        # fmin/fmax skip NaN, so this rejects exactly the arrays holding an
-        # entry below -tol or above rho_max + tol, in one pass each
-        if r.size and (np.fmin.reduce(r, axis=None) < -tol
-                       or np.fmax.reduce(r, axis=None) > self.rho_max + tol):
+        # min/max propagate NaN and NaN fails both comparisons, so this
+        # rejects every array holding a NaN or an entry below -tol or above
+        # rho_max + tol, in one pass each
+        if r.size and not (np.minimum.reduce(r, axis=None) >= -tol
+                           and np.maximum.reduce(r, axis=None) <= self.rho_max + tol):
             raise DomainError(f"density outside [0, {self.rho_max}]")
         return r
 
@@ -483,6 +484,21 @@ def _limit_monotonicity_check(diagram: ExponentialDiagram) -> CheckResult:
     return CheckResult(name, True, "dF/dl > 0 for l < l_sat(rho) on the subgrid")
 
 
+def _bisect_step(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, up: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One vectorised bisection step: (lo, hi, whether either end moved).
+
+    A step that moves neither end is a fixed point: every later step
+    computes the same mid and the same side, so a loop may stop there with
+    the result of running to its full count.  NaN never compares equal, so
+    a NaN row keeps the loop going.
+    """
+    new_lo = np.where(up, lo, mid)
+    new_hi = np.where(up, mid, hi)
+    moved = not (np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi))
+    return new_lo, new_hi, moved
+
+
 def _saturating_limits_grid(diagram: ExponentialDiagram, r: np.ndarray) -> np.ndarray:
     """Vectorized saturating limits for a flat array of positive densities."""
     out = np.ones_like(r)
@@ -498,8 +514,9 @@ def _saturating_limits_grid(diagram: ExponentialDiagram, r: np.ndarray) -> np.nd
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         up = diagram._saturation_residual(rm, mid) >= 0.0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
+        lo, hi, moved = _bisect_step(lo, hi, mid, up)
+        if not moved:
+            break
     out[mask] = 0.5 * (lo + hi)
     return out
 
@@ -531,7 +548,8 @@ def speed_limits(diagram: FundamentalDiagram, rho: np.ndarray, u: np.ndarray) ->
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         up = diagram._vsl_flow_raw(r1m, np.maximum(mid, 1e-300)) >= y
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
+        lo, hi, moved = _bisect_step(lo, hi, mid, up)
+        if not moved:
+            break
     out[~zero] = 0.5 * (lo + hi)
     return out.reshape(shape)

@@ -15,6 +15,8 @@ Output layout (per run directory):
 
 All floats are printed with 17 significant digits, which round-trips
 float64 exactly; identical configs therefore produce bit-identical files.
+The three long-format files take one %-format and one write per time row,
+with the x column formatted once per file into the row template.
 The run exits nonzero if any runtime invariant check fails.
 """
 
@@ -251,13 +253,18 @@ def _u_gap_check(trace: SimulationTrace, tol: float) -> CheckResult:
 
 def _write_long(path: str, header: str, times: np.ndarray, x: np.ndarray,
                 grid: np.ndarray) -> None:
+    # The row template holds the formatted x column, a %s for the row's t
+    # string at the start of each line and FMT for each value; FMT gives
+    # the same bytes for a Python float as for a numpy float64.  Rows are
+    # converted one at a time, so no Python-float copy of the grid exists.
+    row_fmt = "%s" + "%s".join(f",{FMT % xi},{FMT}\n" for xi in x.tolist())
+    args = [None] * (2 * x.size)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for j in range(times.size):
-            t = _fmt(times[j])
-            row = grid[j]
-            for i in range(x.size):
-                fh.write(f"{t},{_fmt(x[i])},{_fmt(row[i])}\n")
+        for t, row in zip(times.tolist(), grid):
+            args[0::2] = [FMT % t] * x.size
+            args[1::2] = row.tolist()
+            fh.write(row_fmt % tuple(args))
 
 
 def _write_trace(out: str, diagram: FundamentalDiagram, trace: SimulationTrace) -> None:

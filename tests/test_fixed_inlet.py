@@ -15,15 +15,25 @@ Proves:
       under exp(-(sigma - gamma L) t), Picard contraction ratio below the
       gamma L / sigma bound, signed and absolute sup envelopes agree for
       one-signed data, forward invariance along the trace
-  6.  domain errors: gamma L >= sigma, inadmissible start, bad mode
+  6.  domain errors: gamma L >= sigma, inadmissible start, bad mode,
+      non-finite sigma, gamma or length in either calibration mode; an
+      exhausted iteration budget raises ConvergenceError
+  7.  the Picard max taken over blocks of time rows gives the g, rho and
+      u of the full (time samples x nodes) matrix, for a ragged last
+      block, one block and 1601 nodes; at horizon 600 on 1600 cells the
+      memory peak of simulate stays under a quarter of that matrix
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vslcontrol import (CertificationError, DomainError, ExponentialDiagram,
-                        Scenario, StateEscapeError, bump_profile, fixed_inlet,
-                        sampled_profile, uniform_profile)
+from vslcontrol import (CertificationError, ConvergenceError, DomainError,
+                        ExponentialDiagram, Scenario, StateEscapeError, bump_profile,
+                        fixed_inlet, sampled_profile, uniform_profile)
+from vslcontrol.free_inlet import PicardSettings
+from vslcontrol.quadrature import cumulative_trapezoid
 
 A_RESERVE = 0.046777359792382555   # root of f'(rho_star + a) = sigma L
 Q_FLOOR = 0.08075860719786214      # min of -f'' over the band
@@ -62,6 +72,14 @@ class TestCalibrate:
     def test_bad_mode_rejected(self, diagram):
         with pytest.raises(DomainError):
             fixed_inlet.calibrate(diagram, 0.7, 1.0, 0.12, 0.1, mode="lenient")
+
+    @pytest.mark.parametrize("field", ["sigma", "gamma", "length"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["strict", "override"])
+    def test_non_finite_gains_rejected(self, diagram, field, bad, mode):
+        args = dict(rho_star=0.7, length=1.0, sigma=0.12, gamma=0.1)
+        with pytest.raises(DomainError, match="finite"):
+            fixed_inlet.calibrate(diagram, **{**args, field: bad}, mode=mode)
 
     def test_set_point_ceiling(self, diagram):
         with pytest.raises(DomainError):
@@ -182,6 +200,10 @@ class TestSimulate:
         with pytest.raises(DomainError):
             fixed_inlet.simulate(fixed_scenario, g)
 
+    def test_iteration_budget_exhausted(self, fixed_gains, fixed_scenario):
+        with pytest.raises(ConvergenceError):
+            fixed_inlet.simulate(fixed_scenario, fixed_gains, PicardSettings(max_iter=3))
+
     def test_inadmissible_start_rejected(self, fixed_gains, diagram):
         vals = np.full(101, 1.55)
         vals[0] = 0.7
@@ -195,6 +217,75 @@ class TestSimulate:
         # reported sup equals the max over the stored grid row
         got = np.max(np.abs(fixed_trace.rho - 0.7), axis=1)
         np.testing.assert_array_equal(fixed_trace.sup_deviation, got)
+
+
+class TestBlockedPicardMax:
+    """_sup_path against the full-matrix loop it replaced."""
+
+    @staticmethod
+    def full_sup_path(gains, x, dev0, sup0, tn, settings):
+        grow, shrink = np.exp(gains.sigma * tn), np.exp(-gains.sigma * tn)
+        g = np.full(tn.size, sup0)
+        prev_diff, worst_ratio = None, 0.0
+        for it in range(settings.max_iter):
+            J = cumulative_trapezoid(tn, grow * g)
+            inner = gains.gamma * J[:, None] * x[None, :] + dev0[None, :]
+            g_new = shrink * inner.max(axis=1)
+            diff = float(np.max(np.abs(g_new - g)))
+            if prev_diff is not None and prev_diff > 1e3 * settings.tol:
+                worst_ratio = max(worst_ratio, diff / prev_diff)
+            g = g_new
+            if diff <= settings.tol:
+                return g, it + 1, worst_ratio
+            prev_diff = diff
+        raise AssertionError("reference loop did not converge")
+
+    @pytest.mark.parametrize("n_cells, block", [
+        (400, 401 * 7),       # 7 rows a block; 641 = 91 * 7 + 4 leaves a ragged block
+        (400, 401 * 10 ** 4),  # one block holds every time row
+        (1600, None),          # the default block on 1601 nodes
+    ])
+    def test_equals_full_matrix(self, diagram, fixed_gains, monkeypatch, n_cells, block):
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=bump_profile(1.0, n_cells, 0.7), horizon=10.0,
+                      output_interval=0.5)
+        if block is not None:
+            monkeypatch.setattr(fixed_inlet, "_BLOCK_ELEMENTS", block)
+        rows = max(1, fixed_inlet._BLOCK_ELEMENTS // (n_cells + 1))
+        n_t = 10 * PicardSettings().time_samples + 1
+        assert (rows >= n_t) == (block == 401 * 10 ** 4)
+        assert rows == 1 or n_t % rows != 0
+        x = sc.rho0.x
+        dev0 = sc.rho0.values - 0.7
+        tn = np.linspace(0.0, 10.0, n_t)
+        args = (fixed_gains, x, dev0, sc.rho0.sup_deviation(), tn, PicardSettings())
+        got, want = fixed_inlet._sup_path(*args), self.full_sup_path(*args)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+        blocked = fixed_inlet.simulate(sc, fixed_gains)
+        monkeypatch.setattr(fixed_inlet, "_sup_path", self.full_sup_path)
+        full = fixed_inlet.simulate(sc, fixed_gains)
+        np.testing.assert_array_equal(blocked.rho, full.rho)
+        np.testing.assert_array_equal(blocked.u, full.u)
+        assert blocked.metadata == full.metadata
+
+    def test_memory_peak_is_bounded(self, diagram, fixed_gains):
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=bump_profile(1.0, 1600, 0.7), horizon=600.0,
+                      output_interval=60.0)
+        # 8 samples per unit time keep the 93 iterations quick; the old
+        # matrix would still have been 4801 x 1601 doubles (61 MB)
+        settings = PicardSettings(time_samples=8)
+        matrix_bytes = (600 * settings.time_samples + 1) * 1601 * 8
+        tracemalloc.start()
+        try:
+            tr = fixed_inlet.simulate(sc, fixed_gains, settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tr.metadata["picard"]["max_iterations"] > 1
+        assert peak < matrix_bytes / 4, (peak, matrix_bytes)
 
 
 @pytest.fixture(scope="module")

@@ -17,8 +17,11 @@ Proves:
  10.  speed_limits solves F(rho, l) = u f(rho) vectorized, both a = 0
       and a > 0
  11.  the density check accepts and rejects exactly what the elementwise
-      comparisons do at the +-tol edges, for 0-d, 1-d, 2-d and empty input
+      comparisons do at the +-tol edges, for 0-d, 1-d, 2-d and empty input,
+      and rejects NaN
  12.  non-finite constructor fields are rejected with DomainError
+ 13.  the speed_limits bisections stop at their fixed point with the
+      result of the full fixed-count loops
 """
 
 import numpy as np
@@ -27,7 +30,8 @@ import pytest
 from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram,
                         TabulatedDiagram, UnsupportedDiagramError, speed_limits,
                         validate_assumptions)
-from vslcontrol.fundamental_diagram import DENSITY_TOL_REL
+from vslcontrol.fundamental_diagram import (DENSITY_TOL_REL, _bisect_step,
+                                            _saturating_limits_grid)
 
 F_AT_1 = 0.3678794411714423216
 F_AT_07 = 0.34760971265398666029
@@ -238,6 +242,74 @@ class TestSpeedLimits:
             speed_limits(t, np.array([0.5]), np.array([0.9]))
 
 
+class TestBisectionFixedPoint:
+    """speed_limits against the fixed-count loops it stops early."""
+
+    @staticmethod
+    def full_saturating_limits(d, r):
+        out = np.ones_like(r)
+        mask = r > d.delta
+        rm = r[mask]
+        grid = np.geomspace(1e-9, 1.0, 600)
+        first = np.argmax(d._saturation_residual(rm[:, None], grid[None, :]) >= 0.0, axis=1)
+        lo = np.where(first > 0, grid[np.maximum(first - 1, 0)], grid[0])
+        hi = grid[first]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            up = d._saturation_residual(rm, mid) >= 0.0
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        out[mask] = 0.5 * (lo + hi)
+        return out
+
+    @classmethod
+    def full_speed_limits(cls, d, rho, u):
+        out = np.empty_like(rho)
+        zero = rho <= 0.0
+        out[zero] = u[zero]
+        r = rho[~zero]
+        hi = cls.full_saturating_limits(d, r)
+        y = np.minimum(u[~zero] * d.flow(r), d._vsl_flow_raw(r, hi))
+        lo = np.zeros_like(r)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            up = d._vsl_flow_raw(r, np.maximum(mid, 1e-300)) >= y
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        out[~zero] = 0.5 * (lo + hi)
+        return out
+
+    @pytest.mark.parametrize("shape", [1.0, 2.0])
+    @pytest.mark.parametrize("rows", ["saturating", "below_delta", "mixed"])
+    @pytest.mark.parametrize("size", [1, 257])
+    def test_equals_fixed_count_loops(self, shape, rows, size, monkeypatch):
+        d = ExponentialDiagram(vsl_sensitivity=1.0, shape=shape, rho_max=1.6)
+        rng = np.random.default_rng(5)
+        lo, hi = {"saturating": (d.delta * 1.001, 1.6), "below_delta": (0.1, d.delta),
+                  "mixed": (0.0, 1.6)}[rows]
+        rho = rng.uniform(lo, hi, size)
+        u = rng.uniform(0.05, 1.0, size)
+        if size > 1:
+            rho[0], u[1] = lo, 1.0
+        want_sat = self.full_saturating_limits(d, rho[rho > 0.0])
+        want = self.full_speed_limits(d, rho, u)
+        calls = []
+        raw = ExponentialDiagram._vsl_flow_raw
+        monkeypatch.setattr(ExponentialDiagram, "_vsl_flow_raw",
+                            lambda self, r, l: calls.append(1) or raw(self, r, l))
+        got = speed_limits(d, rho, u)
+        np.testing.assert_array_equal(got, want)
+        assert len(calls) < 100  # the 100-step loop stopped at its fixed point
+        np.testing.assert_array_equal(_saturating_limits_grid(d, rho[rho > 0.0]), want_sat)
+
+    def test_only_a_step_that_moves_nothing_stops(self):
+        one = np.array([0.25])
+        assert not _bisect_step(one, one, one, np.array([True]))[2]
+        # a NaN end never equals itself, so a NaN row keeps the loop going
+        lo, hi = np.array([0.25, 0.0]), np.array([0.25, np.nan])
+        assert _bisect_step(lo, hi, 0.5 * (lo + hi), np.array([True, True]))[2]
+
+
 def test_no_critical_density_raises():
     t = TabulatedDiagram.sample(
         lambda r: r.copy(),
@@ -249,12 +321,12 @@ def test_no_critical_density_raises():
 
 
 class TestDensityCheck:
-    """The one-pass check against the elementwise predicate it replaced."""
+    """The one-pass check against an elementwise predicate; NaN is outside."""
 
     @staticmethod
     def elementwise_rejects(diagram, r):
         tol = DENSITY_TOL_REL * max(1.0, diagram.rho_max)
-        return bool(np.any(r < -tol) or np.any(r > diagram.rho_max + tol))
+        return bool(np.any(~((r >= -tol) & (r <= diagram.rho_max + tol))))
 
     def test_edges_in_every_shape(self, diagram):
         tol = DENSITY_TOL_REL * max(1.0, diagram.rho_max)

@@ -18,6 +18,9 @@ Proves:
       run directory
   9.  every layer the benchmark's span recorder wraps is reached through
       module attributes by a run with both laws and the oracle, then compare
+ 10.  the long-format writer gives the bytes of a plain per-cell writer,
+      for one and many rows and nodes and for -0.0, subnormal, huge, NaN
+      and infinite values
 """
 
 import os
@@ -297,3 +300,43 @@ class TestBenchmarkHooks:
         seen = {span.name for span in recorder.spans}
         want = {tracing._span_name(m, a) for m, a, _ in tracing.TARGETS}
         assert not want - seen, sorted(want - seen)
+
+
+class TestLongWriter:
+    """runner._write_long against a per-cell reference writer."""
+
+    SPECIALS = [-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1, -2.5e-17]
+
+    @staticmethod
+    def reference(path, header, times, x, grid):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for j in range(times.size):
+                for i in range(x.size):
+                    fh.write("%.17g,%.17g,%.17g\n" % (times[j], x[i], grid[j, i]))
+
+    def test_float_and_float64_format_alike(self):
+        for v in self.SPECIALS:
+            assert runner.FMT % v == runner.FMT % np.float64(v) == runner._fmt(np.float64(v))
+
+    @pytest.mark.parametrize("n_times", [1, 3])
+    @pytest.mark.parametrize("n_nodes", [1, 1601])
+    def test_bytes_equal_reference(self, tmp_path, n_times, n_nodes):
+        rng = np.random.default_rng(n_times * 10000 + n_nodes)
+        times = np.array([0.0, -0.0, 1.0 / 3.0])[:n_times]
+        x = np.linspace(0.0, 1.0, n_nodes)
+        grid = rng.standard_normal((n_times, n_nodes)) * 10.0 ** rng.integers(-300, 300, n_nodes)
+        k = min(grid.size, len(self.SPECIALS))
+        grid.flat[:k] = self.SPECIALS[:k]
+        self.assert_matches(tmp_path, times, x, grid)
+
+    @pytest.mark.parametrize("value", SPECIALS)
+    def test_special_value_in_every_column(self, tmp_path, value):
+        one = np.array([value])
+        self.assert_matches(tmp_path, one, one, one[None, :])
+
+    def assert_matches(self, tmp_path, times, x, grid):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        runner._write_long(str(got), "t,x,v", times, x, grid)
+        self.reference(str(want), "t,x,v", times, x, grid)
+        assert got.read_bytes() == want.read_bytes()
