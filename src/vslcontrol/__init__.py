@@ -17,12 +17,13 @@ from .fundamental_diagram import (AssumptionReport, CheckResult, ExponentialDiag
                                   validate_assumptions)
 from .profile import (DensityProfile, Scenario, bump_profile, polynomial_profile,
                       sampled_profile, uniform_profile)
-from .trace import SimulationTrace, fitted_decay_rate
-from .free_inlet import FreeInletGain, PicardSettings
+from .trace import SimulationTrace
+from .picard import PicardSettings
+from .free_inlet import FreeInletGain
 from .fixed_inlet import AdmissibilityResult, ConditionResult, FixedInletGains
 from .pde_oracle import OracleSettings, TraceComparison
 from .config import RunConfig, load_config, parse_config, preset, serialize_config
-from . import config, fixed_inlet, free_inlet, pde_oracle, runner
+from . import config, fixed_inlet, free_inlet, pde_oracle, picard, runner
 
 __version__ = "0.1.0"
 
@@ -34,8 +35,8 @@ __all__ = [
     "PicardSettings", "RunConfig", "Scenario", "SimulationTrace",
     "SolverDivergenceError", "StateEscapeError", "StepSizeError",
     "TabulatedDiagram", "TraceComparison", "UnsupportedDiagramError",
-    "VslControlError", "bump_profile", "config", "fitted_decay_rate",
-    "fixed_inlet", "free_inlet", "load_config", "parse_config", "pde_oracle",
-    "polynomial_profile", "preset", "runner", "sampled_profile",
-    "serialize_config", "speed_limits", "uniform_profile", "validate_assumptions",
+    "VslControlError", "bump_profile", "config", "fixed_inlet", "free_inlet",
+    "load_config", "parse_config", "pde_oracle", "picard", "polynomial_profile",
+    "preset", "runner", "sampled_profile", "serialize_config", "speed_limits",
+    "uniform_profile", "validate_assumptions",
 ]

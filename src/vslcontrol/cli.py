@@ -6,8 +6,9 @@
     vslcontrol compare results/free_inlet results/free_inlet/oracle
 
 `run` exits 0 on success, 1 if a runtime invariant check failed, 2 on
-configuration or usage errors.  `certify` always exits 0 when the config
-parses; failed conditions are part of its report, not an error.
+configuration, usage or file-system errors (an error line, no traceback).
+`certify` always exits 0 when the config parses; failed conditions are part
+of its report, not an error.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
         print(f"max density gap: {comp.max_density_gap!r}")
         print(f"max control gap: {comp.max_control_gap!r}")
         return 0
-    except VslControlError as exc:
+    except (VslControlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

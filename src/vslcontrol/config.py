@@ -22,8 +22,9 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .fundamental_diagram import ExponentialDiagram
-from .free_inlet import FreeInletGain, PicardSettings
+from .free_inlet import FreeInletGain
 from .pde_oracle import SCHEMES, OracleSettings
+from .picard import PicardSettings
 from .profile import (DensityProfile, Scenario, bump_profile, polynomial_profile,
                       sampled_profile, uniform_profile)
 
@@ -106,47 +107,23 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite")
 
 
-# exact key layout of the INI surface: (section, key, config field)
-_LAYOUT = (
-    ("diagram", "kind", "diagram_kind"),
-    ("diagram", "flow_scale", "flow_scale"),
-    ("diagram", "density_scale", "density_scale"),
-    ("diagram", "shape", "shape"),
-    ("diagram", "vsl_sensitivity", "vsl_sensitivity"),
-    ("diagram", "rho_max", "rho_max"),
-    ("scenario", "length", "length"),
-    ("scenario", "rho_star", "rho_star"),
-    ("scenario", "n_cells", "n_cells"),
-    ("scenario", "horizon", "horizon"),
-    ("scenario", "snapshots", "snapshots"),
-    ("scenario", "profile", "profile_kind"),
-    ("scenario", "bump_amplitude", "bump_amplitude"),
-    ("scenario", "bump_width", "bump_width"),
-    ("scenario", "poly_coeffs", "poly_coeffs"),
-    ("scenario", "uniform_value", "uniform_value"),
-    ("scenario", "sample_values", "sample_values"),
-    ("controller", "law", "law"),
-    ("controller", "free_gain", "free_gain"),
-    ("controller", "sigma", "sigma"),
-    ("controller", "gamma", "gamma"),
-    ("controller", "mode", "mode"),
-    ("controller", "free_u_gap_tol", "free_u_gap_tol"),
-    ("controller", "fixed_u_gap_tol", "fixed_u_gap_tol"),
-    ("controller", "note", "note"),
-    ("picard", "window", "picard_window"),
-    ("picard", "time_samples", "picard_time_samples"),
-    ("picard", "tol", "picard_tol"),
-    ("picard", "max_iter", "picard_max_iter"),
-    ("picard", "safety", "picard_safety"),
-    ("picard", "retry_cap", "picard_retry_cap"),
-    ("oracle", "enabled", "oracle_enabled"),
-    ("oracle", "n_cells", "oracle_n_cells"),
-    ("oracle", "scheme", "oracle_scheme"),
-    ("oracle", "cfl_cap", "oracle_cfl_cap"),
-    ("oracle", "dt", "oracle_dt"),
-    ("oracle", "escape_factor", "oracle_escape_factor"),
-    ("output", "directory", "output_dir"),
-)
+# The INI surface follows RunConfig's field order.  Each section opens at
+# the field named in _SECTION_STARTS; a key is its field's name minus the
+# section prefix, except for the two keys in _RENAMED.
+_SECTION_STARTS = {"diagram_kind": "diagram", "length": "scenario", "law": "controller",
+                   "picard_window": "picard", "oracle_enabled": "oracle",
+                   "output_dir": "output"}
+_RENAMED = {"profile_kind": "profile", "output_dir": "directory"}
+
+
+def _layout():
+    section = None
+    for f in fields(RunConfig):
+        section = _SECTION_STARTS.get(f.name, section)
+        yield section, _RENAMED.get(f.name, f.name.removeprefix(section + "_")), f.name
+
+
+_LAYOUT = tuple(_layout())  # (section, key, config field) in file order
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -269,17 +246,17 @@ def build_free_gain(cfg: RunConfig) -> FreeInletGain:
     return FreeInletGain(gain=cfg.free_gain, length=cfg.length, rho_star=cfg.rho_star)
 
 
+def _section_settings(cls, cfg: RunConfig, prefix: str):
+    """cls built from the RunConfig fields named prefix + each of its fields."""
+    return cls(**{f.name: getattr(cfg, prefix + f.name) for f in fields(cls)})
+
+
 def build_picard(cfg: RunConfig) -> PicardSettings:
-    return PicardSettings(window=cfg.picard_window,
-                          time_samples=cfg.picard_time_samples,
-                          tol=cfg.picard_tol, max_iter=cfg.picard_max_iter,
-                          safety=cfg.picard_safety, retry_cap=cfg.picard_retry_cap)
+    return _section_settings(PicardSettings, cfg, "picard_")
 
 
 def build_oracle_settings(cfg: RunConfig) -> OracleSettings:
-    return OracleSettings(n_cells=cfg.oracle_n_cells, scheme=cfg.oracle_scheme,
-                          cfl_cap=cfg.oracle_cfl_cap, dt=cfg.oracle_dt,
-                          escape_factor=cfg.oracle_escape_factor)
+    return _section_settings(OracleSettings, cfg, "oracle_")
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ where a is the width of the band above rho_star on which f' stays above
 sigma L, Q = min(-f'') and q = max(0, max(-f')) past that band.  When they
 hold the deviation decays like exp(-(sigma - gamma L) t).  The closed loop
 reduces to rho_t = -sigma (rho - rho_star) + gamma x S(t), so simulation is
-a single whole-horizon fixed-point problem for S with contraction factor
-gamma L / sigma < 1.
+a single whole-horizon fixed-point problem for S, solved by
+`picard.iterate` with contraction factor gamma L / sigma < 1.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CertificationError, ConvergenceError, DomainError, StateEscapeError
+from .errors import CertificationError, DomainError, StateEscapeError
 from .fundamental_diagram import FundamentalDiagram, _bisect
-from .free_inlet import PicardSettings
+from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
@@ -202,9 +202,6 @@ class AdmissibilityResult:
     argmin_x: float
     boundary_gap: float
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def admissible(gains: FixedInletGains, diagram: FundamentalDiagram,
                profile: DensityProfile) -> AdmissibilityResult:
@@ -306,35 +303,24 @@ def _sup_path(gains: FixedInletGains, x: np.ndarray, dev0: np.ndarray, sup0: flo
     """
     grow = np.exp(gains.sigma * tn)
     shrink = np.exp(-gains.sigma * tn)
-    g = np.full(tn.size, sup0)
-    prev_diff = None
-    worst_ratio = 0.0
-    ratio_floor = 1e3 * settings.tol
     # max_i (dev0_i + gamma J(t) x_i) is taken over blocks of time rows in
     # one reused buffer of about _BLOCK_ELEMENTS entries, so memory stays
     # O(n_t + n) whatever the horizon; the max is exact in any order
     rows = max(1, _BLOCK_ELEMENTS // x.size)
     block = np.empty((min(rows, tn.size), x.size))
     peak = np.empty(tn.size)
-    for it in range(settings.max_iter):
-        J = cumulative_trapezoid(tn, grow * g)
-        gJ = gains.gamma * J
+
+    def update(g: np.ndarray) -> np.ndarray:
+        gJ = gains.gamma * cumulative_trapezoid(tn, grow * g)
         for s in range(0, tn.size, rows):
             e = min(s + rows, tn.size)
             b = block[:e - s]
             np.multiply(gJ[s:e, None], x, out=b)
             b += dev0
             b.max(axis=1, out=peak[s:e])
-        g_new = shrink * peak
-        diff = float(np.max(np.abs(g_new - g)))
-        if prev_diff is not None and prev_diff > ratio_floor:
-            worst_ratio = max(worst_ratio, diff / prev_diff)
-        g = g_new
-        if diff <= settings.tol:
-            return g, it + 1, worst_ratio
-        prev_diff = diff
-    raise ConvergenceError(
-        f"whole-horizon iteration did not converge in {settings.max_iter} iterations")
+        return shrink * peak
+
+    return iterate(update, np.full(tn.size, sup0), settings, "whole-horizon iteration")
 
 
 def _flow_budget(gains: FixedInletGains, diagram: FundamentalDiagram, x: np.ndarray

@@ -279,20 +279,11 @@ class ExponentialDiagram(FundamentalDiagram):
         if y <= 0.0 or y > fr * (1.0 + 1e-12):
             raise DomainError(f"target flow {y} outside (0, f(rho) = {fr}]")
         hi = self.saturating_limit(r)
-        lo, fhi = 0.0, float(self.vsl_flow(r, hi)) - y
-        if fhi <= 0.0:
+        if float(self.vsl_flow(r, hi)) - y <= 0.0:
             return hi
-        flo = -y
-        for _ in range(MAX_BISECT_ITER):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= TOL_ROOT:
-                break
-            fm = (float(self.vsl_flow(r, mid)) - y) if mid > 0.0 else -y
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        l = 0.5 * (lo + hi)
+        # F(rho, 0) = 0, so the residual at l = 0 is -y
+        l = _bisect(lambda m: float(self.vsl_flow(r, m)) - y if m > 0.0 else -y,
+                    0.0, hi, -y)
         if abs(float(self.vsl_flow(r, max(l, 1e-300))) - y) > 1e-9 * max(1.0, fr):
             raise ConvergenceError("speed-limit inversion did not reach the target flow")
         return l

@@ -16,7 +16,8 @@ Output layout (per run directory):
 All floats are printed with 17 significant digits, which round-trips
 float64 exactly; identical configs therefore produce bit-identical files.
 The three long-format files take one %-format and one write per time row,
-with the x column formatted once per file into the row template.
+with the x column formatted once per file into the row template; the
+other CSV files are column tables written by `_write_columns`.
 The run exits nonzero if any runtime invariant check fails.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +36,12 @@ from .config import (RunConfig, build_diagram, build_free_gain,
                      save_config)
 from .errors import VslControlError
 from .fundamental_diagram import CheckResult, FundamentalDiagram, speed_limits
+from .picard import PicardSettings
 from .profile import DensityProfile, Scenario
 from .quadrature import cumulative_trapezoid
 from .trace import SimulationTrace
 
 FMT = "%.17g"
-
-
-def _fmt(v: float) -> str:
-    return FMT % v
 
 
 @dataclass(frozen=True)
@@ -88,11 +87,9 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     oracle = build_oracle_settings(cfg) if cfg.oracle_enabled else None
     os.makedirs(base, exist_ok=True)
     save_config(cfg, os.path.join(base, "config.ini"))
-    results = []
-    for law in laws:
-        results.append(_run_law(cfg, scenario, law, gains[law], picard, oracle,
-                                os.path.join(base, law)))
-    return RunResult(directory=base, laws=tuple(results))
+    return RunResult(directory=base, laws=tuple(
+        _run_law(cfg, scenario, law, gains[law], picard, oracle, os.path.join(base, law))
+        for law in laws))
 
 
 def _build_gains(cfg: RunConfig, scenario: Scenario, law: str):
@@ -103,7 +100,7 @@ def _build_gains(cfg: RunConfig, scenario: Scenario, law: str):
 
 
 def _run_law(cfg: RunConfig, scenario: Scenario, law: str, gains,
-             picard: free_inlet.PicardSettings, oracle: pde_oracle.OracleSettings | None,
+             picard: PicardSettings, oracle: pde_oracle.OracleSettings | None,
              law_dir: str) -> LawResult:
     os.makedirs(law_dir, exist_ok=True)
     d = scenario.diagram
@@ -123,12 +120,8 @@ def _run_law(cfg: RunConfig, scenario: Scenario, law: str, gains,
         _write_trace(odir, d, otrace)
         _write_metadata(odir, otrace, ())
         comp = pde_oracle.compare(trace, otrace)
-        with open(os.path.join(odir, "gaps.csv"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("t,density_gap,control_gap\n")
-            for j in range(comp.times.size):
-                fh.write(f"{_fmt(comp.times[j])},{_fmt(comp.density_gaps[j])},"
-                         f"{_fmt(comp.control_gaps[j])}\n")
+        _write_columns(os.path.join(odir, "gaps.csv"), "t,density_gap,control_gap",
+                       comp.times, comp.density_gaps, comp.control_gaps)
         oracle_gap = comp.max_density_gap
 
     _write_metadata(law_dir, trace, checks)
@@ -267,46 +260,38 @@ def _write_long(path: str, header: str, times: np.ndarray, x: np.ndarray,
             fh.write(row_fmt % tuple(args))
 
 
+def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
+    """One CSV row per index of the equal-length columns, each cell in FMT."""
+    row_fmt = ",".join([FMT] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        fh.writelines(row_fmt % row for row in rows)
+
+
 def _write_trace(out: str, diagram: FundamentalDiagram, trace: SimulationTrace) -> None:
     _write_long(os.path.join(out, "density.csv"), "t,x,density",
                 trace.times, trace.x, trace.rho)
     _write_long(os.path.join(out, "control.csv"), "t,x,u",
                 trace.times, trace.x, trace.u)
-    limits = np.empty_like(trace.u)
-    for j in range(trace.times.size):
-        limits[j] = speed_limits(diagram, trace.rho[j], trace.u[j])
+    limits = np.array([speed_limits(diagram, r, u) for r, u in zip(trace.rho, trace.u)])
     _write_long(os.path.join(out, "limits.csv"), "t,x,l",
                 trace.times, trace.x, limits)
 
     rate = float(trace.metadata.get("decay_rate_bound", 0.0))
     bound = np.exp(-rate * trace.times) * trace.sup_deviation[0]
-    with open(os.path.join(out, "norms.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,sup_deviation,bound\n")
-        for j in range(trace.times.size):
-            fh.write(f"{_fmt(trace.times[j])},{_fmt(trace.sup_deviation[j])},"
-                     f"{_fmt(bound[j])}\n")
-    with open(os.path.join(out, "flows.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,inlet,outlet\n")
-        for j in range(trace.times.size):
-            fh.write(f"{_fmt(trace.times[j])},{_fmt(trace.inlet_flow[j])},"
-                     f"{_fmt(trace.outlet_flow[j])}\n")
+    _write_columns(os.path.join(out, "norms.csv"), "t,sup_deviation,bound",
+                   trace.times, trace.sup_deviation, bound)
+    _write_columns(os.path.join(out, "flows.csv"), "t,inlet,outlet",
+                   trace.times, trace.inlet_flow, trace.outlet_flow)
     if trace.bottleneck_x is not None:
-        with open(os.path.join(out, "bottleneck.csv"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("t,x_star\n")
-            for j in range(trace.times.size):
-                fh.write(f"{_fmt(trace.times[j])},{_fmt(trace.bottleneck_x[j])}\n")
+        _write_columns(os.path.join(out, "bottleneck.csv"), "t,x_star",
+                       trace.times, trace.bottleneck_x)
 
 
 def _json_default(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()  # the matching Python scalar, or nested lists
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
@@ -397,33 +382,48 @@ def certify(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # trace reload + comparison
 
+def _read_table(path: str, columns: int) -> np.ndarray:
+    """The rows below a CSV artifact's header as an (n, columns) array."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as a file with no data rows
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
+        raise VslControlError(f"cannot read {path}: {exc}") from exc
+    if data.shape[1] != columns:
+        raise VslControlError(f"{path} does not hold rows of {columns} values")
+    return data
+
+
 def _read_long(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    times = np.unique(data[:, 0])
-    x = np.unique(data[:, 1])
-    grid = data[:, 2].reshape(times.size, x.size)
-    # rows are written t-major with x ascending, so the reshape is exact;
-    # verify rather than assume.
-    if not np.array_equal(data[:, 0].reshape(times.size, x.size)[:, 0], times):
+    data = _read_table(path, 3)
+    times, x = np.unique(data[:, 0]), np.unique(data[:, 1])
+    # rows are written t-major with x ascending; verify rather than assume
+    if (data.shape[0] != times.size * x.size
+            or not np.array_equal(data[:, 0].reshape(times.size, x.size)[:, 0], times)):
         raise VslControlError(f"unexpected row order in {path}")
-    return times, x, grid
+    return times, x, data[:, 2].reshape(times.size, x.size)
 
 
 def load_trace(directory: str) -> SimulationTrace:
-    """Rebuild a SimulationTrace from a run directory's CSV files."""
+    """Rebuild a SimulationTrace from a run directory's CSV files.
+
+    A missing, truncated or malformed file raises VslControlError naming it.
+    """
     times, x, rho = _read_long(os.path.join(directory, "density.csv"))
     _, _, u = _read_long(os.path.join(directory, "control.csv"))
-    flows = np.loadtxt(os.path.join(directory, "flows.csv"), delimiter=",", skiprows=1)
-    with open(os.path.join(directory, "metadata.json"), "r", encoding="utf-8") as fh:
-        metadata = json.load(fh)
-    rho_star = float(metadata["rho_star"])
+    flows = _read_table(os.path.join(directory, "flows.csv"), 3)
+    mpath = os.path.join(directory, "metadata.json")
+    try:
+        with open(mpath, "r", encoding="utf-8") as fh:
+            metadata = json.load(fh)
+        rho_star = float(metadata["rho_star"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise VslControlError(f"cannot read {mpath}: {type(exc).__name__} {exc}") from exc
     bpath = os.path.join(directory, "bottleneck.csv")
-    bott = None
-    if os.path.exists(bpath):
-        bott = np.loadtxt(bpath, delimiter=",", skiprows=1)[:, 1]
+    bott = _read_table(bpath, 2)[:, 1] if os.path.exists(bpath) else None
     return SimulationTrace(
         times=times, x=x, rho=rho, u=u, rho_star=rho_star,
-        sup_deviation=np.max(np.abs(rho - rho_star), axis=1),
         inlet_flow=flows[:, 1], outlet_flow=flows[:, 2],
         bottleneck_x=bott, metadata=metadata)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -13,11 +14,12 @@ from .errors import DomainError
 class SimulationTrace:
     """Recorded snapshots of density, control and their derived scalars.
 
-    rho and u have shape (len(times), len(x)).  sup_deviation is always the
-    max-abs deviation of the stored rho row from rho_star.  inlet_flow and
-    outlet_flow are u*f(rho) at the two road ends.  bottleneck_x (smallest
-    minimizer of the weighted flow, free-inlet law only) is None otherwise.
-    metadata carries gains, derived constants and solver statistics.
+    rho and u have shape (len(times), len(x)).  sup_deviation, computed on
+    first use, is the max-abs deviation of each rho row from rho_star.
+    inlet_flow and outlet_flow are u*f(rho) at the two road ends.
+    bottleneck_x (smallest minimizer of the weighted flow, free-inlet law
+    only) is None otherwise.  metadata carries gains, derived constants and
+    solver statistics.
     """
 
     times: np.ndarray
@@ -25,7 +27,6 @@ class SimulationTrace:
     rho: np.ndarray
     u: np.ndarray
     rho_star: float
-    sup_deviation: np.ndarray
     inlet_flow: np.ndarray
     outlet_flow: np.ndarray
     bottleneck_x: np.ndarray | None = None
@@ -42,18 +43,16 @@ class SimulationTrace:
             if arr.shape != (nt, nx):
                 raise DomainError(f"{name} must have shape (n_times, n_nodes)")
             setattr(self, name, arr)
-        for name in ("sup_deviation", "inlet_flow", "outlet_flow"):
+        optional = () if self.bottleneck_x is None else ("bottleneck_x",)
+        for name in ("inlet_flow", "outlet_flow") + optional:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (nt,):
                 raise DomainError(f"{name} must have one entry per snapshot")
             setattr(self, name, arr)
-        if self.bottleneck_x is not None:
-            self.bottleneck_x = np.asarray(self.bottleneck_x, dtype=float)
-            if self.bottleneck_x.shape != (nt,):
-                raise DomainError("bottleneck_x must have one entry per snapshot")
-        recomputed = np.max(np.abs(self.rho - self.rho_star), axis=1)
-        if not np.allclose(recomputed, self.sup_deviation, rtol=0.0, atol=1e-13):
-            raise DomainError("sup_deviation column disagrees with the stored profiles")
+
+    @cached_property
+    def sup_deviation(self) -> np.ndarray:
+        return np.max(np.abs(self.rho - self.rho_star), axis=1)
 
 
 def law_trace(gains, diagram, times: np.ndarray, x: np.ndarray, rho: np.ndarray,
@@ -76,21 +75,6 @@ def law_trace(gains, diagram, times: np.ndarray, x: np.ndarray, rho: np.ndarray,
         extras.append(extra)
     return SimulationTrace(
         times=times, x=x, rho=rho, u=u, rho_star=gains.rho_star,
-        sup_deviation=np.max(np.abs(rho - gains.rho_star), axis=1),
         inlet_flow=inlet, outlet_flow=outlet,
         bottleneck_x=None if extras[0] is None else x[extras], metadata=metadata)
 
-
-def fitted_decay_rate(trace: SimulationTrace) -> float:
-    """Least-squares exponential decay rate of sup_deviation over time.
-
-    Fits ln(sup_deviation) = ln(A) - rate * t and returns rate.  Snapshots
-    with vanishing deviation are excluded.
-    """
-    mask = trace.sup_deviation > 0.0
-    if np.count_nonzero(mask) < 2:
-        raise DomainError("need at least two positive deviations to fit a rate")
-    t = trace.times[mask]
-    y = np.log(trace.sup_deviation[mask])
-    slope = np.polyfit(t, y, 1)[0]
-    return float(-slope)

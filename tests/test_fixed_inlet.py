@@ -107,7 +107,7 @@ class TestAdmissible:
     def test_equilibrium(self, fixed_gains, diagram):
         res = fixed_inlet.admissible(fixed_gains, diagram,
                                      uniform_profile(1.0, 50, 0.7))
-        assert res.ok and bool(res)
+        assert res.ok
         assert res.min_slack == 0.0
 
     def test_reference_bump(self, fixed_gains, diagram, bump400):

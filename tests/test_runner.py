@@ -2,7 +2,8 @@
 
 Proves:
   1.  serialize/parse is the identity on every preset and on overridden
-      configs, including None sentinels and tuple-valued fields
+      configs, including None sentinels and tuple-valued fields; the
+      serialized default config and presets keep their pinned SHA-256
   2.  unknown keys, bad enum values and malformed numbers raise ConfigError
   3.  run() writes the documented file set; norms.csv respects the decay
       bound row by row; load_trace round-trips the arrays bit for bit
@@ -10,21 +11,27 @@ Proves:
   5.  compare_runs of a directory against itself is exactly zero
   6.  certify() reports the failing curvature margin without raising
   7.  the CLI returns 0 on clean runs, 2 on usage errors, and prints one
-      status line per law; the [project.scripts] entry point declared in
-      pyproject.toml resolves to vslcontrol.cli:main and runs as its own
-      process
+      status line per law; a compare of a run directory with a missing,
+      truncated or incomplete file and a run into an existing file exit 2
+      with an error line and no traceback; the [project.scripts] entry
+      point declared in pyproject.toml resolves to vslcontrol.cli:main and
+      runs as its own process
   8.  a non-finite float in any config key, a gain outside its window and a
       strict calibration failure all exit 2 with an error line and leave no
       run directory
   9.  every layer the benchmark's span recorder wraps is reached through
       module attributes by a run with both laws and the oracle, then compare
- 10.  the long-format writer gives the bytes of a plain per-cell writer,
-      for one and many rows and nodes and for -0.0, subnormal, huge, NaN
-      and infinite values
+ 10.  the long-format and column-table writers give the bytes of a plain
+      per-cell writer, for one and many rows, nodes and columns and for
+      -0.0, subnormal, huge, NaN and infinite values
+ 11.  every name in vslcontrol.__all__ resolves
 """
 
+import hashlib
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +49,14 @@ from vslcontrol.config import (_FIELD_TYPES, _LAYOUT, ConfigError, PRESETS, RunC
 # short horizons need a looser terminal u-gap than the presets' long-run targets
 QUICK = dict(n_cells=60, horizon=3.0, snapshots=7,
              free_u_gap_tol=0.2, fixed_u_gap_tol=0.2)
+SRC = Path(vslcontrol.__file__).resolve().parents[1]
+
+
+def cli_process(*args: str, cwd) -> subprocess.CompletedProcess:
+    """`python -m vslcontrol.cli ARGS` in a fresh process on this checkout."""
+    return subprocess.run([sys.executable, "-m", "vslcontrol.cli", *args],
+                          capture_output=True, text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +115,22 @@ class TestConfigRoundTrip:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
             preset("paper-sec6")
+
+    # The round trips hold under any consistent renaming or reordering of
+    # keys; these digests pin the INI text itself (the benchmark's input
+    # digests are built from it).
+    SERIALIZED_SHA256 = {
+        None: "fc7f434a016d65d9c833bb354dfdf2ff1783018a04ffb4ff4b159a38793db9c8",
+        "paper-sec5-free": "3fd313e07e7d4fc822c37c37440f3d76b4c687b110215f0c4210bc09fb6f46cc",
+        "paper-sec5-fixed": "b270f90b06fcab1bab59e6bf8d67138039b45c61131d4840e39e9632c922df52",
+        "paper-fig7": "7a0e7956382f63fa7d29940e6542db4515f9d633d6d721730aa275023b076964",
+    }
+
+    @pytest.mark.parametrize("name", list(SERIALIZED_SHA256), ids=str)
+    def test_serialized_text_is_pinned(self, name):
+        cfg = RunConfig() if name is None else preset(name)
+        got = hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
+        assert got == self.SERIALIZED_SHA256[name]
 
 
 class TestRunDirectory:
@@ -259,17 +290,61 @@ class TestCli:
             assert capsys.readouterr().err.startswith("error:")
             assert not out.exists(), source
 
+    @pytest.fixture
+    def run_copy(self, quick_free, tmp_path):
+        """A writable copy of a complete free-law run directory."""
+        dst = tmp_path / "run"
+        shutil.copytree(quick_free[0].law("free_inlet").directory, dst)
+        return dst
+
+    @staticmethod
+    def assert_error_exit(cwd, *args):
+        proc = cli_process(*args, cwd=cwd)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        return proc.stderr
+
+    def test_compare_without_density_file(self, run_copy, tmp_path):
+        (run_copy / "density.csv").unlink()
+        err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
+        assert "density.csv" in err
+
+    @pytest.mark.parametrize("keep", ["mid_row", "header_only"])
+    def test_compare_truncated_csv(self, run_copy, tmp_path, keep):
+        path = run_copy / "control.csv"
+        data = path.read_bytes()
+        end = data.index(b"\n") + 1 if keep == "header_only" else \
+            data.rindex(b"\n", 0, len(data) // 2) + 5
+        path.write_bytes(data[:end])
+        err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
+        assert "control.csv" in err
+
+    def test_compare_metadata_without_rho_star(self, run_copy, tmp_path):
+        path = run_copy / "metadata.json"
+        meta = json.loads(path.read_text())
+        del meta["rho_star"]
+        path.write_text(json.dumps(meta))
+        err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
+        assert "metadata.json" in err and "rho_star" in err
+
+    def test_run_into_existing_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        self.assert_error_exit(tmp_path, "run", "--preset", "paper-sec5-free",
+                               "--out", str(target))
+        assert target.read_text() == "not a directory\n"
+
     def test_console_script_entry_point(self, tmp_path):
         # An installed `vslcontrol` script is only the wrapper pip generates
         # from [project.scripts]; check that mapping and run its target in a
         # fresh process the way the wrapper does, so no install is needed.
         tomllib = pytest.importorskip("tomllib")
-        src_dir = Path(vslcontrol.__file__).resolve().parents[1]
-        with open(src_dir.parent / "pyproject.toml", "rb") as fh:
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["vslcontrol"]
         assert target == "vslcontrol.cli:main"
         module, func = target.split(":")
-        env = dict(os.environ, PYTHONPATH=str(src_dir))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(
             [sys.executable, "-c",
              f"import sys; from {module} import {func}; sys.exit({func}())",
@@ -317,7 +392,7 @@ class TestLongWriter:
 
     def test_float_and_float64_format_alike(self):
         for v in self.SPECIALS:
-            assert runner.FMT % v == runner.FMT % np.float64(v) == runner._fmt(np.float64(v))
+            assert runner.FMT % v == runner.FMT % np.float64(v)
 
     @pytest.mark.parametrize("n_times", [1, 3])
     @pytest.mark.parametrize("n_nodes", [1, 1601])
@@ -340,3 +415,43 @@ class TestLongWriter:
         runner._write_long(str(got), "t,x,v", times, x, grid)
         self.reference(str(want), "t,x,v", times, x, grid)
         assert got.read_bytes() == want.read_bytes()
+
+
+class TestColumnWriter:
+    """runner._write_columns against a per-cell reference writer."""
+
+    SPECIALS = TestLongWriter.SPECIALS
+
+    @staticmethod
+    def reference(path, header, *columns):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for j in range(columns[0].size):
+                fh.write(",".join("%.17g" % c[j] for c in columns) + "\n")
+
+    @pytest.mark.parametrize("n_rows", [1, 41])
+    @pytest.mark.parametrize("n_columns", [1, 3])
+    def test_bytes_equal_reference(self, tmp_path, n_rows, n_columns):
+        rng = np.random.default_rng(n_rows * 10 + n_columns)
+        columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+                   for _ in range(n_columns)]
+        k = min(n_rows, len(self.SPECIALS))
+        for i, c in enumerate(columns):
+            c[:k] = np.roll(self.SPECIALS, i)[:k]
+        self.assert_matches(tmp_path, *columns)
+
+    @pytest.mark.parametrize("value", SPECIALS)
+    def test_special_value_in_every_column(self, tmp_path, value):
+        self.assert_matches(tmp_path, *[np.array([value])] * 3)
+
+    def assert_matches(self, tmp_path, *columns):
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        runner._write_columns(str(got), header, *columns)
+        self.reference(str(want), header, *columns)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_every_exported_name_resolves():
+    for name in vslcontrol.__all__:
+        assert getattr(vslcontrol, name) is not None, name
