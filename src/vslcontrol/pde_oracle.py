@@ -16,6 +16,13 @@ right-hand side pays only for what changes with the state: one evaluation
 of the law, with its domain and escape checks, and a slice stencil equal,
 operation for operation, to -np.gradient(q, h, edge_order=2).
 
+The automatic time step is sized per output interval from the grid state
+alone: the state's density range at the start of the interval, widened by
+a fixed margin into a speed band, bounds the wave speed max|f'| that sets
+the CFL step.  A state that leaves its speed band during the interval
+sends the interval back to its start with a band wide enough to cover
+what was seen, so no step runs above the CFL cap.
+
 This module trades accuracy for independence: nothing here reuses the
 closed-form structure of the laws beyond the feedback formulas themselves.
 """
@@ -33,16 +40,24 @@ from .trace import SimulationTrace, law_trace
 
 SCHEMES = ("central_flux_rk4", "upwind_euler")
 ORACLE_U_TOL = 1e-3  # discretization wiggle allowance on u <= 1
+# the speed band of an output interval is the state's range [lo, hi] widened
+# on each side by BAND_REL * (hi - lo) + BAND_ABS * rho_max; its max|f'| is
+# sampled at BAND_SAMPLES points
+BAND_REL = 0.1
+BAND_ABS = 1e-3
+BAND_SAMPLES = 257
 
 
 @dataclass(frozen=True)
 class OracleSettings:
     """Grid resolution, scheme and step-size policy of the oracle.
 
-    dt=None derives the step from cfl_cap * h / max|f'| and shrinks it to
-    divide the output interval exactly; an explicit dt must respect the
-    same stability cap.  escape_factor bounds how far the sup-norm
-    deviation may grow before the run is declared divergent.
+    dt=None sizes the step for each output interval as cfl_cap * h / s,
+    shrunk to divide the interval exactly, where s is max|f'| over the
+    state's own density band (see integrate).  An explicit dt is used for
+    every step and must respect the global cap cfl_cap * h / max|f'| over
+    [0, rho_max].  escape_factor bounds how far the sup-norm deviation may
+    grow before the run is declared divergent.
     """
 
     n_cells: int = 400
@@ -64,6 +79,22 @@ class OracleSettings:
             raise DomainError("escape_factor must be finite and exceed 1")
 
 
+def check_explicit_dt(scenario: Scenario, settings: OracleSettings) -> None:
+    """Raise StepSizeError if settings.dt exceeds the global stability cap.
+
+    The cap is cfl_cap * h / max|f'| over [0, rho_max].  Nothing is checked
+    when dt is None: integrate then sizes each interval's step itself.
+    """
+    if settings.dt is None:
+        return
+    h = scenario.length / settings.n_cells
+    cap = settings.cfl_cap * h / scenario.diagram.max_abs_slope
+    if settings.dt > cap * (1.0 + 1e-9):
+        raise StepSizeError(
+            f"dt {settings.dt:.3e} exceeds the stability cap {cap:.3e} "
+            f"(cfl_cap {settings.cfl_cap} at {settings.n_cells} cells)")
+
+
 def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettings()
               ) -> SimulationTrace:
     """Integrate the closed loop driven by the law `gains` over the scenario horizon.
@@ -74,34 +105,55 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     law, which checks the density domain, the flow's positivity and the
     range of u on each call.  The inlet node is frozen when
     gains.pins_inlet.  The initial profile is linearly resampled onto the
-    oracle grid.  After each output interval the state must be finite and
-    inside the escape band.  metadata records the step count, the CFL number
-    and the mass-balance residual
+    oracle grid.
+
+    With dt=None each output interval gets its own uniform step.  The
+    state's range [lo, hi] at the start of the interval, widened by
+    BAND_REL * (hi - lo) + BAND_ABS * rho_max on each side, is its speed
+    band; s is max|f'| over the band clipped to [0, rho_max], sampled at
+    BAND_SAMPLES points, and the interval takes the fewest equal steps
+    with dt * s / h <= cfl_cap.  After every step the state's min and max
+    must stay inside the speed band; if they leave it, the interval is run
+    again from its start with the band rebuilt around everything seen.
+    An explicit dt is checked by check_explicit_dt and gives every
+    interval the same steps.
+
+    After each output interval the state must be finite and inside the
+    escape band.  metadata records "steps", every step taken, those of
+    discarded attempts included; "steps_per_interval", the steps of each
+    interval's kept attempt; "redone_intervals", the number of discarded
+    attempts; "cfl", the largest realised CFL number dt * s / h (s is
+    max|f'| over [0, rho_max] for an explicit dt); and the mass-balance
+    residual
     |integral (rho_T - rho_0) dx - integral (inlet - outlet) dt|, both by
     trapezoids over the snapshots.
     """
     if not callable(getattr(gains, "controller", None)):
         raise DomainError(f"unsupported gains record {type(gains).__name__}")
     check_pairing(gains, scenario)
+    check_explicit_dt(scenario, settings)
     d = scenario.diagram
     n = settings.n_cells
     x = np.linspace(0.0, scenario.length, n + 1)
     h = scenario.length / n
     rho = np.interp(x, scenario.rho0.x, scenario.rho0.values)
+    targets = scenario.output_times
+    interval = float(targets[1] - targets[0])
 
-    smax = d.max_abs_slope
-    cap = settings.cfl_cap * h / smax
-    if settings.dt is not None:
-        if settings.dt > cap * (1.0 + 1e-9):
-            raise StepSizeError(
-                f"dt {settings.dt:.3e} exceeds the stability cap {cap:.3e} "
-                f"(cfl_cap {settings.cfl_cap} at {n} cells)")
-        base = settings.dt
-    else:
-        base = cap
-    interval = float(scenario.output_times[1] - scenario.output_times[0])
-    n_steps = max(1, int(np.ceil(interval / base * (1.0 - 1e-12))))
-    dt = interval / n_steps
+    def plan(lo: float, hi: float) -> tuple[float, float, int, float]:
+        """Speed band limits, step count and speed bound s for an interval
+        whose states span [lo, hi]."""
+        if settings.dt is not None:
+            n_steps = max(1, math.ceil(interval / settings.dt * (1.0 - 1e-12)))
+            return -math.inf, math.inf, n_steps, d.max_abs_slope
+        margin = BAND_REL * (hi - lo) + BAND_ABS * d.rho_max
+        below, above = lo - margin, hi + margin
+        grid = np.linspace(max(below, 0.0), min(above, d.rho_max), BAND_SAMPLES)
+        s = float(np.max(np.abs(d.flow_slope(grid))))
+        n_steps = max(1, math.ceil(interval * s / (settings.cfl_cap * h)))
+        if interval / n_steps * s / h > settings.cfl_cap:
+            n_steps += 1  # the quotient above rounded down onto an integer
+        return below, above, n_steps, s
 
     sup0 = scenario.rho0.sup_deviation()
     escape = settings.escape_factor * max(sup0, 0.05 * d.rho_max)
@@ -123,17 +175,15 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
         out[-1] = outlet_c[0] * q[-3] + outlet_c[1] * q[-2] + outlet_c[2] * q[-1]
         return out
 
-    half_dt = 0.5 * dt
-    sixth_dt = dt / 6.0
-
-    def rk4_step(state: np.ndarray) -> np.ndarray:
+    def rk4_step(state: np.ndarray, dt: float) -> np.ndarray:
+        half_dt = 0.5 * dt
         k1 = rhs(state)
         k2 = rhs(state + half_dt * k1)
         k3 = rhs(state + half_dt * k2)
         k4 = rhs(state + dt * k3)
-        return state + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def euler_upwind_step(state: np.ndarray) -> np.ndarray:
+    def euler_upwind_step(state: np.ndarray, dt: float) -> np.ndarray:
         u, fv, _ = law(state)
         q = u * fv
         speed = u * np.asarray(d.flow_slope(state), dtype=float)
@@ -146,12 +196,31 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
         return state - dt * dq
 
     step = rk4_step if settings.scheme == "central_flux_rk4" else euler_upwind_step
-    targets = scenario.output_times
     rho_out = np.empty((targets.size, x.size))
     rho_out[0] = rho
+    steps_per_interval = []
+    taken = 0
+    redone = 0
+    cfl = 0.0
     for j in range(1, targets.size):
-        for _ in range(n_steps):
-            rho = step(rho)
+        start = rho
+        lo, hi = float(start.min()), float(start.max())
+        while True:
+            below, above, n_steps, s = plan(lo, hi)
+            dt = interval / n_steps
+            rho = start
+            for _ in range(n_steps):
+                rho = step(rho, dt)
+                taken += 1
+                seen_lo, seen_hi = float(rho.min()), float(rho.max())
+                if seen_lo < below or seen_hi > above:
+                    break
+            else:
+                break
+            lo, hi = min(lo, seen_lo), max(hi, seen_hi)
+            redone += 1
+        steps_per_interval.append(n_steps)
+        cfl = max(cfl, dt * s / h)
         if not np.all(np.isfinite(rho)):
             raise SolverDivergenceError(
                 f"state became non-finite near t = {targets[j]:.6g}")
@@ -169,9 +238,10 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
             "rho_star": scenario.rho_star,
             "scheme": settings.scheme,
             "n_cells": n,
-            "dt": dt,
-            "steps": n_steps * (targets.size - 1),
-            "cfl": dt * smax / h,
+            "steps": taken,
+            "steps_per_interval": steps_per_interval,
+            "redone_intervals": redone,
+            "cfl": cfl,
         })
     trace.metadata["mass_balance_residual"] = float(abs(
         np.trapezoid(trace.rho[-1] - trace.rho[0], trace.x)

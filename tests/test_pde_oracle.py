@@ -7,7 +7,8 @@ Proves:
       schemes under both laws
   3.  short-horizon integration tracks the semi-analytic solution on a
       coarse grid under both laws
-  4.  an explicit dt above the advective limit raises before stepping
+  4.  an explicit dt above the advective limit raises before stepping; an
+      explicit dt equal to the automatic one reproduces its trace
   5.  compare: identical traces give zero gaps, mismatched time grids are
       rejected, different space grids are resampled
   6.  conservation bookkeeping: interior mass change matches boundary
@@ -17,6 +18,11 @@ Proves:
       same bits as a plain loop over gains.controls and np.gradient, or
       the upwind step, for both laws under both schemes
   9.  a bound law still runs its domain and escape checks on every call
+  10. the automatic step is sized from the state's own density band: on
+      criterion 07's free-law run the realised CFL stays under the cap with
+      at most a fifth of the steps the global bound takes, and a state that
+      leaves its band has its interval run again, step for step as the
+      plain loop with the kept per-interval steps
 """
 
 import numpy as np
@@ -25,6 +31,8 @@ import pytest
 from vslcontrol import (DomainError, FreeInletGain, OracleSettings, Scenario,
                         StateEscapeError, StepSizeError, bump_profile, fixed_inlet,
                         free_inlet, pde_oracle, uniform_profile)
+from vslcontrol.config import (build_free_gain, build_oracle_settings, build_scenario,
+                               preset, with_overrides)
 
 
 def short_scenario(diagram, n_cells=80, horizon=2.0):
@@ -112,11 +120,17 @@ class TestStepSize:
                                  OracleSettings(n_cells=200, dt=0.5))
 
     def test_explicit_dt_matches_auto_when_equal(self, diagram, free_gain):
+        # the band's speed bound is well below max|f'| on [0, rho_max], so
+        # the automatic run takes a small cfl_cap to land under the global
+        # cap that the explicit dt (default cfl_cap) must meet
         sc = short_scenario(diagram, n_cells=40, horizon=0.5)
-        auto = pde_oracle.integrate(sc, free_gain, OracleSettings(n_cells=40))
-        dt = sc.output_interval / auto.metadata["steps"]
+        auto = pde_oracle.integrate(sc, free_gain, OracleSettings(n_cells=40, cfl_cap=0.05))
+        (steps,) = auto.metadata["steps_per_interval"]
+        dt = sc.output_interval / steps
+        assert dt <= OracleSettings().cfl_cap * (1.0 / 40) / diagram.max_abs_slope
         manual = pde_oracle.integrate(sc, free_gain,
                                       OracleSettings(n_cells=40, dt=dt))
+        assert manual.metadata["steps_per_interval"] == [steps]
         np.testing.assert_allclose(manual.rho, auto.rho, rtol=0, atol=1e-12)
 
 
@@ -170,10 +184,11 @@ class TestDispatch:
             pde_oracle.integrate(sc, wrong, OracleSettings(n_cells=40))
 
 
-def reference_rows(scenario, gains, n_cells, scheme, dt, n_steps):
+def reference_rows(scenario, gains, n_cells, scheme, steps_per_interval):
     """The oracle as a plain loop: gains.controls and np.gradient every stage.
 
-    Returns the state after every n_steps steps, one row per output time.
+    Output interval j takes steps_per_interval[j] equal steps.  Returns the
+    state at every output time, one row each.
     """
     d = scenario.diagram
     x = np.linspace(0.0, scenario.length, n_cells + 1)
@@ -187,7 +202,7 @@ def reference_rows(scenario, gains, n_cells, scheme, dt, n_steps):
             out[0] = 0.0
         return out
 
-    def upwind(state):
+    def upwind(state, dt):
         u, fv, _ = gains.controls(d, x, state, pde_oracle.ORACLE_U_TOL)
         q = u * fv
         speed = u * d.flow_slope(state)
@@ -202,8 +217,10 @@ def reference_rows(scenario, gains, n_cells, scheme, dt, n_steps):
             dq[0] = 0.0
         return state - dt * dq
 
+    interval = float(scenario.output_times[1] - scenario.output_times[0])
     rows = [rho]
-    for _ in range(scenario.output_times.size - 1):
+    for n_steps in steps_per_interval:
+        dt = interval / n_steps
         for _ in range(n_steps):
             if scheme == "central_flux_rk4":
                 k1 = rhs(rho)
@@ -212,7 +229,7 @@ def reference_rows(scenario, gains, n_cells, scheme, dt, n_steps):
                 k4 = rhs(rho + dt * k3)
                 rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
-                rho = upwind(rho)
+                rho = upwind(rho, dt)
         rows.append(rho)
     return np.array(rows)
 
@@ -226,8 +243,7 @@ class TestLeanPath:
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=p,
                       horizon=1.0, output_interval=0.5)
         tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=60, scheme=scheme))
-        dt, steps = tr.metadata["dt"], tr.metadata["steps"]
-        ref = reference_rows(sc, gains, 60, scheme, dt, steps // (sc.output_times.size - 1))
+        ref = reference_rows(sc, gains, 60, scheme, tr.metadata["steps_per_interval"])
         assert np.array_equal(tr.rho[-1], ref[-1])
         assert np.array_equal(tr.rho, ref)
 
@@ -268,3 +284,61 @@ class TestChecksEveryCall:
             evaluate(row)
         assert str(info.value) == ("control 3.4579e+11 left (0, 1] at x = 0.2; "
                                    "profile not admissible")
+
+
+class RampLaw:
+    """A stub law with u = 1 - slope * x and a pinned inlet.
+
+    The flow falls along the road, so a uniform state piles up and its
+    density range grows: the state is bound to leave its starting band.
+    """
+
+    law = "ramp"
+    pins_inlet = True
+    rho_star = 0.7
+    length = 1.0
+
+    def __init__(self, slope):
+        self.slope = slope
+
+    def controls(self, diagram, x, rho, u_tol):
+        return 1.0 - self.slope * x, np.asarray(diagram.flow(rho), dtype=float), None
+
+    def controller(self, diagram, x, u_tol):
+        return lambda rho: self.controls(diagram, x, rho, u_tol)
+
+
+class TestBandStep:
+    @pytest.fixture(scope="class")
+    def criterion_07_free(self):
+        cfg = with_overrides(preset("paper-sec5-free"), n_cells=400, oracle_n_cells=400,
+                             oracle_cfl_cap=0.8, oracle_enabled=True)
+        settings = build_oracle_settings(cfg)
+        return settings, pde_oracle.integrate(build_scenario(cfg), build_free_gain(cfg),
+                                              settings)
+
+    def test_realised_cfl_within_cap(self, criterion_07_free):
+        settings, tr = criterion_07_free
+        assert 0.0 < tr.metadata["cfl"] <= settings.cfl_cap
+        assert tr.metadata["redone_intervals"] == 0
+
+    def test_steps_far_below_global_bound(self, criterion_07_free):
+        # the global bound max|f'| = 1 over [0, rho_max] takes 15000 steps here
+        _, tr = criterion_07_free
+        assert tr.metadata["steps"] == sum(tr.metadata["steps_per_interval"])
+        assert tr.metadata["steps"] <= 15000 // 5
+
+    @pytest.mark.parametrize("scheme", pde_oracle.SCHEMES)
+    def test_band_escape_reruns_the_interval(self, diagram, scheme):
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=uniform_profile(1.0, 60, 0.7), horizon=1.0, output_interval=0.5)
+        law = RampLaw(0.05)
+        settings = OracleSettings(n_cells=60, scheme=scheme)
+        tr = pde_oracle.integrate(sc, law, settings)
+        meta = tr.metadata
+        assert meta["redone_intervals"] >= 1
+        assert meta["steps"] > sum(meta["steps_per_interval"])
+        assert meta["cfl"] <= settings.cfl_cap
+        assert tr.rho.max() > 0.7 + pde_oracle.BAND_ABS * diagram.rho_max
+        ref = reference_rows(sc, law, 60, scheme, meta["steps_per_interval"])
+        assert np.array_equal(tr.rho, ref)

@@ -290,6 +290,15 @@ class TestCli:
             assert capsys.readouterr().err.startswith("error:")
             assert not out.exists(), source
 
+    def test_refused_oracle_dt_writes_no_directory(self, tmp_path):
+        p = str(tmp_path / "c.ini")
+        save_config(with_overrides(preset("paper-sec5-free"), oracle_enabled=True,
+                                   oracle_dt=1.0), p)
+        out = tmp_path / "o"
+        err = self.assert_error_exit(tmp_path, "run", "--config", p, "--out", str(out))
+        assert "stability cap" in err
+        assert not out.exists()
+
     @pytest.fixture
     def run_copy(self, quick_free, tmp_path):
         """A writable copy of a complete free-law run directory."""
