@@ -10,8 +10,7 @@ them against a direct PDE integration, and ships a CSV-emitting CLI.
 
 from .errors import (AssumptionError, CertificationError, ConfigError,
                      ConvergenceError, DomainError, SolverDivergenceError,
-                     StateEscapeError, StepSizeError, UnsupportedDiagramError,
-                     VslControlError)
+                     StateEscapeError, UnsupportedDiagramError, VslControlError)
 from .fundamental_diagram import (AssumptionReport, CheckResult, ExponentialDiagram,
                                   FundamentalDiagram, TabulatedDiagram, speed_limits,
                                   validate_assumptions)
@@ -33,10 +32,10 @@ __all__ = [
     "ConvergenceError", "DensityProfile", "DomainError", "ExponentialDiagram",
     "FixedInletGains", "FreeInletGain", "FundamentalDiagram", "OracleSettings",
     "PicardSettings", "RunConfig", "Scenario", "SimulationTrace",
-    "SolverDivergenceError", "StateEscapeError", "StepSizeError",
-    "TabulatedDiagram", "TraceComparison", "UnsupportedDiagramError",
-    "VslControlError", "bump_profile", "config", "fixed_inlet", "free_inlet",
-    "load_config", "parse_config", "pde_oracle", "picard", "polynomial_profile",
-    "preset", "runner", "sampled_profile", "serialize_config", "speed_limits",
+    "SolverDivergenceError", "StateEscapeError", "TabulatedDiagram",
+    "TraceComparison", "UnsupportedDiagramError", "VslControlError",
+    "bump_profile", "config", "fixed_inlet", "free_inlet", "load_config",
+    "parse_config", "pde_oracle", "picard", "polynomial_profile", "preset",
+    "runner", "sampled_profile", "serialize_config", "speed_limits",
     "uniform_profile", "validate_assumptions",
 ]

@@ -2,16 +2,17 @@
 
 The format is a flat key-value file with one section per module:
 
-    [diagram]    kind, flow_scale, density_scale, shape, vsl_sensitivity, rho_max
+    [diagram]    flow_scale, density_scale, shape, vsl_sensitivity, rho_max
     [scenario]   length, rho_star, n_cells, horizon, snapshots, profile + params
     [controller] law, free_gain, sigma, gamma, mode, u-gap thresholds, note
     [picard]     window, time_samples, tol, max_iter, safety, retry_cap
-    [oracle]     enabled, n_cells, scheme, cfl_cap, dt, escape_factor
+    [oracle]     enabled, n_cells, cfl_cap
     [output]     directory
 
 Parsing and serialization round-trip exactly: floats are written with repr,
 which reproduces the same float64 on re-parse.  "auto" stands for None in
-the optional window/dt keys.
+the optional keys window and uniform_value.  A key outside this layout,
+including any key under [DEFAULT], is rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError
 from .fundamental_diagram import ExponentialDiagram
 from .free_inlet import FreeInletGain
-from .pde_oracle import SCHEMES, OracleSettings
+from .pde_oracle import OracleSettings
 from .picard import PicardSettings
 from .profile import (DensityProfile, Scenario, bump_profile, polynomial_profile,
                       sampled_profile, uniform_profile)
@@ -38,7 +39,6 @@ class RunConfig:
     """Flat, primitive-valued mirror of one run's inputs."""
 
     # diagram
-    diagram_kind: str = "exponential"
     flow_scale: float = 1.0
     density_scale: float = 1.0
     shape: float = 1.0
@@ -75,25 +75,17 @@ class RunConfig:
     # oracle
     oracle_enabled: bool = False
     oracle_n_cells: int = 400
-    oracle_scheme: str = "central_flux_rk4"
     oracle_cfl_cap: float = 0.4
-    oracle_dt: float | None = None
-    oracle_escape_factor: float = 4.0
     # output
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.diagram_kind != "exponential":
-            raise ConfigError("diagram kind must be 'exponential' "
-                              "(tabulated diagrams are library-only)")
         if self.law not in LAWS:
             raise ConfigError(f"law must be one of {LAWS}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.profile_kind not in PROFILES:
             raise ConfigError(f"profile must be one of {PROFILES}")
-        if self.oracle_scheme not in SCHEMES:
-            raise ConfigError(f"oracle scheme must be one of {SCHEMES}")
         if self.snapshots < 2:
             raise ConfigError("need at least 2 snapshots")
         if self.n_cells < 2:
@@ -110,7 +102,7 @@ class RunConfig:
 # The INI surface follows RunConfig's field order.  Each section opens at
 # the field named in _SECTION_STARTS; a key is its field's name minus the
 # section prefix, except for the two keys in _RENAMED.
-_SECTION_STARTS = {"diagram_kind": "diagram", "length": "scenario", "law": "controller",
+_SECTION_STARTS = {"flow_scale": "diagram", "length": "scenario", "law": "controller",
                    "picard_window": "picard", "oracle_enabled": "oracle",
                    "output_dir": "output"}
 _RENAMED = {"profile_kind": "profile", "output_dir": "directory"}
@@ -183,6 +175,11 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
+    if parser.defaults():
+        # configparser copies these into every section and lists no
+        # [DEFAULT] section, so they would pass unchecked or be misnamed
+        raise ConfigError("keys under [DEFAULT] are not supported; "
+                          f"move {', '.join(parser.defaults())} into their sections")
     known = {(s, k): f for s, k, f in _LAYOUT}
     values = {}
     for section in parser.sections():

@@ -29,10 +29,6 @@ class StateEscapeError(VslControlError):
     """The closed-loop state or control left its admissible set."""
 
 
-class StepSizeError(VslControlError):
-    """A time step violates the stability constraint of a scheme."""
-
-
 class SolverDivergenceError(VslControlError):
     """A numerical solution left the physically meaningful range."""
 

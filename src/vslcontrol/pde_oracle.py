@@ -4,24 +4,25 @@ Cross-checks the semi-analytic simulators by integrating
 
     rho_t + d/dx [ u(rho) f(rho) ] = 0
 
-with the feedback u recomputed from the current grid state at every stage.
-Two schemes: a second-order central flux difference driven by classic RK4
-(the default), and first-order upwinding with forward Euler as a blunt
-fallback.  A law that pins its inlet (the fixed-inlet law holds
-rho(t, 0) = rho_star) has its inlet node frozen; the free-inlet law sets the
-inlet flow through u itself and needs no boundary pin.
+with the feedback u recomputed from the current grid state at every stage,
+by one scheme: a second-order central flux difference driven by classic
+RK4.  Both closed loops have classical solutions, with no shocks, so no
+shock-robust first-order fallback is kept.  A law that pins its inlet (the
+fixed-inlet law holds rho(t, 0) = rho_star) has its inlet node frozen; the
+free-inlet law sets the inlet flow through u itself and needs no boundary
+pin.
 
 The law is bound to the oracle grid once per run (gains.controller), so a
 right-hand side pays only for what changes with the state: one evaluation
 of the law, with its domain and escape checks, and a slice stencil equal,
 operation for operation, to -np.gradient(q, h, edge_order=2).
 
-The automatic time step is sized per output interval from the grid state
-alone: the state's density range at the start of the interval, widened by
-a fixed margin into a speed band, bounds the wave speed max|f'| that sets
-the CFL step.  A state that leaves its speed band during the interval
-sends the interval back to its start with a band wide enough to cover
-what was seen, so no step runs above the CFL cap.
+The time step is sized per output interval from the grid state alone:
+the state's density range at the start of the interval, widened by a fixed
+margin into a speed band, bounds the wave speed max|f'| that sets the CFL
+step.  A state that leaves its speed band during the interval sends the
+interval back to its start with a band wide enough to cover what was seen,
+so no step runs above the CFL cap.
 
 This module trades accuracy for independence: nothing here reuses the
 closed-form structure of the laws beyond the feedback formulas themselves.
@@ -34,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverDivergenceError, StepSizeError
+from .errors import DomainError, SolverDivergenceError
 from .profile import Scenario, check_pairing
 from .trace import SimulationTrace, law_trace
 
-SCHEMES = ("central_flux_rk4", "upwind_euler")
 ORACLE_U_TOL = 1e-3  # discretization wiggle allowance on u <= 1
 # the speed band of an output interval is the state's range [lo, hi] widened
 # on each side by BAND_REL * (hi - lo) + BAND_ABS * rho_max; its max|f'| is
@@ -46,53 +46,28 @@ ORACLE_U_TOL = 1e-3  # discretization wiggle allowance on u <= 1
 BAND_REL = 0.1
 BAND_ABS = 1e-3
 BAND_SAMPLES = 257
+# a run diverges once its sup-norm deviation from rho_star exceeds
+# ESCAPE_FACTOR * max(initial sup deviation, 0.05 * rho_max)
+ESCAPE_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
 class OracleSettings:
-    """Grid resolution, scheme and step-size policy of the oracle.
+    """Grid resolution and CFL cap of the oracle.
 
-    dt=None sizes the step for each output interval as cfl_cap * h / s,
-    shrunk to divide the interval exactly, where s is max|f'| over the
-    state's own density band (see integrate).  An explicit dt is used for
-    every step and must respect the global cap cfl_cap * h / max|f'| over
-    [0, rho_max].  escape_factor bounds how far the sup-norm deviation may
-    grow before the run is declared divergent.
+    Each output interval's step is cfl_cap * h / s, shrunk to divide the
+    interval exactly, where s is max|f'| over the state's own density band
+    (see integrate).
     """
 
     n_cells: int = 400
-    scheme: str = "central_flux_rk4"
     cfl_cap: float = 0.4
-    dt: float | None = None
-    escape_factor: float = 4.0
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"scheme must be one of {SCHEMES}")
         if self.n_cells < 4:
             raise DomainError("need at least 4 cells")
         if not (0.0 < self.cfl_cap <= 1.0):
             raise DomainError("cfl_cap must lie in (0, 1]")
-        if self.dt is not None and not (0.0 < self.dt < math.inf):
-            raise DomainError("dt must be positive and finite")
-        if not (1.0 < self.escape_factor < math.inf):
-            raise DomainError("escape_factor must be finite and exceed 1")
-
-
-def check_explicit_dt(scenario: Scenario, settings: OracleSettings) -> None:
-    """Raise StepSizeError if settings.dt exceeds the global stability cap.
-
-    The cap is cfl_cap * h / max|f'| over [0, rho_max].  Nothing is checked
-    when dt is None: integrate then sizes each interval's step itself.
-    """
-    if settings.dt is None:
-        return
-    h = scenario.length / settings.n_cells
-    cap = settings.cfl_cap * h / scenario.diagram.max_abs_slope
-    if settings.dt > cap * (1.0 + 1e-9):
-        raise StepSizeError(
-            f"dt {settings.dt:.3e} exceeds the stability cap {cap:.3e} "
-            f"(cfl_cap {settings.cfl_cap} at {settings.n_cells} cells)")
 
 
 def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettings()
@@ -107,31 +82,28 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     gains.pins_inlet.  The initial profile is linearly resampled onto the
     oracle grid.
 
-    With dt=None each output interval gets its own uniform step.  The
-    state's range [lo, hi] at the start of the interval, widened by
+    Each output interval gets its own uniform step.  The state's range
+    [lo, hi] at the start of the interval, widened by
     BAND_REL * (hi - lo) + BAND_ABS * rho_max on each side, is its speed
     band; s is max|f'| over the band clipped to [0, rho_max], sampled at
     BAND_SAMPLES points, and the interval takes the fewest equal steps
     with dt * s / h <= cfl_cap.  After every step the state's min and max
     must stay inside the speed band; if they leave it, the interval is run
     again from its start with the band rebuilt around everything seen.
-    An explicit dt is checked by check_explicit_dt and gives every
-    interval the same steps.
 
-    After each output interval the state must be finite and inside the
-    escape band.  metadata records "steps", every step taken, those of
-    discarded attempts included; "steps_per_interval", the steps of each
-    interval's kept attempt; "redone_intervals", the number of discarded
-    attempts; "cfl", the largest realised CFL number dt * s / h (s is
-    max|f'| over [0, rho_max] for an explicit dt); and the mass-balance
-    residual
+    After each output interval the state must be finite and its sup-norm
+    deviation from rho_star within the escape band (see ESCAPE_FACTOR),
+    or SolverDivergenceError is raised.  metadata records "steps", every
+    step taken, those of discarded attempts included;
+    "steps_per_interval", the steps of each interval's kept attempt;
+    "redone_intervals", the number of discarded attempts; "cfl", the
+    largest realised CFL number dt * s / h; and the mass-balance residual
     |integral (rho_T - rho_0) dx - integral (inlet - outlet) dt|, both by
     trapezoids over the snapshots.
     """
     if not callable(getattr(gains, "controller", None)):
         raise DomainError(f"unsupported gains record {type(gains).__name__}")
     check_pairing(gains, scenario)
-    check_explicit_dt(scenario, settings)
     d = scenario.diagram
     n = settings.n_cells
     x = np.linspace(0.0, scenario.length, n + 1)
@@ -143,9 +115,6 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     def plan(lo: float, hi: float) -> tuple[float, float, int, float]:
         """Speed band limits, step count and speed bound s for an interval
         whose states span [lo, hi]."""
-        if settings.dt is not None:
-            n_steps = max(1, math.ceil(interval / settings.dt * (1.0 - 1e-12)))
-            return -math.inf, math.inf, n_steps, d.max_abs_slope
         margin = BAND_REL * (hi - lo) + BAND_ABS * d.rho_max
         below, above = lo - margin, hi + margin
         grid = np.linspace(max(below, 0.0), min(above, d.rho_max), BAND_SAMPLES)
@@ -156,7 +125,7 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
         return below, above, n_steps, s
 
     sup0 = scenario.rho0.sup_deviation()
-    escape = settings.escape_factor * max(sup0, 0.05 * d.rho_max)
+    escape = ESCAPE_FACTOR * max(sup0, 0.05 * d.rho_max)
 
     law = gains.controller(d, x, ORACLE_U_TOL)
     pins = gains.pins_inlet
@@ -183,19 +152,6 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
         k4 = rhs(state + dt * k3)
         return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def euler_upwind_step(state: np.ndarray, dt: float) -> np.ndarray:
-        u, fv, _ = law(state)
-        q = u * fv
-        speed = u * np.asarray(d.flow_slope(state), dtype=float)
-        slope = np.diff(q) / h
-        back = np.concatenate((slope[:1], slope))  # no left neighbour; one-sided closure
-        fwd = np.concatenate((slope, slope[-1:]))
-        dq = np.where(speed >= 0.0, back, fwd)
-        if pins:
-            dq[0] = 0.0
-        return state - dt * dq
-
-    step = rk4_step if settings.scheme == "central_flux_rk4" else euler_upwind_step
     rho_out = np.empty((targets.size, x.size))
     rho_out[0] = rho
     steps_per_interval = []
@@ -210,7 +166,7 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
             dt = interval / n_steps
             rho = start
             for _ in range(n_steps):
-                rho = step(rho, dt)
+                rho = rk4_step(rho, dt)
                 taken += 1
                 seen_lo, seen_hi = float(rho.min()), float(rho.max())
                 if seen_lo < below or seen_hi > above:
@@ -236,7 +192,6 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
             "law": gains.law,
             "oracle": True,
             "rho_star": scenario.rho_star,
-            "scheme": settings.scheme,
             "n_cells": n,
             "steps": taken,
             "steps_per_interval": steps_per_interval,

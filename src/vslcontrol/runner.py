@@ -76,9 +76,8 @@ class RunResult:
 def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     """Execute the configured law(s), write all artifacts, check invariants.
 
-    The scenario, every law's gains and the solver settings are built, and
-    an explicit oracle dt is checked against its stability cap, before
-    anything is written, so a refused config leaves no directory.
+    The scenario, every law's gains and the solver settings are built
+    before anything is written, so a refused config leaves no directory.
     """
     base = out_dir if out_dir is not None else cfg.output_dir
     scenario = build_scenario(cfg)
@@ -86,8 +85,6 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     gains = {law: _build_gains(cfg, scenario, law) for law in laws}
     picard = build_picard(cfg)
     oracle = build_oracle_settings(cfg) if cfg.oracle_enabled else None
-    if oracle is not None:
-        pde_oracle.check_explicit_dt(scenario, oracle)
     os.makedirs(base, exist_ok=True)
     save_config(cfg, os.path.join(base, "config.ini"))
     return RunResult(directory=base, laws=tuple(
@@ -319,7 +316,7 @@ def _write_report(out: str, cfg: RunConfig, law: str, trace: SimulationTrace,
         f"vsl_sensitivity={cfg.vsl_sensitivity:g} rho_max={cfg.rho_max:g}")
     lines.append(
         f"scenario: length={cfg.length:g} rho_star={cfg.rho_star:g} "
-        f"n_cells={cfg.n_cells} horizon={cfg.horizon:g} snapshots={cfg.snapshots}")
+        f"n_cells={trace.x.size - 1} horizon={cfg.horizon:g} snapshots={cfg.snapshots}")
     lines.append("")
     lines.extend(certification_lines(cfg, law))
     lines.append("")

@@ -1,22 +1,22 @@
 """Independent finite-volume integrator used to cross-check the closed forms.
 
 Proves:
-  1.  settings validation (scheme names, cell floor, cfl window, dt sign,
-      non-finite dt and escape factor)
-  2.  equilibrium initial data is preserved to machine precision by both
-      schemes under both laws
+  1.  settings validation (cell floor, cfl window, non-finite cfl cap); the
+      settings hold only n_cells and cfl_cap
+  2.  equilibrium initial data is preserved to machine precision under both
+      laws
   3.  short-horizon integration tracks the semi-analytic solution on a
       coarse grid under both laws
-  4.  an explicit dt above the advective limit raises before stepping; an
-      explicit dt equal to the automatic one reproduces its trace
+  4.  the divergence guard: a state whose deviation leaves
+      ESCAPE_FACTOR * max(sup0, 0.05 * rho_max) raises SolverDivergenceError
   5.  compare: identical traces give zero gaps, mismatched time grids are
       rejected, different space grids are resampled
   6.  conservation bookkeeping: interior mass change matches boundary
       fluxes to discretization accuracy
   7.  records that are not laws, and laws for another road, are rejected
   8.  the lean right-hand side (law bound once, slice stencil) gives the
-      same bits as a plain loop over gains.controls and np.gradient, or
-      the upwind step, for both laws under both schemes
+      same bits as a plain loop over gains.controls and np.gradient under
+      RK4, for both laws
   9.  a bound law still runs its domain and escape checks on every call
   10. the automatic step is sized from the state's own density band: on
       criterion 07's free-law run the realised CFL stays under the cap with
@@ -25,12 +25,14 @@ Proves:
       plain loop with the kept per-interval steps
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from vslcontrol import (DomainError, FreeInletGain, OracleSettings, Scenario,
-                        StateEscapeError, StepSizeError, bump_profile, fixed_inlet,
-                        free_inlet, pde_oracle, uniform_profile)
+                        SolverDivergenceError, StateEscapeError, bump_profile,
+                        fixed_inlet, free_inlet, pde_oracle, uniform_profile)
 from vslcontrol.config import (build_free_gain, build_oracle_settings, build_scenario,
                                preset, with_overrides)
 
@@ -44,39 +46,30 @@ def short_scenario(diagram, n_cells=80, horizon=2.0):
 class TestSettings:
     def test_defaults(self):
         s = OracleSettings()
-        assert s.n_cells == 400 and s.scheme == "central_flux_rk4"
+        assert s.n_cells == 400 and s.cfl_cap == 0.4
+        assert [f.name for f in fields(OracleSettings)] == ["n_cells", "cfl_cap"]
 
     def test_rejections(self):
         with pytest.raises(DomainError):
-            OracleSettings(scheme="lax_wendroff")
-        with pytest.raises(DomainError):
             OracleSettings(n_cells=3)
-        with pytest.raises(DomainError):
-            OracleSettings(cfl_cap=0.0)
-        with pytest.raises(DomainError):
-            OracleSettings(dt=-0.1)
-        for bad in (np.nan, np.inf):
+        for bad in (0.0, 1.5, np.nan, np.inf):
             with pytest.raises(DomainError):
-                OracleSettings(dt=bad)
-            with pytest.raises(DomainError):
-                OracleSettings(escape_factor=bad)
+                OracleSettings(cfl_cap=bad)
 
 
 class TestEquilibrium:
-    @pytest.mark.parametrize("scheme", pde_oracle.SCHEMES)
-    def test_free_law_constant_state(self, diagram, free_gain, scheme):
+    def test_free_law_constant_state(self, diagram, free_gain):
         p = uniform_profile(1.0, 60, 0.7)
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=p,
                       horizon=1.0, output_interval=0.25)
-        tr = pde_oracle.integrate(sc, free_gain, OracleSettings(n_cells=60, scheme=scheme))
+        tr = pde_oracle.integrate(sc, free_gain, OracleSettings(n_cells=60))
         assert np.max(np.abs(tr.rho - 0.7)) < 1e-13
 
-    @pytest.mark.parametrize("scheme", pde_oracle.SCHEMES)
-    def test_fixed_law_constant_state(self, diagram, fixed_gains, scheme):
+    def test_fixed_law_constant_state(self, diagram, fixed_gains):
         p = uniform_profile(1.0, 60, 0.7)
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=p,
                       horizon=1.0, output_interval=0.25)
-        tr = pde_oracle.integrate(sc, fixed_gains, OracleSettings(n_cells=60, scheme=scheme))
+        tr = pde_oracle.integrate(sc, fixed_gains, OracleSettings(n_cells=60))
         assert np.max(np.abs(tr.rho - 0.7)) < 1e-13
 
 
@@ -95,14 +88,6 @@ class TestShortRuns:
         cmp = pde_oracle.compare(semi, num)
         assert cmp.max_density_gap < 5e-3
 
-    def test_upwind_is_coarser_but_stable(self, diagram, free_gain):
-        sc = short_scenario(diagram)
-        semi = free_inlet.simulate(sc, free_gain)
-        num = pde_oracle.integrate(
-            sc, free_gain, OracleSettings(n_cells=80, scheme="upwind_euler"))
-        cmp = pde_oracle.compare(semi, num)
-        assert cmp.max_density_gap < 5e-2
-
     def test_metadata_labels_the_oracle(self, diagram, free_gain):
         sc = short_scenario(diagram, horizon=0.5)
         tr = pde_oracle.integrate(sc, free_gain, OracleSettings(n_cells=40))
@@ -110,28 +95,6 @@ class TestShortRuns:
         assert tr.metadata["law"] == "free_inlet"
         assert tr.metadata["n_cells"] == 40
         assert tr.metadata["steps"] >= 1
-
-
-class TestStepSize:
-    def test_oversized_dt_rejected(self, diagram, free_gain):
-        sc = short_scenario(diagram, horizon=0.5)
-        with pytest.raises(StepSizeError):
-            pde_oracle.integrate(sc, free_gain,
-                                 OracleSettings(n_cells=200, dt=0.5))
-
-    def test_explicit_dt_matches_auto_when_equal(self, diagram, free_gain):
-        # the band's speed bound is well below max|f'| on [0, rho_max], so
-        # the automatic run takes a small cfl_cap to land under the global
-        # cap that the explicit dt (default cfl_cap) must meet
-        sc = short_scenario(diagram, n_cells=40, horizon=0.5)
-        auto = pde_oracle.integrate(sc, free_gain, OracleSettings(n_cells=40, cfl_cap=0.05))
-        (steps,) = auto.metadata["steps_per_interval"]
-        dt = sc.output_interval / steps
-        assert dt <= OracleSettings().cfl_cap * (1.0 / 40) / diagram.max_abs_slope
-        manual = pde_oracle.integrate(sc, free_gain,
-                                      OracleSettings(n_cells=40, dt=dt))
-        assert manual.metadata["steps_per_interval"] == [steps]
-        np.testing.assert_allclose(manual.rho, auto.rho, rtol=0, atol=1e-12)
 
 
 class TestCompare:
@@ -184,8 +147,8 @@ class TestDispatch:
             pde_oracle.integrate(sc, wrong, OracleSettings(n_cells=40))
 
 
-def reference_rows(scenario, gains, n_cells, scheme, steps_per_interval):
-    """The oracle as a plain loop: gains.controls and np.gradient every stage.
+def reference_rows(scenario, gains, n_cells, steps_per_interval):
+    """The oracle as a plain loop: gains.controls and np.gradient every RK4 stage.
 
     Output interval j takes steps_per_interval[j] equal steps.  Returns the
     state at every output time, one row each.
@@ -202,48 +165,29 @@ def reference_rows(scenario, gains, n_cells, scheme, steps_per_interval):
             out[0] = 0.0
         return out
 
-    def upwind(state, dt):
-        u, fv, _ = gains.controls(d, x, state, pde_oracle.ORACLE_U_TOL)
-        q = u * fv
-        speed = u * d.flow_slope(state)
-        back = np.empty_like(q)
-        back[1:] = np.diff(q) / h
-        back[0] = (q[1] - q[0]) / h
-        fwd = np.empty_like(q)
-        fwd[:-1] = np.diff(q) / h
-        fwd[-1] = back[-1]
-        dq = np.where(speed >= 0.0, back, fwd)
-        if gains.pins_inlet:
-            dq[0] = 0.0
-        return state - dt * dq
-
     interval = float(scenario.output_times[1] - scenario.output_times[0])
     rows = [rho]
     for n_steps in steps_per_interval:
         dt = interval / n_steps
         for _ in range(n_steps):
-            if scheme == "central_flux_rk4":
-                k1 = rhs(rho)
-                k2 = rhs(rho + 0.5 * dt * k1)
-                k3 = rhs(rho + 0.5 * dt * k2)
-                k4 = rhs(rho + dt * k3)
-                rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
-                rho = upwind(rho, dt)
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rows.append(rho)
     return np.array(rows)
 
 
 class TestLeanPath:
-    @pytest.mark.parametrize("scheme", pde_oracle.SCHEMES)
     @pytest.mark.parametrize("law", ["free", "fixed"])
-    def test_bitwise_equal_to_plain_loop(self, diagram, free_gain, fixed_gains, law, scheme):
+    def test_bitwise_equal_to_plain_loop(self, diagram, free_gain, fixed_gains, law):
         gains = free_gain if law == "free" else fixed_gains
         p = bump_profile(1.0, 60, 0.7, amplitude=2.0)
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=p,
                       horizon=1.0, output_interval=0.5)
-        tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=60, scheme=scheme))
-        ref = reference_rows(sc, gains, 60, scheme, tr.metadata["steps_per_interval"])
+        tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=60))
+        ref = reference_rows(sc, gains, 60, tr.metadata["steps_per_interval"])
         assert np.array_equal(tr.rho[-1], ref[-1])
         assert np.array_equal(tr.rho, ref)
 
@@ -328,17 +272,27 @@ class TestBandStep:
         assert tr.metadata["steps"] == sum(tr.metadata["steps_per_interval"])
         assert tr.metadata["steps"] <= 15000 // 5
 
-    @pytest.mark.parametrize("scheme", pde_oracle.SCHEMES)
-    def test_band_escape_reruns_the_interval(self, diagram, scheme):
+    def test_band_escape_reruns_the_interval(self, diagram):
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
                       rho0=uniform_profile(1.0, 60, 0.7), horizon=1.0, output_interval=0.5)
         law = RampLaw(0.05)
-        settings = OracleSettings(n_cells=60, scheme=scheme)
+        settings = OracleSettings(n_cells=60)
         tr = pde_oracle.integrate(sc, law, settings)
         meta = tr.metadata
         assert meta["redone_intervals"] >= 1
         assert meta["steps"] > sum(meta["steps_per_interval"])
         assert meta["cfl"] <= settings.cfl_cap
         assert tr.rho.max() > 0.7 + pde_oracle.BAND_ABS * diagram.rho_max
-        ref = reference_rows(sc, law, 60, scheme, meta["steps_per_interval"])
+        ref = reference_rows(sc, law, 60, meta["steps_per_interval"])
         assert np.array_equal(tr.rho, ref)
+
+
+class TestDivergenceGuard:
+    def test_deviation_beyond_the_escape_band_raises(self, diagram):
+        # the ramp piles density up without end: the sup deviation passes
+        # ESCAPE_FACTOR * max(0, 0.05 * rho_max) = 4 * 0.08 = 0.32 near t = 2
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=uniform_profile(1.0, 60, 0.7), horizon=8.0, output_interval=0.25)
+        with pytest.raises(SolverDivergenceError) as info:
+            pde_oracle.integrate(sc, RampLaw(0.5), OracleSettings(n_cells=60))
+        assert "escaped the band 0.32 near t = 2" in str(info.value)

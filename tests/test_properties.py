@@ -281,7 +281,6 @@ def config_round_trip(rng, n_cases=N_CASES):
             picard_window=None if rng.random() < 0.5 else float(rng.uniform(0.1, 2.0)),
             picard_tol=float(10.0 ** rng.uniform(-14, -6)),
             oracle_enabled=bool(rng.random() < 0.5),
-            oracle_dt=None if rng.random() < 0.5 else float(10.0 ** rng.uniform(-5, -2)),
             note="x" * int(rng.integers(0, 10)))
         assert parse_config(serialize_config(cfg)) == cfg
     return n_cases

@@ -4,9 +4,11 @@ Proves:
   1.  serialize/parse is the identity on every preset and on overridden
       configs, including None sentinels and tuple-valued fields; the
       serialized default config and presets keep their pinned SHA-256
-  2.  unknown keys, bad enum values and malformed numbers raise ConfigError
+  2.  unknown keys, keys under [DEFAULT], bad enum values and malformed
+      numbers raise ConfigError; the INI example in README.md parses
   3.  run() writes the documented file set; norms.csv respects the decay
-      bound row by row; load_trace round-trips the arrays bit for bit
+      bound row by row; load_trace round-trips the arrays bit for bit;
+      report.txt states the grid the trace was computed on
   4.  two runs of the same config produce byte-identical files
   5.  compare_runs of a directory against itself is exactly zero
   6.  certify() reports the failing curvature margin without raising
@@ -16,9 +18,10 @@ Proves:
       with an error line and no traceback; the [project.scripts] entry
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
       runs as its own process
-  8.  a non-finite float in any config key, a gain outside its window and a
-      strict calibration failure all exit 2 with an error line and leave no
-      run directory
+  8.  a non-finite float in any config key, a gain outside its window, a
+      strict calibration failure, keys under [DEFAULT] and each removed
+      key ([diagram] kind, [oracle] scheme, dt, escape_factor) all exit 2
+      with an error line and leave no run directory
   9.  every layer the benchmark's span recorder wraps is reached through
       module attributes by a run with both laws and the oracle, then compare
  10.  the long-format and column-table writers give the bytes of a plain
@@ -81,7 +84,7 @@ class TestConfigRoundTrip:
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_none_and_tuple_fields(self):
-        cfg = with_overrides(RunConfig(), picard_window=0.5, oracle_dt=0.001,
+        cfg = with_overrides(RunConfig(), picard_window=0.5, uniform_value=0.8,
                              profile_kind="polynomial",
                              poly_coeffs=(0.7, 0.0, 1.5e-3))
         assert parse_config(serialize_config(cfg)) == cfg
@@ -98,8 +101,17 @@ class TestConfigRoundTrip:
             parse_config(text)
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(serialize_config(RunConfig()) + "\n[extras]\nx = 1\n")
+        for text in (serialize_config(RunConfig()) + "\n[extras]\nx = 1\n",
+                     "[DEFAULT]\nlaw = fixed_inlet\nhorizon = 5.0\n",
+                     "[DEFAULT]\nrho_max = 1.5\n\n[scenario]\nhorizon = 5.0\n"):
+            with pytest.raises(ConfigError, match=r"\[(extras|DEFAULT)\]"):
+                parse_config(text)
+
+    def test_readme_example_parses(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        cfg = parse_config(block)
+        assert cfg.oracle_enabled and cfg.free_gain == 0.3
 
     def test_malformed_number_rejected(self):
         text = serialize_config(RunConfig()).replace("sigma = 0.12", "sigma = fast")
@@ -120,10 +132,10 @@ class TestConfigRoundTrip:
     # keys; these digests pin the INI text itself (the benchmark's input
     # digests are built from it).
     SERIALIZED_SHA256 = {
-        None: "fc7f434a016d65d9c833bb354dfdf2ff1783018a04ffb4ff4b159a38793db9c8",
-        "paper-sec5-free": "3fd313e07e7d4fc822c37c37440f3d76b4c687b110215f0c4210bc09fb6f46cc",
-        "paper-sec5-fixed": "b270f90b06fcab1bab59e6bf8d67138039b45c61131d4840e39e9632c922df52",
-        "paper-fig7": "7a0e7956382f63fa7d29940e6542db4515f9d633d6d721730aa275023b076964",
+        None: "b0ba1ad5e6c793b962d41177c9a0ba6046f84fdabe03d74fb2971fb2ada2359d",
+        "paper-sec5-free": "93053e6bf2c8542fecf7db9231fb08c0216e46a7c3bf0f7a5daa8f26526a62f9",
+        "paper-sec5-fixed": "e1ac642248b654cc350a1238c420d066a76fdf9e55ff232a7e563c00c9b95db0",
+        "paper-fig7": "06f9cd1547fdcc93d9894afd5bdeca7ba425fed3401e168f8344dc8ba54c42ae",
     }
 
     @pytest.mark.parametrize("name", list(SERIALIZED_SHA256), ids=str)
@@ -176,6 +188,18 @@ class TestRunDirectory:
         gaps = os.path.join(law.directory, "oracle", "gaps.csv")
         assert os.path.isfile(gaps)
         assert law.oracle_gap < 5e-3
+
+    def test_report_states_the_sampled_grid(self, tmp_path):
+        # a sampled profile sets its own grid: 41 samples are 40 cells,
+        # whatever [scenario] n_cells says
+        samples = tuple(0.7 + 0.1 * np.exp(-((np.linspace(0.0, 1.0, 41) - 0.5) / 0.1) ** 2))
+        cfg = with_overrides(preset("paper-sec5-free"), **QUICK, profile_kind="samples",
+                             sample_values=samples)
+        res = runner.run(cfg, str(tmp_path / "o"))
+        law = res.law("free_inlet")
+        assert law.trace.x.size == 41
+        text = open(os.path.join(law.directory, "report.txt")).read()
+        assert "scenario: length=1 rho_star=0.7 n_cells=40 horizon=3" in text
 
     def test_report_mentions_certification(self, quick_fixed):
         res, _ = quick_fixed
@@ -268,7 +292,7 @@ class TestCli:
 
     def test_non_finite_floats_exit_two(self, tmp_path, capsys):
         floats = [(key, name) for _, key, name in _LAYOUT if "float" in _FIELD_TYPES[name]]
-        assert len(floats) == 24
+        assert len(floats) == 22
         p = tmp_path / "c.ini"
         out = tmp_path / "o"
         for key, name in floats:
@@ -284,19 +308,26 @@ class TestCli:
     def test_refused_config_writes_no_directory(self, tmp_path, capsys):
         p = str(tmp_path / "c.ini")
         save_config(with_overrides(preset("paper-sec5-free"), free_gain=2.0), p)
-        for source in (["--config", p], ["--preset", "paper-sec5-fixed", "--strict"]):
+        defaults = tmp_path / "defaults.ini"
+        defaults.write_text("[DEFAULT]\nlaw = fixed_inlet\nhorizon = 5.0\n")
+        for source in (["--config", p], ["--preset", "paper-sec5-fixed", "--strict"],
+                       ["--config", str(defaults)]):
             out = tmp_path / "o"
             assert cli.main(["run", *source, "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith("error:")
             assert not out.exists(), source
 
-    def test_refused_oracle_dt_writes_no_directory(self, tmp_path):
-        p = str(tmp_path / "c.ini")
-        save_config(with_overrides(preset("paper-sec5-free"), oracle_enabled=True,
-                                   oracle_dt=1.0), p)
+    @pytest.mark.parametrize("section,key,value", [
+        ("diagram", "kind", "exponential"), ("oracle", "scheme", "central_flux_rk4"),
+        ("oracle", "dt", "auto"), ("oracle", "escape_factor", "4.0")])
+    def test_removed_key_writes_no_directory(self, tmp_path, capsys, section, key, value):
+        p = tmp_path / "c.ini"
+        text = serialize_config(with_overrides(preset("paper-sec5-free"), oracle_enabled=True))
+        p.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
         out = tmp_path / "o"
-        err = self.assert_error_exit(tmp_path, "run", "--config", p, "--out", str(out))
-        assert "stability cap" in err
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown config key [{section}] {key}"), err
         assert not out.exists()
 
     @pytest.fixture
