@@ -19,6 +19,10 @@ Two structural assumptions are used by the controllers built on top:
     delta, below which any speed limit strictly reduces flow).
 
 `validate_assumptions` checks both on a sample grid and reports violations.
+Each limit operation has one elementwise path: `saturating_limit` gives
+l_sat, and `speed_limits` is the one inversion l(rho, u) of
+F(rho, l) = u f(rho).  Both bisect through `_bisect_all`; the scalar
+`_bisect` finds scalar roots such as the critical density.
 """
 
 from __future__ import annotations
@@ -81,17 +85,6 @@ class FundamentalDiagram:
 
     def flow_curvature(self, rho):
         raise NotImplementedError
-
-    # -- limit-response surface; only diagrams with a VSL model support these
-
-    def vsl_flow(self, rho, limit):
-        raise UnsupportedDiagramError("this diagram has no speed-limit response model")
-
-    def saturating_limit(self, rho: float) -> float:
-        raise UnsupportedDiagramError("this diagram has no speed-limit response model")
-
-    def invert_vsl(self, rho: float, flow_value: float) -> float:
-        raise UnsupportedDiagramError("this diagram has no speed-limit response model")
 
     # -- derived constants
 
@@ -204,7 +197,7 @@ class ExponentialDiagram(FundamentalDiagram):
         """Flow under speed-limit ratio `limit`, F(rho, limit)."""
         r = self._check_density(rho)
         l = np.asarray(limit, dtype=float)
-        if np.any(l <= 0.0) or np.any(l > 1.0):
+        if _outside_unit(l, 1.0):
             raise DomainError("limit ratio must lie in (0, 1]")
         out = self._vsl_flow_raw(r, l)
         return out if out.ndim else float(out)
@@ -242,51 +235,27 @@ class ExponentialDiagram(FundamentalDiagram):
         l = np.asarray(l, dtype=float)
         return (1.0 + a * (1.0 - l)) ** self.shape * (1.0 + self.shape / core * np.log(l)) - 1.0
 
-    def saturating_limit(self, rho: float) -> float:
+    def saturating_limit(self, rho):
         """Smallest limit ratio whose limited flow equals the unlimited flow.
 
-        Equals 1 for rho <= delta.  Above delta it is the smallest l solving
+        Elementwise, like flow; a 0-d input gives a float.  Equals 1 for
+        rho <= delta.  Above delta it is the smallest l solving
         (1 + a(1-l))^shape (1 + shape (b rho)^-shape ln l) = 1, located by a
-        geometric scan on (1e-9, 1] followed by bisection.
+        geometric scan on [1e-9, 1] followed by bisection to the fixed point.
         """
-        r = float(self._check_density(rho))
-        if r <= 0.0:
+        r = self._check_density(rho)
+        if np.any(r <= 0.0):
             raise DomainError("saturating limit needs rho > 0")
-        if r <= self.delta:
-            return 1.0
-        grid = np.geomspace(1e-9, 1.0, 600)
-        vals = self._saturation_residual(r, grid)
-        idx = np.nonzero(vals >= 0.0)[0]
-        if idx.size == 0:
-            raise ConvergenceError("saturating-limit equation has no crossing on the scan grid")
-        i = int(idx[0])
-        if i == 0:
-            return float(grid[0])
-        return _bisect(lambda l: float(self._saturation_residual(r, l)),
-                       float(grid[i - 1]), float(grid[i]), float(vals[i - 1]))
-
-    def invert_vsl(self, rho: float, flow_value: float) -> float:
-        """Limit ratio l in (0, l_sat(rho)] with F(rho, l) = flow_value.
-
-        F(rho, .) is strictly increasing on that interval, so plain
-        bisection applies.  flow_value must lie in (0, f(rho)].
-        """
-        r = float(self._check_density(rho))
-        if r <= 0.0:
-            raise DomainError("inversion needs rho > 0")
-        y = float(flow_value)
-        fr = float(self.flow(r))
-        if y <= 0.0 or y > fr * (1.0 + 1e-12):
-            raise DomainError(f"target flow {y} outside (0, f(rho) = {fr}]")
-        hi = self.saturating_limit(r)
-        if float(self.vsl_flow(r, hi)) - y <= 0.0:
-            return hi
-        # F(rho, 0) = 0, so the residual at l = 0 is -y
-        l = _bisect(lambda m: float(self.vsl_flow(r, m)) - y if m > 0.0 else -y,
-                    0.0, hi, -y)
-        if abs(float(self.vsl_flow(r, max(l, 1e-300))) - y) > 1e-9 * max(1.0, fr):
-            raise ConvergenceError("speed-limit inversion did not reach the target flow")
-        return l
+        out = np.ones_like(r)
+        mask = r > self.delta
+        if np.any(mask):
+            rm = r[mask]
+            grid = np.geomspace(1e-9, 1.0, 600)
+            # the residual is 0 at l = 1, so every row has a hit
+            first = np.argmax(self._saturation_residual(rm[:, None], grid) >= 0.0, axis=1)
+            out[mask] = _bisect_all(lambda mid: self._saturation_residual(rm, mid) >= 0.0,
+                                    grid[np.maximum(first - 1, 0)], grid[first], 80)
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,8 +265,8 @@ class TabulatedDiagram(FundamentalDiagram):
     Each array is interpolated with a monotone cubic (PCHIP), which
     preserves the sign structure of the data between nodes, so the
     assumption checks stay meaningful.  No speed-limit response model is
-    attached; the limit-specific operations raise UnsupportedDiagramError
-    and delta defaults to rho_max.
+    attached: speed_limits raises UnsupportedDiagramError, the validator
+    skips its limit check, and delta defaults to rho_max.
     """
 
     rho_grid: np.ndarray
@@ -463,84 +432,63 @@ def _sign_pattern_check(grid: np.ndarray, slopes: np.ndarray) -> CheckResult:
 def _limit_monotonicity_check(diagram: ExponentialDiagram) -> CheckResult:
     name = "limit_monotone_below_saturation"
     rhos = np.linspace(0.0, diagram.rho_max, 41)[1:]
-    fractions = np.linspace(0.05, 0.95, 9)
-    for rho in rhos:
-        lsat = diagram.saturating_limit(float(rho))
-        slopes = diagram._limit_slope(float(rho), fractions * lsat)
-        bad = np.nonzero(np.asarray(slopes) <= 0.0)[0]
-        if bad.size:
-            l_bad = float(fractions[bad[0]] * lsat)
-            return CheckResult(name, False,
-                               f"dF/dl <= 0 below the saturating limit", (float(rho), l_bad))
+    limits = np.linspace(0.05, 0.95, 9) * diagram.saturating_limit(rhos)[:, None]
+    bad = np.argwhere(diagram._limit_slope(rhos[:, None], limits) <= 0.0)
+    if bad.size:
+        i, j = bad[0]  # row-major: the first density, then its first limit
+        return CheckResult(name, False, "dF/dl <= 0 below the saturating limit",
+                           (float(rhos[i]), float(limits[i, j])))
     return CheckResult(name, True, "dF/dl > 0 for l < l_sat(rho) on the subgrid")
 
 
-def _bisect_step(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray, up: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One vectorised bisection step: (lo, hi, whether either end moved).
+def _outside_unit(v: np.ndarray, top: float) -> bool:
+    """Whether v holds a NaN or an entry outside (0, top], in one pass each."""
+    return bool(v.size) and not (np.minimum.reduce(v, axis=None) > 0.0
+                                 and np.maximum.reduce(v, axis=None) <= top)
 
-    A step that moves neither end is a fixed point: every later step
-    computes the same mid and the same side, so a loop may stop there with
-    the result of running to its full count.  NaN never compares equal, so
-    a NaN row keeps the loop going.
+
+def _bisect_all(up: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+                max_steps: int) -> np.ndarray:
+    """Elementwise bisection midpoints after at most max_steps halvings.
+
+    up(mid) is True where the root lies in [lo, mid].  A step that moves
+    neither end is a fixed point: every later step computes the same mid
+    and the same side, so the loop stops there with the result of running
+    all max_steps.  NaN never compares equal, so a NaN element runs them all.
     """
-    new_lo = np.where(up, lo, mid)
-    new_hi = np.where(up, mid, hi)
-    moved = not (np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi))
-    return new_lo, new_hi, moved
-
-
-def _saturating_limits_grid(diagram: ExponentialDiagram, r: np.ndarray) -> np.ndarray:
-    """Vectorized saturating limits for a flat array of positive densities."""
-    out = np.ones_like(r)
-    mask = r > diagram.delta
-    if not np.any(mask):
-        return out
-    rm = r[mask]
-    grid = np.geomspace(1e-9, 1.0, 600)
-    resid = diagram._saturation_residual(rm[:, None], grid[None, :])
-    first = np.argmax(resid >= 0.0, axis=1)  # residual is 0 at l = 1, so a hit exists
-    lo = np.where(first > 0, grid[np.maximum(first - 1, 0)], grid[0])
-    hi = grid[first]
-    for _ in range(80):
+    for _ in range(max_steps):
         mid = 0.5 * (lo + hi)
-        up = diagram._saturation_residual(rm, mid) >= 0.0
-        lo, hi, moved = _bisect_step(lo, hi, mid, up)
-        if not moved:
+        go_lo = up(mid)
+        new_lo = np.where(go_lo, lo, mid)
+        new_hi = np.where(go_lo, mid, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
-    out[mask] = 0.5 * (lo + hi)
-    return out
+        lo, hi = new_lo, new_hi
+    return 0.5 * (lo + hi)
 
 
 def speed_limits(diagram: FundamentalDiagram, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Physical limit ratios realizing the control u on a density field.
 
-    Solves F(rho, l) = u * f(rho) elementwise, staying on the monotone
-    branch l <= l_sat(rho).  With vsl_sensitivity = 0 this is simply l = u.
+    The one inversion of the limit response: solves F(rho, l) = u * f(rho)
+    elementwise by bisection on (0, l_sat(rho)], the monotone branch.
+    With vsl_sensitivity = 0 this is simply l = u.  Densities outside
+    [0, rho_max] and controls outside (0, 1], NaN included, raise
+    DomainError.
     """
     if not isinstance(diagram, ExponentialDiagram):
         raise UnsupportedDiagramError("physical limits need a diagram with a limit model")
-    r, uu = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(u, dtype=float))
-    if np.any(uu <= 0.0) or np.any(uu > 1.0 + 1e-9):
+    r, uu = np.broadcast_arrays(diagram._check_density(rho), np.asarray(u, dtype=float))
+    if _outside_unit(uu, 1.0 + 1e-9):
         raise DomainError("control values must lie in (0, 1]")
     if diagram.vsl_sensitivity == 0.0:
         return np.minimum(uu, 1.0) * np.ones_like(r)
-    shape = r.shape
-    r1 = r.ravel().copy()
-    u1 = np.minimum(uu.ravel(), 1.0)
-    out = np.empty_like(r1)
-    zero = r1 <= 0.0
-    out[zero] = u1[zero]  # zero density carries zero flow; any ratio realizes it
-    r1m = r1[~zero]
-    y = u1[~zero] * np.asarray(diagram.flow(r1m), dtype=float)
-    hi = _saturating_limits_grid(diagram, r1m)
-    y = np.minimum(y, diagram._vsl_flow_raw(r1m, hi))
-    lo = np.zeros_like(r1m)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        up = diagram._vsl_flow_raw(r1m, np.maximum(mid, 1e-300)) >= y
-        lo, hi, moved = _bisect_step(lo, hi, mid, up)
-        if not moved:
-            break
-    out[~zero] = 0.5 * (lo + hi)
-    return out.reshape(shape)
+    r1 = r.ravel()
+    out = np.minimum(uu.ravel(), 1.0)  # zero density carries zero flow; any ratio realizes it
+    pos = r1 > 0.0
+    rp = r1[pos]
+    hi = diagram.saturating_limit(rp)
+    y = np.minimum(out[pos] * diagram.flow(rp), diagram._vsl_flow_raw(rp, hi))
+    out[pos] = _bisect_all(lambda mid: diagram._vsl_flow_raw(rp, np.maximum(mid, 1e-300)) >= y,
+                           np.zeros_like(rp), hi, 100)
+    return out.reshape(r.shape)

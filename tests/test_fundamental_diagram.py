@@ -8,11 +8,14 @@ Proves:
   4.  delta: a = 0 gives rho_max; a = 1 gives 1/(b a^(1/shape)); the
       below-threshold case keeps rho_max
   5.  saturating limit: 1 at/below delta, interior root above it; the
-      flow there matches the unlimited flow
-  6.  invert_vsl: linear case (a = 0), the saturation endpoint, and
-      error handling
+      flow there matches the unlimited flow; elementwise, with a float for
+      0-d input, and rho <= 0 rejected
+  6.  speed_limits inverts the limit response: a known l at a = 1, full
+      flow maps to the saturating limit, controls outside (0, 1] rejected
   7.  assumption validator verdicts on the three reference diagrams
-  8.  domain errors: negative density, density above rho_max, bad limit
+  8.  domain errors: negative density, density above rho_max, bad limit,
+      NaN limit; speed_limits rejects bad or NaN densities and NaN
+      controls on both the a = 0 and the a > 0 path
   9.  analytic slope/curvature match central differences at O(h^2)
  10.  speed_limits solves F(rho, l) = u f(rho) vectorized, both a = 0
       and a > 0
@@ -20,8 +23,11 @@ Proves:
       comparisons do at the +-tol edges, for 0-d, 1-d, 2-d and empty input,
       and rejects NaN
  12.  non-finite constructor fields are rejected with DomainError
- 13.  the speed_limits bisections stop at their fixed point with the
-      result of the full fixed-count loops
+ 13.  saturating_limit and speed_limits stop their bisection at its fixed
+      point with the result of the full fixed-count loops; a step that
+      moves nothing stops the one bisection loop, a NaN element runs it out
+ 14.  the validator's limit check reports the first violation in
+      row-major (rho, l) order
 """
 
 import numpy as np
@@ -30,8 +36,7 @@ import pytest
 from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram,
                         TabulatedDiagram, UnsupportedDiagramError, speed_limits,
                         validate_assumptions)
-from vslcontrol.fundamental_diagram import (DENSITY_TOL_REL, _bisect_step,
-                                            _saturating_limits_grid)
+from vslcontrol.fundamental_diagram import DENSITY_TOL_REL, _bisect_all
 
 F_AT_1 = 0.3678794411714423216
 F_AT_07 = 0.34760971265398666029
@@ -85,10 +90,11 @@ class TestVslFlow:
         assert diagram.vsl_flow(0.0, 0.5) == 0.0
 
     def test_nonpositive_limit_rejected(self, diagram):
-        with pytest.raises(DomainError):
-            diagram.vsl_flow(0.5, 0.0)
-        with pytest.raises(DomainError):
-            diagram.vsl_flow(0.5, 1.5)
+        d1 = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        for d in (diagram, d1):
+            for bad in (0.0, 1.5, np.nan, np.array([0.5, np.nan])):
+                with pytest.raises(DomainError):
+                    d.vsl_flow(0.5, bad)
 
 
 class TestCriticalDensity:
@@ -144,20 +150,20 @@ class TestSaturatingLimit:
         # the saturated limit recovers the unlimited flow
         assert d.vsl_flow(1.5, l) == pytest.approx(d.flow(1.5), rel=1e-10)
 
+    def test_elementwise(self):
+        d = ExponentialDiagram(vsl_sensitivity=1.0, shape=2.0, rho_max=1.6)
+        rho = np.array([[0.2, 1.0, 1.3], [1.45, 1.5, 1.6]])
+        got = d.saturating_limit(rho)
+        assert got.shape == rho.shape
+        np.testing.assert_array_equal(got, [[d.saturating_limit(r) for r in row] for row in rho])
+        assert isinstance(d.saturating_limit(np.float64(1.5)), float)
+        assert d.saturating_limit(np.array([])).shape == (0,)
 
-class TestInvertVsl:
-    def test_linear_case(self, diagram):
-        y = 0.5 * diagram.flow(1.0)
-        assert diagram.invert_vsl(1.0, y) == pytest.approx(0.5, abs=1e-10)
-
-    def test_full_flow_maps_to_saturation(self, diagram):
-        assert diagram.invert_vsl(0.9, diagram.flow(0.9)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_bad_targets_rejected(self, diagram):
-        with pytest.raises(DomainError):
-            diagram.invert_vsl(1.0, 0.0)
-        with pytest.raises(DomainError):
-            diagram.invert_vsl(1.0, diagram.flow(1.0) * 1.01)
+    def test_nonpositive_or_bad_density_rejected(self):
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        for bad in (0.0, np.array([1.2, 0.0]), -0.5, 1.7, np.nan):
+            with pytest.raises(DomainError):
+                d.saturating_limit(bad)
 
 
 class TestValidator:
@@ -186,6 +192,16 @@ class TestValidator:
         report = validate_assumptions(t)
         failed = {c.name for c in report.checks if not (c.passed or c.skipped)}
         assert failed == {"single_flow_peak", "strict_concavity"}
+
+    def test_limit_check_reports_the_first_violation_row_major(self, monkeypatch):
+        # dF/dl <= 0 for rho > 0.81 and l > 0.55: with a = 0, l_sat = 1, so
+        # the subgrid's first such point is rho = 0.84, l = fraction 0.6125
+        monkeypatch.setattr(ExponentialDiagram, "_limit_slope", lambda self, rho, limit: np.where(
+            (np.asarray(rho) > 0.81) & (np.asarray(limit) > 0.55), -1.0, 1.0))
+        check = validate_assumptions(ExponentialDiagram(rho_max=1.6)).checks[-1]
+        assert check.name == "limit_monotone_below_saturation"
+        assert check.passed is False
+        assert check.where == (0.84, 0.6125)
 
     def test_tabulated_limit_check_is_skipped(self):
         t = TabulatedDiagram.sample(
@@ -232,6 +248,33 @@ class TestSpeedLimits:
         l = speed_limits(diagram, np.array([0.0, 0.5]), np.array([0.8, 0.8]))
         assert l[0] == 0.8
 
+    def test_known_limit_at_sensitivity_one(self):
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        l = speed_limits(d, np.array([1.0]), np.array([VSL_A1_RHO1_L05 / F_AT_1]))
+        assert l[0] == pytest.approx(0.5, abs=1e-10)
+
+    def test_full_flow_maps_to_saturation(self):
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        l = speed_limits(d, np.array([1.5]), np.array([1.0]))
+        assert l[0] == pytest.approx(LSAT_A1_RHO15, abs=1e-10)
+
+    def test_bad_controls_rejected(self):
+        # both the a = 0 shortcut and the a > 0 bisection
+        for a in (0.0, 1.0):
+            d = ExponentialDiagram(vsl_sensitivity=a, rho_max=1.6)
+            for bad in (0.0, 1.01, np.nan):
+                with pytest.raises(DomainError):
+                    speed_limits(d, np.array([1.0]), np.array([bad]))
+
+    def test_bad_densities_rejected(self):
+        for a in (0.0, 1.0):
+            d = ExponentialDiagram(vsl_sensitivity=a, rho_max=1.6)
+            for bad in (-5.0, 3.0, np.nan):
+                with pytest.raises(DomainError):
+                    speed_limits(d, np.array([bad]), np.array([0.5]))
+                with pytest.raises(DomainError):
+                    speed_limits(d, np.array([[0.5, bad]]), 0.5)
+
     def test_tabulated_rejected(self):
         t = TabulatedDiagram.sample(
             lambda r: r * (2.0 - r),
@@ -243,7 +286,7 @@ class TestSpeedLimits:
 
 
 class TestBisectionFixedPoint:
-    """speed_limits against the fixed-count loops it stops early."""
+    """saturating_limit and speed_limits against the fixed-count loops they stop early."""
 
     @staticmethod
     def full_saturating_limits(d, r):
@@ -300,14 +343,22 @@ class TestBisectionFixedPoint:
         got = speed_limits(d, rho, u)
         np.testing.assert_array_equal(got, want)
         assert len(calls) < 100  # the 100-step loop stopped at its fixed point
-        np.testing.assert_array_equal(_saturating_limits_grid(d, rho[rho > 0.0]), want_sat)
+        np.testing.assert_array_equal(d.saturating_limit(rho[rho > 0.0]), want_sat)
 
     def test_only_a_step_that_moves_nothing_stops(self):
+        calls = []
+
+        def up(mid):
+            calls.append(1)
+            return np.ones(mid.shape, dtype=bool)
+
         one = np.array([0.25])
-        assert not _bisect_step(one, one, one, np.array([True]))[2]
-        # a NaN end never equals itself, so a NaN row keeps the loop going
-        lo, hi = np.array([0.25, 0.0]), np.array([0.25, np.nan])
-        assert _bisect_step(lo, hi, 0.5 * (lo + hi), np.array([True, True]))[2]
+        assert _bisect_all(up, one, one, 50)[0] == 0.25
+        assert len(calls) == 1
+        # a NaN end never equals itself, so a NaN element runs every step
+        calls.clear()
+        _bisect_all(up, np.array([0.25, 0.0]), np.array([0.25, np.nan]), 50)
+        assert len(calls) == 50
 
 
 def test_no_critical_density_raises():

@@ -8,8 +8,10 @@ Covered invariants:
   quadrature_affine_exactness   cumulative deviation (node integrals plus
                                 integral_to) integrates affine data
                                 exactly, vanishes at 0, and is additive
-  limit_inversion_round_trip    flow -> limit inversion undoes vsl_flow on
-                                the monotone branch, scalar and vectorized
+  limit_inversion_round_trip    speed_limits recovers the limit ratio that
+                                generated the flow, on the monotone
+                                branch; a batch equals its one-point calls
+                                bit for bit
   validator_flags_concavity     concave tabulated diagrams pass, wiggly
                                 ones fail exactly on strict concavity
   free_equilibrium_fixed_point  equilibrium data stays put with u = 1
@@ -35,7 +37,7 @@ import pytest
 
 from vslcontrol import (ExponentialDiagram, FreeInletGain, OracleSettings,
                         Scenario, TabulatedDiagram, bump_profile, fixed_inlet,
-                        free_inlet, pde_oracle, sampled_profile,
+                        free_inlet, pde_oracle, sampled_profile, speed_limits,
                         uniform_profile, validate_assumptions)
 from vslcontrol.config import (RunConfig, parse_config, serialize_config,
                                with_overrides)
@@ -75,18 +77,17 @@ def limit_inversion_round_trip(rng, n_cases=N_CASES):
             vsl_sensitivity=rng.uniform(0.0, 1.0),
             rho_max=rng.uniform(1.2, 2.5))
         rho = rng.uniform(0.05, 1.0) * d.rho_max
-        cap = min(1.0, d.saturating_limit(rho))
-        l_true = rng.uniform(0.1, 0.999) * cap
-        flow = d.vsl_flow(rho, l_true)
-        assert d.invert_vsl(rho, flow) == pytest.approx(l_true, abs=1e-8)
-    # vectorized variant through the physical-limit map
+        l_true = rng.uniform(0.1, 0.999) * d.saturating_limit(rho)
+        u = d.vsl_flow(rho, l_true) / d.flow(rho)
+        assert float(speed_limits(d, rho, u)) == pytest.approx(l_true, abs=1e-8)
+    # one batch through the same map equals its one-point calls
     d = ExponentialDiagram(vsl_sensitivity=0.7, rho_max=1.6)
     rho = rng.uniform(0.05, 1.5, size=n_cases)
-    u = rng.uniform(0.2, 1.0, size=n_cases)
-    l = np.asarray([d.invert_vsl(r, uu * float(d.flow(r)))
-                    for r, uu in zip(rho, u)])
-    from vslcontrol import speed_limits
-    np.testing.assert_allclose(speed_limits(d, rho, u), l, rtol=0, atol=1e-8)
+    l_true = rng.uniform(0.1, 0.999, size=n_cases) * d.saturating_limit(rho)
+    u = d.vsl_flow(rho, l_true) / d.flow(rho)
+    batch = speed_limits(d, rho, u)
+    np.testing.assert_allclose(batch, l_true, rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(batch, [speed_limits(d, r, uu) for r, uu in zip(rho, u)])
     return n_cases
 
 

@@ -8,7 +8,8 @@ Proves:
       numbers raise ConfigError; the INI example in README.md parses
   3.  run() writes the documented file set; norms.csv respects the decay
       bound row by row; load_trace round-trips the arrays bit for bit;
-      report.txt states the grid the trace was computed on
+      report.txt states the grid the trace was computed on; limits.csv of
+      a run whose densities pass delta (a = 1) keeps its pinned SHA-256
   4.  two runs of the same config produce byte-identical files
   5.  compare_runs of a directory against itself is exactly zero
   6.  certify() reports the failing curvature margin without raising
@@ -23,7 +24,8 @@ Proves:
       key ([diagram] kind, [oracle] scheme, dt, escape_factor) all exit 2
       with an error line and leave no run directory
   9.  every layer the benchmark's span recorder wraps is reached through
-      module attributes by a run with both laws and the oracle, then compare
+      module attributes by a run with both laws and the oracle, then compare;
+      every benchmark workload passes its own check on one tiny case
  10.  the long-format and column-table writers give the bytes of a plain
       per-cell writer, for one and many rows, nodes and columns and for
       -0.0, subnormal, huge, NaN and infinite values
@@ -146,6 +148,15 @@ class TestConfigRoundTrip:
 
 
 class TestRunDirectory:
+    # limits.csv of SATURATING_RUN, where speed_limits takes the saturating
+    # branch (248 free and 493 fixed density entries lie above delta = 1)
+    SATURATING_RUN = dict(law="both", vsl_sensitivity=1.0, mode="override", n_cells=100,
+                          horizon=10.0, snapshots=11, free_u_gap_tol=1.0, fixed_u_gap_tol=1.0)
+    LIMITS_SHA256 = {
+        "free_inlet": "234c1b88bb35375e07c556748a8f6a9ec19f9b34b79accba684941dcba14334d",
+        "fixed_inlet": "8d98c32e10c14b269c3ddf9059dc23a811d1445cf6bd0bab229725a092e535cd",
+    }
+
     def test_file_set(self, quick_free):
         res, _ = quick_free
         law_dir = res.law("free_inlet").directory
@@ -200,6 +211,15 @@ class TestRunDirectory:
         assert law.trace.x.size == 41
         text = open(os.path.join(law.directory, "report.txt")).read()
         assert "scenario: length=1 rho_star=0.7 n_cells=40 horizon=3" in text
+
+    def test_saturating_limits_csv_is_pinned(self, tmp_path):
+        res = runner.run(with_overrides(preset("paper-sec5-free"), **self.SATURATING_RUN),
+                         str(tmp_path))
+        for law, want in self.LIMITS_SHA256.items():
+            law_dir = res.law(law).directory
+            assert np.any(runner.load_trace(law_dir).rho > 1.0)
+            with open(os.path.join(law_dir, "limits.csv"), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == want, law
 
     def test_report_mentions_certification(self, quick_fixed):
         res, _ = quick_fixed
@@ -415,6 +435,11 @@ class TestBenchmarkHooks:
         seen = {span.name for span in recorder.spans}
         want = {tracing._span_name(m, a) for m, a, _ in tracing.TARGETS}
         assert not want - seen, sorted(want - seen)
+
+    @pytest.mark.parametrize("name", list(load_benchmark_module("workloads").WORKLOADS))
+    def test_workload_passes_its_check(self, name, tmp_path):
+        workload = load_benchmark_module("workloads").WORKLOADS[name](1, True, str(tmp_path))
+        assert workload.check(workload.case(0)) == []
 
 
 class TestLongWriter:
