@@ -24,6 +24,13 @@ hold the deviation decays like exp(-(sigma - gamma L) t).  The closed loop
 reduces to rho_t = -sigma (rho - rho_star) + gamma x S(t), so simulation is
 a single whole-horizon fixed-point problem for S, solved by
 `picard.iterate` with contraction factor gamma L / sigma < 1.
+
+Each update needs, at every time sample, max_i (dev0_i + gamma x_i J(t)):
+the upper envelope of n lines in J.  The upper hull of the points
+(x_i, dev0_i), built once per simulation, leaves each time sample a
+contiguous run of one or two candidate lines on smooth data, and the max
+over that run is the max over all n lines bit for bit.  An update thus
+costs O(n + n_t (log n + w)), w the widest run, instead of O(n_t n).
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
 
 U_TOL = 1e-9  # tolerance band on u <= 1 for semi-analytic states
-_BLOCK_ELEMENTS = 65536  # entries in simulate's Picard work block (512 KiB)
+_BLOCK_ELEMENTS = 65536  # entries in one work block of simulate's Picard max (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,7 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
     sup0 = scenario.rho0.sup_deviation()
     n_sub = max(settings.time_samples, int(np.ceil(scenario.horizon * settings.time_samples)))
     tn = np.linspace(0.0, scenario.horizon, n_sub + 1)
-    g, iters, worst_ratio = _sup_path(gains, x, dev0, sup0, tn, settings)
+    g, iters, worst_ratio, envelope = _sup_path(gains, x, dev0, sup0, tn, settings)
 
     wJ = np.exp(gains.sigma * tn) * g
     cumJ = cumulative_trapezoid(tn, wJ)
@@ -289,38 +296,138 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
                 "max_contraction_ratio": worst_ratio,
                 "factor_bound": factor,
                 "tol": settings.tol,
+                **envelope,
             },
         })
 
 
 def _sup_path(gains: FixedInletGains, x: np.ndarray, dev0: np.ndarray, sup0: float,
-              tn: np.ndarray, settings: PicardSettings) -> tuple[np.ndarray, int, float]:
+              tn: np.ndarray, settings: PicardSettings
+              ) -> tuple[np.ndarray, int, float, dict[str, int]]:
     """Whole-horizon Picard iteration for the signed sup path g on tn.
 
     g(t) = exp(-sigma t) max_i (dev0_i + gamma x_i J(t)), with J the running
-    integral of exp(sigma s) g(s).  Returns g, the iteration count and the
-    worst ratio of successive sup-norm updates.
+    integral of exp(sigma s) g(s).  Returns g, the iteration count, the
+    worst ratio of successive sup-norm updates, and the envelope counts:
+    envelope_lines, the most lines an update kept, and envelope_width, the
+    most candidates one time row scanned.
+
+    Each row's max is the upper envelope of the n lines dev0_i + x_i gJ at
+    that row's gJ = gamma J(t).  It is evaluated as fl(fl(gJ x_i) + dev0_i)
+    on the lines that can come within rounding of the envelope there (see
+    _Envelope), so it equals the max over all n lines bit for bit.  That
+    costs O(n) once and O(n + n_t (log n + w)) per iteration, w the widest
+    row's candidate count, against O(n_t n) for the whole matrix.
     """
     grow = np.exp(gains.sigma * tn)
     shrink = np.exp(-gains.sigma * tn)
-    # max_i (dev0_i + gamma J(t) x_i) is taken over blocks of time rows in
-    # one reused buffer of about _BLOCK_ELEMENTS entries, so memory stays
-    # O(n_t + n) whatever the horizon; the max is exact in any order
-    rows = max(1, _BLOCK_ELEMENTS // x.size)
-    block = np.empty((min(rows, tn.size), x.size))
     peak = np.empty(tn.size)
+    envelope = _Envelope(x, dev0)
+    counts = {"envelope_lines": 0, "envelope_width": 0}
 
     def update(g: np.ndarray) -> np.ndarray:
         gJ = gains.gamma * cumulative_trapezoid(tn, grow * g)
-        for s in range(0, tn.size, rows):
-            e = min(s + rows, tn.size)
-            b = block[:e - s]
-            np.multiply(gJ[s:e, None], x, out=b)
-            b += dev0
-            b.max(axis=1, out=peak[s:e])
+        lines, start, width = envelope.candidates(gJ)
+        counts["envelope_lines"] = max(counts["envelope_lines"], lines.size)
+        counts["envelope_width"] = max(counts["envelope_width"], int(width.max()))
+        _gathered_max(gJ, x[lines], dev0[lines], start, width, peak)
         return shrink * peak
 
-    return iterate(update, np.full(tn.size, sup0), settings, "whole-horizon iteration")
+    return (*iterate(update, np.full(tn.size, sup0), settings, "whole-horizon iteration"),
+            counts)
+
+
+class _Envelope:
+    """Which of the lines dev0_i + x_i J can reach max_i (dev0_i + x_i J).
+
+    x is strictly increasing.  The upper hull of the points (x_i, dev0_i)
+    gives the lines on the envelope: hull vertex k is on top for J between
+    the breakpoints beta_{k-1} and beta_k where it meets its hull
+    neighbours.  A line off the hull, between hull vertices a and b, falls
+    below the envelope by at least gap_i + min(dx) |J - beta_ab|, where
+    gap_i is its point's depth below the hull chord a-b; a hull vertex
+    falls below by at least min(dx) times J's distance outside
+    [beta_{k-1}, beta_k].  Both bounds need no exact hull: they hold for
+    any vertex subsequence, so rounding in the hull test costs nothing.
+
+    Per iteration, row t gets the margin m_t = 1e-12 (|gJ_t| max|x| +
+    max|dev0|), thousands of times the rounding error of one
+    fl(fl(gJ_t x_i) + dev0_i).  The kept lines are the hull lines and the
+    lines with gap_i <= max_t m_t; row t scans the kept lines whose
+    interval, widened by m_t / min(dx), holds gJ_t.  Every line whose value
+    can come within rounding of the envelope is scanned, so the max over
+    the scanned lines is the max over all lines, bit for bit.  The interval
+    ends are made monotone in i (a running min of the lower ends from the
+    right, a running max of the upper ends), which only widens them, so
+    each row's candidates are one contiguous run of the kept lines, found
+    by two searchsorted calls with the row's widening on the query side.
+    """
+
+    def __init__(self, x: np.ndarray, dev0: np.ndarray):
+        hull = _upper_hull(x, dev0)
+        self.on_hull = np.zeros(x.size, dtype=bool)
+        self.on_hull[hull] = True
+        self.gap = np.interp(x, x[hull], dev0[hull]) - dev0
+        beta = np.concatenate(([-np.inf], (dev0[hull[:-1]] - dev0[hull[1:]]) / np.diff(x[hull]),
+                               [np.inf]))
+        seg = self.on_hull.cumsum() - 1  # position in hull of the last vertex at or left of i
+        lo = np.where(self.on_hull, beta[seg], beta[seg + 1])
+        self.lo = np.minimum.accumulate(lo[::-1])[::-1]
+        self.hi = np.maximum.accumulate(beta[seg + 1])
+        self.scale = (float(np.abs(x).max()), float(np.abs(dev0).max()))
+        self.dx = float(np.diff(x).min())
+
+    def candidates(self, gJ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lines, start, width): row t scans lines[start[t]:start[t] + width[t]]."""
+        margin = 1e-12 * (np.abs(gJ) * self.scale[0] + self.scale[1])
+        m = float(margin.max())
+        if not m < math.inf:  # a diverged iterate: every line, so NaN and inf propagate as before
+            n = self.gap.size
+            return np.arange(n), np.zeros(gJ.size, dtype=np.intp), np.full(gJ.size, n)
+        lines = np.flatnonzero(self.on_hull | (self.gap <= m))
+        pad = margin / self.dx
+        start = self.hi[lines].searchsorted(gJ - pad, side="left")
+        stop = self.lo[lines].searchsorted(gJ + pad, side="right")
+        return lines, start, stop - start
+
+
+def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the upper convex hull of (x_i, y_i), x strictly increasing.
+
+    Andrew's monotone chain; points on a hull edge are left out.
+    """
+    px, py = x.tolist(), y.tolist()
+    hull: list[int] = []
+    for i, (xi, yi) in enumerate(zip(px, py)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (px[b] - px[a]) * (yi - py[a]) < (py[b] - py[a]) * (xi - px[a]):
+                break
+            hull.pop()
+        hull.append(i)
+    return np.array(hull)
+
+
+def _gathered_max(gJ: np.ndarray, xs: np.ndarray, ds: np.ndarray, start: np.ndarray,
+                  width: np.ndarray, out: np.ndarray) -> None:
+    """out[t] = max of fl(fl(gJ[t] xs[j]) + ds[j]) over start[t] <= j < start[t] + width[t].
+
+    Rows go in runs whose candidates number at most _BLOCK_ELEMENTS (or
+    one row), so memory stays O(n_t + n) however wide the rows are.
+    """
+    ends = np.add.accumulate(width)
+    s = 0
+    while s < gJ.size:
+        base = int(ends[s - 1]) if s else 0
+        e = max(s + 1, int(ends.searchsorted(base + _BLOCK_ELEMENTS, side="right")))
+        w = width[s:e]
+        offsets = ends[s:e] - w - base
+        idx = (start[s:e] - offsets).repeat(w)
+        idx += np.arange(idx.size)
+        vals = gJ[s:e].repeat(w) * xs[idx]
+        vals += ds[idx]
+        np.maximum.reduceat(vals, offsets, out=out[s:e])
+        s = e
 
 
 def _flow_budget(gains: FixedInletGains, diagram: FundamentalDiagram, x: np.ndarray

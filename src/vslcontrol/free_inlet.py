@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StateEscapeError
-from .fundamental_diagram import FundamentalDiagram
+from .fundamental_diagram import HEAP_BLOCK, FundamentalDiagram
 from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
@@ -225,18 +225,21 @@ def _solve_window(diagram: FundamentalDiagram, gain: FreeInletGain, rho_star: fl
     D0 = cumulative_trapezoid(x, dev)
     weighted0 = np.asarray(diagram.flow(rho_star + dev), dtype=float) / (1.0 + k * D0)
 
-    # vals and weighted outlive each update, each freed once its successor
-    # exists, as in a plain loop.  Freed on return, they let malloc trim the
-    # heap each iteration: 2x page faults, +20% CPU on paper-fig7 `simulate`.
-    vals = weighted = None
+    # The (time samples x nodes) evaluation goes in blocks of time rows of
+    # at most HEAP_BLOCK entries.  Whole (832 KB each at 1601 nodes),
+    # whether its arrays were mapped and faulted in afresh every update
+    # hung on the heap's history.
+    rows = max(1, HEAP_BLOCK // x.size)
 
     def update(g: np.ndarray) -> np.ndarray:
-        nonlocal vals, weighted
         shrink = np.exp(-k * cumulative_trapezoid(tn, g))
-        vals = rho_star + shrink[:, None] * dev[None, :]
-        weighted = np.asarray(diagram.flow(vals), dtype=float) / (
-            1.0 + k * shrink[:, None] * D0[None, :])
-        return weighted.min(axis=1)
+        low = np.empty(tn.size)
+        for s in range(0, tn.size, rows):
+            sh = shrink[s:s + rows, None]
+            vals = rho_star + sh * dev[None, :]
+            weighted = np.asarray(diagram.flow(vals), dtype=float) / (1.0 + k * sh * D0[None, :])
+            weighted.min(axis=1, out=low[s:s + rows])
+        return low
 
     g, iters, worst_ratio = iterate(update, np.full(tn.size, float(np.min(weighted0))),
                                     settings, f"window of length {span:.6g}")

@@ -39,6 +39,12 @@ from .errors import AssumptionError, ConvergenceError, DomainError, UnsupportedD
 TOL_ROOT = 1e-12
 MAX_BISECT_ITER = 200
 DENSITY_TOL_REL = 1e-9  # slack on rho-domain checks, absorbs solver roundoff
+_SCAN_ROWS = 128  # densities per block of the saturating-limit scan (128 x 600 residuals)
+# entries per work array of a loop run in blocks (speed_limits here,
+# free_inlet's window update): 64 KiB of float64, under malloc's default
+# 128 KiB mmap threshold, so each block's arrays come from the heap and are
+# reused instead of being mapped and faulted in afresh
+HEAP_BLOCK = 8192
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float,
@@ -251,8 +257,12 @@ class ExponentialDiagram(FundamentalDiagram):
         if np.any(mask):
             rm = r[mask]
             grid = np.geomspace(1e-9, 1.0, 600)
-            # the residual is 0 at l = 1, so every row has a hit
-            first = np.argmax(self._saturation_residual(rm[:, None], grid) >= 0.0, axis=1)
+            # the residual is 0 at l = 1, so every row has a hit; the scan
+            # takes _SCAN_ROWS densities at a time, so its memory is bounded
+            first = np.concatenate([
+                np.argmax(self._saturation_residual(rm[s:s + _SCAN_ROWS, None], grid) >= 0.0,
+                          axis=1)
+                for s in range(0, rm.size, _SCAN_ROWS)])
             out[mask] = _bisect_all(lambda mid: self._saturation_residual(rm, mid) >= 0.0,
                                     grid[np.maximum(first - 1, 0)], grid[first], 80)
         return out if out.ndim else float(out)
@@ -485,10 +495,14 @@ def speed_limits(diagram: FundamentalDiagram, rho: np.ndarray, u: np.ndarray) ->
         return np.minimum(uu, 1.0) * np.ones_like(r)
     r1 = r.ravel()
     out = np.minimum(uu.ravel(), 1.0)  # zero density carries zero flow; any ratio realizes it
-    pos = r1 > 0.0
-    rp = r1[pos]
-    hi = diagram.saturating_limit(rp)
-    y = np.minimum(out[pos] * diagram.flow(rp), diagram._vsl_flow_raw(rp, hi))
-    out[pos] = _bisect_all(lambda mid: diagram._vsl_flow_raw(rp, np.maximum(mid, 1e-300)) >= y,
-                           np.zeros_like(rp), hi, 100)
+    # HEAP_BLOCK cells at a time, so the bisection's arrays stay small
+    # whatever the field's size; each cell's result is the same in any block
+    for s in range(0, out.size, HEAP_BLOCK):
+        rb, ob = r1[s:s + HEAP_BLOCK], out[s:s + HEAP_BLOCK]
+        pos = rb > 0.0
+        rp = rb[pos]
+        hi = diagram.saturating_limit(rp)
+        y = np.minimum(ob[pos] * diagram.flow(rp), diagram._vsl_flow_raw(rp, hi))
+        ob[pos] = _bisect_all(lambda mid: diagram._vsl_flow_raw(rp, np.maximum(mid, 1e-300)) >= y,
+                              np.zeros_like(rp), hi, 100)
     return out.reshape(r.shape)

@@ -15,14 +15,17 @@ Output layout (per run directory):
 
 All floats are printed with 17 significant digits, which round-trips
 float64 exactly; identical configs therefore produce bit-identical files.
-The three long-format files take one %-format and one write per time row,
-with the x column formatted once per file into the row template; the
-other CSV files are column tables written by `_write_columns`.
+The long-format files take one %-format and one write per time row, with
+the x column formatted once per file into the row template; limits.csv
+reuses control.csv's rows when the limits equal the controls bit for bit
+(vsl_sensitivity = 0).  The other CSV files are column tables written by
+`_write_columns`.
 The run exits nonzero if any runtime invariant check fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import warnings
@@ -245,19 +248,29 @@ def _u_gap_check(trace: SimulationTrace, tol: float) -> CheckResult:
 # artifact writers
 
 def _write_long(path: str, header: str, times: np.ndarray, x: np.ndarray,
-                grid: np.ndarray) -> None:
+                grid: np.ndarray, twin: tuple[str, str] | None = None) -> None:
+    """One CSV row t,x,value per grid entry, t-major; `twin`, a (path,
+    header) pair, names a second file that gets the same rows under its
+    own header."""
     # The row template holds the formatted x column, a %s for the row's t
     # string at the start of each line and FMT for each value; FMT gives
     # the same bytes for a Python float as for a numpy float64.  Rows are
     # converted one at a time, so no Python-float copy of the grid exists.
     row_fmt = "%s" + "%s".join(f",{FMT % xi},{FMT}\n" for xi in x.tolist())
     args = [None] * (2 * x.size)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh, \
+            (open(twin[0], "w", encoding="utf-8", newline="\n") if twin
+             else contextlib.nullcontext()) as th:
         fh.write(header + "\n")
+        if twin:
+            th.write(twin[1] + "\n")
         for t, row in zip(times.tolist(), grid):
             args[0::2] = [FMT % t] * x.size
             args[1::2] = row.tolist()
-            fh.write(row_fmt % tuple(args))
+            line = row_fmt % tuple(args)
+            fh.write(line)
+            if twin:
+                th.write(line)
 
 
 def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
@@ -272,11 +285,15 @@ def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
 def _write_trace(out: str, diagram: FundamentalDiagram, trace: SimulationTrace) -> None:
     _write_long(os.path.join(out, "density.csv"), "t,x,density",
                 trace.times, trace.x, trace.rho)
+    limits = speed_limits(diagram, trace.rho, trace.u)
+    limits_file = (os.path.join(out, "limits.csv"), "t,x,l")
+    # with vsl_sensitivity = 0 the limit is the control itself, bit for
+    # bit, and limits.csv takes control.csv's formatted rows
+    same = np.array_equal(limits.view(np.int64), trace.u.view(np.int64))
     _write_long(os.path.join(out, "control.csv"), "t,x,u",
-                trace.times, trace.x, trace.u)
-    limits = np.array([speed_limits(diagram, r, u) for r, u in zip(trace.rho, trace.u)])
-    _write_long(os.path.join(out, "limits.csv"), "t,x,l",
-                trace.times, trace.x, limits)
+                trace.times, trace.x, trace.u, limits_file if same else None)
+    if not same:
+        _write_long(*limits_file, trace.times, trace.x, limits)
 
     rate = float(trace.metadata.get("decay_rate_bound", 0.0))
     bound = np.exp(-rate * trace.times) * trace.sup_deviation[0]

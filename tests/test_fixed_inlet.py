@@ -18,10 +18,17 @@ Proves:
   6.  domain errors: gamma L >= sigma, inadmissible start, bad mode,
       non-finite sigma, gamma or length in either calibration mode; an
       exhausted iteration budget raises ConvergenceError
-  7.  the Picard max taken over blocks of time rows gives the g, rho and
-      u of the full (time samples x nodes) matrix, for a ragged last
-      block, one block and 1601 nodes; at horizon 600 on 1600 cells the
-      memory peak of simulate stays under a quarter of that matrix
+  7.  the Picard max over the upper envelope's candidate lines gives the
+      g, iteration count, contraction ratio, rho and u of the full (time
+      samples x nodes) matrix bit for bit: in gather runs of 2807
+      entries, in one run of every row and on 1601 nodes; on eight
+      profiles whose lines tie, cross or crowd the envelope; and at
+      horizon 150 on 1601 nodes.  Rows within 64 ulps of a hull
+      breakpoint, and rows at inf or NaN, get the full max too.  The
+      fine-grid benchmark's bump scans at most two lines a time row.  At
+      horizon 600 on 1600 cells the memory peak of simulate stays under a
+      quarter of that matrix, also when a plateau ties hundreds of lines
+      at J = 0
 """
 
 import tracemalloc
@@ -219,18 +226,39 @@ class TestSimulate:
         np.testing.assert_array_equal(fixed_trace.sup_deviation, got)
 
 
+def _profile_deviations(n_cells):
+    """dev0 profiles whose lines tie, cross or crowd the upper envelope."""
+    x = np.linspace(0.0, 1.0, n_cells + 1)
+    bump = 4.0 * x ** 2 * (1.2 - x) ** 2
+    inlet = bump.copy()
+    inlet[0] = -1e-10
+    return {
+        "zero": np.zeros_like(x),                           # every line meets at J = 0
+        "linear": 0.05 * x,                                 # all points collinear
+        "-linear": -0.05 * x,
+        "plateau": np.minimum(bump, 0.6 * bump.max()),     # a flat top ties at J = 0
+        "sin": 0.05 * np.sin(3.0 * np.pi * x),              # two-signed
+        "noise": np.random.default_rng(7).uniform(-0.05, 0.05, x.size),
+        "rounded": np.round(bump, 2),                       # many collinear triples
+        "inlet": inlet,                                     # -1e-10 at the inlet
+    }
+
+
 class TestBlockedPicardMax:
-    """_sup_path against the full-matrix loop it replaced."""
+    """_sup_path's envelope max against the full-matrix loop it replaced."""
 
     @staticmethod
     def full_sup_path(gains, x, dev0, sup0, tn, settings):
+        """The max of every line on every time row, 512 rows at a time."""
         grow, shrink = np.exp(gains.sigma * tn), np.exp(-gains.sigma * tn)
         g = np.full(tn.size, sup0)
         prev_diff, worst_ratio = None, 0.0
         for it in range(settings.max_iter):
             J = cumulative_trapezoid(tn, grow * g)
-            inner = gains.gamma * J[:, None] * x[None, :] + dev0[None, :]
-            g_new = shrink * inner.max(axis=1)
+            peak = np.concatenate([
+                (gains.gamma * J[s:s + 512, None] * x[None, :] + dev0[None, :]).max(axis=1)
+                for s in range(0, tn.size, 512)])
+            g_new = shrink * peak
             diff = float(np.max(np.abs(g_new - g)))
             if prev_diff is not None and prev_diff > 1e3 * settings.tol:
                 worst_ratio = max(worst_ratio, diff / prev_diff)
@@ -240,10 +268,29 @@ class TestBlockedPicardMax:
             prev_diff = diff
         raise AssertionError("reference loop did not converge")
 
+    @classmethod
+    def assert_same_path(cls, fixed_gains, x, dev0, horizon, settings=PicardSettings()):
+        tn = np.linspace(0.0, horizon, int(horizon * settings.time_samples) + 1)
+        args = (fixed_gains, x, dev0, float(np.abs(dev0).max()), tn, settings)
+        got, want = fixed_inlet._sup_path(*args), cls.full_sup_path(*args)
+        # bitwise: equal values with the same sign of zero
+        np.testing.assert_array_equal(got[0].view(np.int64), want[0].view(np.int64))
+        assert got[1:3] == want[1:]
+        return got[3]
+
+    @staticmethod
+    def envelope_max(x, dev0, gJ):
+        """(the envelope's max, the full max) of the rows gJ."""
+        lines, start, width = fixed_inlet._Envelope(x, dev0).candidates(gJ)
+        got = np.empty(gJ.size)
+        fixed_inlet._gathered_max(gJ, x[lines], dev0[lines], start, width, got)
+        return got, (gJ[:, None] * x + dev0).max(axis=1)
+
     @pytest.mark.parametrize("n_cells, block", [
-        (400, 401 * 7),       # 7 rows a block; 641 = 91 * 7 + 4 leaves a ragged block
-        (400, 401 * 10 ** 4),  # one block holds every time row
+        (400, 401 * 7),       # candidate runs of at most 2807 entries
+        (400, 401 * 10 ** 4),  # one gather run holds every row's candidates
         (1600, None),          # the default block on 1601 nodes
+        (60, None),            # oracle-batch's grid: the whole matrix is 641 x 61
     ])
     def test_equals_full_matrix(self, diagram, fixed_gains, monkeypatch, n_cells, block):
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
@@ -251,29 +298,76 @@ class TestBlockedPicardMax:
                       output_interval=0.5)
         if block is not None:
             monkeypatch.setattr(fixed_inlet, "_BLOCK_ELEMENTS", block)
-        rows = max(1, fixed_inlet._BLOCK_ELEMENTS // (n_cells + 1))
-        n_t = 10 * PicardSettings().time_samples + 1
-        assert (rows >= n_t) == (block == 401 * 10 ** 4)
-        assert rows == 1 or n_t % rows != 0
-        x = sc.rho0.x
-        dev0 = sc.rho0.values - 0.7
-        tn = np.linspace(0.0, 10.0, n_t)
-        args = (fixed_gains, x, dev0, sc.rho0.sup_deviation(), tn, PicardSettings())
-        got, want = fixed_inlet._sup_path(*args), self.full_sup_path(*args)
-        np.testing.assert_array_equal(got[0], want[0])
-        assert got[1:] == want[1:]
+        counts = self.assert_same_path(fixed_gains, sc.rho0.x, sc.rho0.values - 0.7, 10.0)
+        assert counts["envelope_lines"] < n_cells + 1 and counts["envelope_width"] <= 2
 
         blocked = fixed_inlet.simulate(sc, fixed_gains)
-        monkeypatch.setattr(fixed_inlet, "_sup_path", self.full_sup_path)
+        # the full matrix keeps no envelope; it reports the counts of the
+        # run it is checked against, so every other metadata entry compares
+        monkeypatch.setattr(fixed_inlet, "_sup_path",
+                            lambda *a: (*self.full_sup_path(*a), counts))
         full = fixed_inlet.simulate(sc, fixed_gains)
         np.testing.assert_array_equal(blocked.rho, full.rho)
         np.testing.assert_array_equal(blocked.u, full.u)
         assert blocked.metadata == full.metadata
 
-    def test_memory_peak_is_bounded(self, diagram, fixed_gains):
+    @pytest.mark.parametrize("block", [None, 401 * 7])
+    @pytest.mark.parametrize("name", list(_profile_deviations(400)))
+    def test_adversarial_profiles_equal_full_matrix(self, fixed_gains, monkeypatch, name, block):
+        if block is not None:
+            monkeypatch.setattr(fixed_inlet, "_BLOCK_ELEMENTS", block)
+        dev0 = _profile_deviations(400)[name]
+        counts = self.assert_same_path(fixed_gains, np.linspace(0.0, 1.0, 401), dev0, 10.0)
+        assert 1 <= counts["envelope_width"] <= counts["envelope_lines"] <= 401
+        if name == "zero":  # each row is a tie of all 401 lines
+            assert counts["envelope_width"] == 401
+
+    @pytest.mark.parametrize("name", ["noise", "rounded", "sin"])
+    def test_rows_beside_the_breakpoints_equal_full_max(self, name):
+        # time rows on and up to 64 ulps beside every hull breakpoint, where
+        # rounding decides which of the lines meeting there is larger
+        x = np.linspace(0.0, 1.0, 401)
+        dev0 = _profile_deviations(400)[name]
+        hull = fixed_inlet._upper_hull(x, dev0)
+        beta = (dev0[hull[:-1]] - dev0[hull[1:]]) / np.diff(x[hull])
+        ulps = np.concatenate([-np.arange(65), np.arange(1, 65)])
+        rows = (beta[:, None] + ulps * np.spacing(beta)[:, None]).ravel()
+        got, want = self.envelope_max(x, dev0, rows)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_non_finite_rows_equal_full_max(self):
+        # an iterate that overflowed: inf * x_0 = nan at the inlet, as before
+        x = np.linspace(0.0, 1.0, 401)
+        dev0 = _profile_deviations(400)["sin"]
+        with np.errstate(invalid="ignore"):
+            got, want = self.envelope_max(x, dev0, np.array([0.0, np.inf, -np.inf, np.nan, 1.0]))
+        assert np.isnan(want[1:4]).all()
+        np.testing.assert_array_equal(got, want)
+
+    def test_long_horizon_equals_full_matrix(self, fixed_gains):
+        # gamma J grows like exp(0.1 t), to 1e5 at horizon 150, so the late
+        # rows' margins are 1e5 times the early rows'; 16 samples per unit
+        # time keep the reference loop quick
+        x = np.linspace(0.0, 1.0, 1601)
+        counts = self.assert_same_path(fixed_gains, x, 4.0 * x ** 2 * (1.2 - x) ** 2, 150.0,
+                                       PicardSettings(time_samples=16))
+        assert counts["envelope_width"] <= 2
+
+    def test_fine_grid_rows_scan_at_most_two_lines(self, diagram, fixed_gains):
+        # the fine-grid benchmark's bump; a wider row means the envelope
+        # fell back towards scanning all 1601 lines
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
-                      rho0=bump_profile(1.0, 1600, 0.7), horizon=600.0,
-                      output_interval=60.0)
+                      rho0=bump_profile(1.0, 1600, 0.7, amplitude=3.5, width=1.17),
+                      horizon=60.0, output_interval=1.0)
+        picard = fixed_inlet.simulate(sc, fixed_gains).metadata["picard"]
+        assert picard["max_iterations"] == 26
+        assert picard["envelope_width"] <= 2
+        assert picard["envelope_lines"] < 1601
+
+    @staticmethod
+    def simulate_peak_bytes(diagram, fixed_gains, rho0):
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=rho0,
+                      horizon=600.0, output_interval=60.0)
         # 8 samples per unit time keep the 93 iterations quick; the old
         # matrix would still have been 4801 x 1601 doubles (61 MB)
         settings = PicardSettings(time_samples=8)
@@ -285,6 +379,21 @@ class TestBlockedPicardMax:
         finally:
             tracemalloc.stop()
         assert tr.metadata["picard"]["max_iterations"] > 1
+        return tr, peak, matrix_bytes
+
+    def test_memory_peak_is_bounded(self, diagram, fixed_gains):
+        _, peak, matrix_bytes = self.simulate_peak_bytes(
+            diagram, fixed_gains, bump_profile(1.0, 1600, 0.7))
+        assert peak < matrix_bytes / 4, (peak, matrix_bytes)
+
+    def test_memory_peak_is_bounded_on_a_plateau(self, diagram, fixed_gains):
+        # the flat top's lines tie at J = 0, so the first row scans all of
+        # them; padding every row to that width would cost 4801 x that
+        bump = bump_profile(1.0, 1600, 0.7).values
+        top = 0.7 + 0.6 * (bump.max() - 0.7)
+        rho0 = sampled_profile(1.0, 0.7, np.minimum(bump, top))
+        tr, peak, matrix_bytes = self.simulate_peak_bytes(diagram, fixed_gains, rho0)
+        assert tr.metadata["picard"]["envelope_width"] >= np.sum(rho0.values == top) >= 400
         assert peak < matrix_bytes / 4, (peak, matrix_bytes)
 
 

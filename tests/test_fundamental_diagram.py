@@ -11,7 +11,8 @@ Proves:
       flow there matches the unlimited flow; elementwise, with a float for
       0-d input, and rho <= 0 rejected
   6.  speed_limits inverts the limit response: a known l at a = 1, full
-      flow maps to the saturating limit, controls outside (0, 1] rejected
+      flow maps to the saturating limit, controls outside (0, 1] rejected;
+      a field gives the same bits whole, row by row and in small blocks
   7.  assumption validator verdicts on the three reference diagrams
   8.  domain errors: negative density, density above rho_max, bad limit,
       NaN limit; speed_limits rejects bad or NaN densities and NaN
@@ -36,6 +37,7 @@ import pytest
 from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram,
                         TabulatedDiagram, UnsupportedDiagramError, speed_limits,
                         validate_assumptions)
+from vslcontrol import fundamental_diagram
 from vslcontrol.fundamental_diagram import DENSITY_TOL_REL, _bisect_all
 
 F_AT_1 = 0.3678794411714423216
@@ -274,6 +276,23 @@ class TestSpeedLimits:
                     speed_limits(d, np.array([bad]), np.array([0.5]))
                 with pytest.raises(DomainError):
                     speed_limits(d, np.array([[0.5, bad]]), 0.5)
+
+    def test_blocks_give_the_same_bits(self, monkeypatch):
+        # a 40 x 301 field is two blocks of speed_limits; per-row calls,
+        # ragged blocks of 7 cells and scan blocks of 5 densities agree
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        rng = np.random.default_rng(5)
+        rho = rng.uniform(0.0, 1.6, (40, 301))
+        rho[0, :5] = 0.0
+        u = rng.uniform(0.05, 1.0, rho.shape)
+        whole = speed_limits(d, rho, u)
+        assert rho.size > fundamental_diagram.HEAP_BLOCK and np.sum(rho > d.delta) > 128
+        rows = np.array([speed_limits(d, r, v) for r, v in zip(rho, u)])
+        monkeypatch.setattr(fundamental_diagram, "HEAP_BLOCK", 7)
+        monkeypatch.setattr(fundamental_diagram, "_SCAN_ROWS", 5)
+        small = speed_limits(d, rho, u)
+        for got in (rows, small):
+            np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
 
     def test_tabulated_rejected(self):
         t = TabulatedDiagram.sample(

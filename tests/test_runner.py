@@ -221,6 +221,24 @@ class TestRunDirectory:
             with open(os.path.join(law_dir, "limits.csv"), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == want, law
 
+    def test_limits_csv_is_control_csv_at_zero_sensitivity(self, quick_free, quick_fixed):
+        # at vsl_sensitivity = 0 the limits are the controls, and limits.csv
+        # is control.csv's rows under its own header, oracle traces included
+        dirs = []
+        for res, cfg in (quick_free, quick_fixed):
+            assert cfg.vsl_sensitivity == 0.0
+            for law in res.laws:
+                oracle = os.path.join(law.directory, "oracle")
+                dirs += [law.directory] + ([oracle] if os.path.isdir(oracle) else [])
+        assert len(dirs) == 3
+        for where in dirs:
+            with open(os.path.join(where, "control.csv"), "rb") as fh:
+                control = fh.read()
+            with open(os.path.join(where, "limits.csv"), "rb") as fh:
+                limits = fh.read()
+            assert control.startswith(b"t,x,u\n") and len(control) > 1000
+            assert limits == b"t,x,l\n" + control[len(b"t,x,u\n"):]
+
     def test_report_mentions_certification(self, quick_fixed):
         res, _ = quick_fixed
         text = open(os.path.join(res.law("fixed_inlet").directory,
@@ -476,10 +494,11 @@ class TestLongWriter:
         self.assert_matches(tmp_path, one, one, one[None, :])
 
     def assert_matches(self, tmp_path, times, x, grid):
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        runner._write_long(str(got), "t,x,v", times, x, grid)
+        got, want, twin = tmp_path / "got.csv", tmp_path / "want.csv", tmp_path / "twin.csv"
+        runner._write_long(str(got), "t,x,v", times, x, grid, (str(twin), "t,x,w"))
         self.reference(str(want), "t,x,v", times, x, grid)
         assert got.read_bytes() == want.read_bytes()
+        assert twin.read_bytes() == b"t,x,w" + want.read_bytes()[len(b"t,x,v"):]
 
 
 class TestColumnWriter:
