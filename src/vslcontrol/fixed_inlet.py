@@ -49,6 +49,7 @@ from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
 
 U_TOL = 1e-9  # tolerance band on u <= 1 for semi-analytic states
+EXP_LIMIT = math.log(np.finfo(float).max)  # exp overflows past this, about 709.78
 _BLOCK_ELEMENTS = 65536  # entries in one work block of simulate's Picard max (512 KiB)
 
 
@@ -243,10 +244,17 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
     Solves the whole-horizon fixed point for the sup-norm deviation path
     (valid because gamma L / sigma < 1 uniformly in the horizon), then
     evaluates the closed-form state at the output times.  The fixed-point
-    grid carries settings.time_samples nodes per unit time.
+    grid carries settings.time_samples nodes per unit time.  The solution
+    carries exp(sigma t), so sigma * horizon above EXP_LIMIT raises
+    DomainError before any work.
     """
     d = scenario.diagram
     check_pairing(gains, scenario)
+    if gains.sigma * scenario.horizon > EXP_LIMIT:
+        raise DomainError(
+            f"sigma * horizon = {gains.sigma * scenario.horizon:.6g} exceeds "
+            f"log(float max) = {EXP_LIMIT:.6g}, where exp(sigma t) overflows; "
+            "shorten the horizon")
     adm = admissible(gains, d, scenario.rho0)
     if not adm.ok:
         raise DomainError(

@@ -20,21 +20,49 @@ where P(t) is the bottleneck value, so simulation reduces to a scalar
 fixed-point problem for P on short time windows, solved by
 `picard.iterate` with a contraction factor kept below `safety` by the
 window length.
+
+Each update takes, at every time sample of a window, the minimum over the
+nodes of f(rho_star + s dev_i) / (1 + k s D0_i), with s = exp(-k int g) the
+shrink factor and dev, D0 the window-start deviation and its integrals.
+Every iterate lies in [0, f_peak] (flows are nonnegative and the inlet
+node's weight is 1), so s stays in [s_lo, 1], s_lo = exp(-k span f_peak).
+f rises to a single peak and falls after it, the diagram's unimodality
+assumption: `diagram.flow_peak` gives the peak (critical density and
+capacity for every ExponentialDiagram, the largest sample for a table).
+So over that range each node's weighted flow lies between bounds taken
+from its two ends: the flow's minimum is at an end, its maximum is f_peak
+when the node's density interval holds the peak and at an end otherwise,
+and the denominator is linear in s.  A node
+whose lower bound exceeds the least upper bound is never a row minimizer,
+so a window's updates scan the other nodes only, its candidates:
+O(n + n_t w) per window, w the candidate count, instead of O(n_t n) per
+update.  Every operation but the flow rounds monotonically in s, the
+bounds carry a relative margin far above the flow's rounding error, and
+min is exact, so the row minima, the iterates and every output are the
+same bits as a scan of all nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StateEscapeError
-from .fundamental_diagram import HEAP_BLOCK, FundamentalDiagram
+from .fundamental_diagram import FundamentalDiagram
 from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
+
+# relative slack on a window's bounds.  ExponentialDiagram.flow rounds to
+# within a few (shape + 2) * 745 ulps of its value wherever the value does
+# not underflow, far below _MARGIN for any shape up to 1000; _FLOOR, the
+# least normal float, covers the subnormal range
+_MARGIN = 1e-9
+_FLOOR = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -110,9 +138,9 @@ def decay_rate_bound(gain: FreeInletGain, diagram: FundamentalDiagram,
     """Certified exponential rate c(s) for initial data bounded below by s."""
     if not (0.0 < s <= diagram.rho_max):
         raise DomainError("s must lie in (0, rho_max]")
+    # f has a single peak, so its minimum over [lo, rho_max] is at an end
     lo = min(s, gain.rho_star)
-    grid = np.linspace(lo, diagram.rho_max, 2001)
-    fmin = float(np.min(diagram.flow(grid)))
+    fmin = float(np.min(diagram.flow(np.array([lo, diagram.rho_max]))))
     return gain.gain * fmin / (
         1.0 + gain.gain * gain.length * (diagram.rho_max - gain.rho_star))
 
@@ -130,9 +158,15 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     """Closed-loop run over the scenario horizon.
 
     Solves the bottleneck fixed point window by window, then evaluates the
-    factorized solution at the scenario's output times.  A window that
-    fails to converge is halved and retried (up to settings.retry_cap);
-    metadata["picard"]["halvings"] counts those retries.
+    factorized solution at the scenario's output times.  Each window's
+    updates take their row minima over its candidate nodes alone: the nodes
+    whose weighted flow, bounded over the shrink range [s_lo, 1] through f's
+    single peak (`diagram.flow_peak`), can reach the least upper bound.
+    Those minima are the minima over all nodes bit for bit (see the module
+    docstring); metadata["picard"]["candidates_max"] is the largest
+    candidate count.  A window that fails to converge is halved and retried
+    (up to settings.retry_cap); metadata["picard"]["halvings"] counts those
+    retries.
     """
     d = scenario.diagram
     check_pairing(gain, scenario)
@@ -160,12 +194,13 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     halvings = 0
     max_iters = 0
     max_ratio = 0.0
+    max_width = 0
     eps = 1e-12 * max(1.0, scenario.horizon)
     while t0 < scenario.horizon - eps:
         span = min(window, scenario.horizon - t0)
         for attempt in range(settings.retry_cap + 1):
             try:
-                tn, g, cumg, iters, ratio = _solve_window(
+                tn, g, cumg, iters, ratio, width = _solve_window(
                     d, gain, scenario.rho_star, x, dev, span, settings)
                 break
             except ConvergenceError:
@@ -177,6 +212,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
         n_windows += 1
         max_iters = max(max_iters, iters)
         max_ratio = max(max_ratio, ratio)
+        max_width = max(max_width, width)
         while j < targets.size and targets[j] <= t0 + span + eps:
             s_local = min(targets[j] - t0, span)
             shrink = np.exp(-gain.gain * integral_to(tn, g, cumg, s_local))
@@ -208,6 +244,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
                 "max_contraction_ratio": max_ratio,
                 "factor_bound": min(coeff * window0, settings.safety),
                 "tol": settings.tol,
+                "candidates_max": max_width,
             },
         })
 
@@ -218,29 +255,44 @@ def _solve_window(diagram: FundamentalDiagram, gain: FreeInletGain, rho_star: fl
     """Fixed point of g(t) = P(rho[t]) on one window, by Picard iteration.
 
     rho[t] = rho_star + dev * exp(-k * integral_0^t g), so every iterate
-    only needs the window-start deviation integrals.
+    only needs the window-start deviation integrals.  Returns the time
+    grid, g, its running integral, the iteration count, the worst ratio of
+    successive updates and the candidate count.
+
+    The candidates come from the ends s = 1 and s = s_lo of the shrink
+    range (s_lo less a relative _MARGIN), both evaluated through
+    diagram.flow, so every density the window can produce is domain-checked.
+    Each update checks that its shrink factors stay in [s_lo, 1] and raises
+    StateEscapeError otherwise: the bounds hold only there.
     """
     k = gain.gain
     tn = np.linspace(0.0, span, settings.time_samples + 1)
+    dt = np.diff(tn)
     D0 = cumulative_trapezoid(x, dev)
-    weighted0 = np.asarray(diagram.flow(rho_star + dev), dtype=float) / (1.0 + k * D0)
-
-    # The (time samples x nodes) evaluation goes in blocks of time rows of
-    # at most HEAP_BLOCK entries.  Whole (832 KB each at 1601 nodes),
-    # whether its arrays were mapped and faulted in afresh every update
-    # hung on the heap's history.
-    rows = max(1, HEAP_BLOCK // x.size)
+    rho_peak, f_peak = diagram.flow_peak
+    s_lo = math.exp(-k * span * f_peak) * (1.0 - _MARGIN)
+    # row 0 (s = 1) is the window start, the same bits as the update's first row
+    ends = np.array([[1.0], [s_lo]])
+    rho_ends = rho_star + ends * dev
+    fv = np.asarray(diagram.flow(rho_ends), dtype=float)
+    denom = 1.0 + k * ends * D0
+    past = rho_ends - rho_peak
+    top = np.where(past[0] * past[1] <= 0.0, f_peak, fv.max(axis=0))
+    bound = (top / denom.min(axis=0)).min() * (1.0 + _MARGIN) + _FLOOR
+    cols = np.flatnonzero(fv.min(axis=0) / denom.max(axis=0) <= bound)
+    dev_c, D0_c = dev[cols], D0[cols]
 
     def update(g: np.ndarray) -> np.ndarray:
-        shrink = np.exp(-k * cumulative_trapezoid(tn, g))
-        low = np.empty(tn.size)
-        for s in range(0, tn.size, rows):
-            sh = shrink[s:s + rows, None]
-            vals = rho_star + sh * dev[None, :]
-            weighted = np.asarray(diagram.flow(vals), dtype=float) / (1.0 + k * sh * D0[None, :])
-            weighted.min(axis=1, out=low[s:s + rows])
-        return low
+        shrink = np.exp(-k * running_trapezoid(dt, g))
+        if not (shrink.min() >= s_lo and shrink.max() <= 1.0):
+            raise StateEscapeError(
+                f"bottleneck iterate left [0, peak flow]: shrink factor outside "
+                f"[{s_lo:.6g}, 1] on a window of length {span:.6g}")
+        sh = shrink[:, None]
+        weighted = np.asarray(diagram.flow(rho_star + sh * dev_c), dtype=float) / (
+            1.0 + k * sh * D0_c)
+        return weighted.min(axis=1)
 
-    g, iters, worst_ratio = iterate(update, np.full(tn.size, float(np.min(weighted0))),
-                                    settings, f"window of length {span:.6g}")
-    return tn, g, cumulative_trapezoid(tn, g), iters, worst_ratio
+    g0 = np.full(tn.size, float(np.min(fv[0] / denom[0])))
+    g, iters, worst_ratio = iterate(update, g0, settings, f"window of length {span:.6g}")
+    return tn, g, running_trapezoid(dt, g), iters, worst_ratio, cols.size

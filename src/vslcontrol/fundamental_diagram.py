@@ -40,10 +40,9 @@ TOL_ROOT = 1e-12
 MAX_BISECT_ITER = 200
 DENSITY_TOL_REL = 1e-9  # slack on rho-domain checks, absorbs solver roundoff
 _SCAN_ROWS = 128  # densities per block of the saturating-limit scan (128 x 600 residuals)
-# entries per work array of a loop run in blocks (speed_limits here,
-# free_inlet's window update): 64 KiB of float64, under malloc's default
-# 128 KiB mmap threshold, so each block's arrays come from the heap and are
-# reused instead of being mapped and faulted in afresh
+# cells per block of speed_limits' bisection: 64 KiB of float64, under
+# malloc's default 128 KiB mmap threshold, so each block's arrays come from
+# the heap and are reused instead of being mapped and faulted in afresh
 HEAP_BLOCK = 8192
 
 
@@ -110,6 +109,11 @@ class FundamentalDiagram:
     def capacity(self) -> float:
         """Peak flow f(rho_cr)."""
         return float(self.flow(self.critical_density))
+
+    @cached_property
+    def flow_peak(self) -> tuple[float, float]:
+        """(density, flow) where f peaks: f rises up to it and falls after it."""
+        return self.critical_density, self.capacity
 
     @cached_property
     def delta(self) -> float:
@@ -316,6 +320,17 @@ class TabulatedDiagram(FundamentalDiagram):
         r = np.clip(r, 0.0, self.rho_max)
         out = self._interpolants[which](r)
         return out if np.asarray(out).ndim else float(out)
+
+    @cached_property
+    def flow_peak(self) -> tuple[float, float]:
+        """The largest flow sample and its density.
+
+        The monotone interpolant never leaves the range of two neighbouring
+        samples, so this is the flow's maximum.  It can sit up to a grid step
+        from the critical density, the zero of the interpolated slope table.
+        """
+        j = int(np.argmax(self.flow_values))
+        return float(self.rho_grid[j]), float(self.flow_values[j])
 
     def flow(self, rho):
         return self._eval(0, rho)

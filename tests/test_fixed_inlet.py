@@ -16,8 +16,9 @@ Proves:
       gamma L / sigma bound, signed and absolute sup envelopes agree for
       one-signed data, forward invariance along the trace
   6.  domain errors: gamma L >= sigma, inadmissible start, bad mode,
-      non-finite sigma, gamma or length in either calibration mode; an
-      exhausted iteration budget raises ConvergenceError
+      non-finite sigma, gamma or length in either calibration mode, and
+      sigma * horizon past log(float max), refused before the Picard solve;
+      an exhausted iteration budget raises ConvergenceError
   7.  the Picard max over the upper envelope's candidate lines gives the
       g, iteration count, contraction ratio, rho and u of the full (time
       samples x nodes) matrix bit for bit: in gather runs of 2807
@@ -210,6 +211,19 @@ class TestSimulate:
     def test_iteration_budget_exhausted(self, fixed_gains, fixed_scenario):
         with pytest.raises(ConvergenceError):
             fixed_inlet.simulate(fixed_scenario, fixed_gains, PicardSettings(max_iter=3))
+
+    def test_exp_overflow_horizon_rejected_up_front(self, fixed_gains, diagram, monkeypatch):
+        # sigma * horizon = 720 > log(float max): exp(sigma t) would overflow,
+        # so simulate refuses before the Picard solve
+        def no_solve(*args):
+            raise AssertionError("the Picard solve ran")
+
+        monkeypatch.setattr(fixed_inlet, "_sup_path", no_solve)
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=bump_profile(1.0, 20, 0.7),
+                      horizon=6000.0, output_interval=3000.0)
+        assert fixed_gains.sigma * sc.horizon > fixed_inlet.EXP_LIMIT
+        with pytest.raises(DomainError, match=r"sigma \* horizon = 720 exceeds"):
+            fixed_inlet.simulate(sc, fixed_gains, PicardSettings(time_samples=2))
 
     def test_inadmissible_start_rejected(self, fixed_gains, diagram):
         vals = np.full(101, 1.55)

@@ -17,14 +17,24 @@ Proves:
   7.  domain errors: oversized Picard window, rho_star at or above the
       limit-reduction threshold, mismatched gain/profile pairing, non-finite
       Picard settings
+  8.  every window's Picard solve over its candidate nodes gives the g,
+      iteration count and contraction ratio of the full (time samples x
+      nodes) matrix bit for bit: on both free presets, oracle-batch-shaped
+      60-cell bumps, deviations of both signs, a 3-node grid, equilibrium
+      and coarse tabulated diagrams, whose largest flow sample lies above
+      their capacity; an iterate past the peak flow the bounds assume
+      raises StateEscapeError; the fine-grid benchmark's bumps keep at most
+      an eighth of their 1601 nodes as candidates
 """
 
 import numpy as np
 import pytest
 
 from vslcontrol import (ConvergenceError, DomainError, ExponentialDiagram,
-                        FreeInletGain, PicardSettings, Scenario, bump_profile,
-                        free_inlet, uniform_profile)
+                        FreeInletGain, PicardSettings, Scenario, StateEscapeError,
+                        TabulatedDiagram, bump_profile, config, free_inlet, picard,
+                        sampled_profile, uniform_profile)
+from vslcontrol.quadrature import cumulative_trapezoid
 
 C_FREE = 0.076307345383806768561  # k min f / (1 + k L (rho_max - rho_star))
 P_BUMP = 0.33204330036719243      # grid bottleneck of the 400-cell bump
@@ -140,6 +150,20 @@ class TestDecayRateBound:
         c2 = free_inlet.decay_rate_bound(free_gain, diagram, 1.2)
         assert c1 == c2
 
+    def test_equals_the_grid_minimum(self):
+        # f has a single peak, so the ends of [lo, rho_max] give min f exactly
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            d = ExponentialDiagram(flow_scale=rng.uniform(0.5, 2.0),
+                                   density_scale=rng.uniform(0.5, 2.0),
+                                   shape=rng.uniform(0.5, 3.0), rho_max=rng.uniform(1.5, 3.0))
+            g = FreeInletGain(0.3, 1.0, rng.uniform(0.2, 1.0))
+            s = rng.uniform(0.01, 1.0) * d.rho_max
+            lo = min(s, g.rho_star)
+            fmin = float(np.min(d.flow(np.linspace(lo, d.rho_max, 2001))))
+            want = g.gain * fmin / (1.0 + g.gain * g.length * (d.rho_max - g.rho_star))
+            assert free_inlet.decay_rate_bound(g, d, s) == want
+
     def test_rejects_bad_bound(self, free_gain, diagram):
         for bad in (0.0, -0.1, 1.7):
             with pytest.raises(DomainError):
@@ -243,6 +267,122 @@ class TestPicardSettings:
                 PicardSettings(tol=bad)
             with pytest.raises(DomainError):
                 PicardSettings(window=bad)
+
+
+def full_window(diagram, gain, rho_star, x, dev, span, settings):
+    """The window solve over every node, one (time samples x nodes) matrix an update.
+
+    Returns g, the iteration count and the worst contraction ratio.
+    """
+    k = gain.gain
+    tn = np.linspace(0.0, span, settings.time_samples + 1)
+    D0 = cumulative_trapezoid(x, dev)
+    weighted0 = np.asarray(diagram.flow(rho_star + dev), dtype=float) / (1.0 + k * D0)
+
+    def update(g):
+        sh = np.exp(-k * cumulative_trapezoid(tn, g))[:, None]
+        weighted = np.asarray(diagram.flow(rho_star + sh * dev), dtype=float) / (
+            1.0 + k * sh * D0)
+        return weighted.min(axis=1)
+
+    return picard.iterate(update, np.full(tn.size, float(np.min(weighted0))), settings,
+                          "reference window")
+
+
+def _bump60(amplitude, gain):
+    d = ExponentialDiagram(rho_max=1.6)
+    sc = Scenario(diagram=d, length=1.0, rho_star=0.7,
+                  rho0=bump_profile(1.0, 60, 0.7, amplitude=amplitude),
+                  horizon=0.4, output_interval=0.2)
+    return sc, FreeInletGain(gain, 1.0, 0.7), PicardSettings()
+
+
+def _sampled(values, gain, horizon):
+    d = ExponentialDiagram(rho_max=1.6)
+    p = sampled_profile(1.0, 0.7, values)
+    sc = Scenario(diagram=d, length=1.0, rho_star=0.7, rho0=p, horizon=horizon,
+                  output_interval=horizon / 4)
+    return sc, FreeInletGain(gain, 1.0, 0.7), PicardSettings()
+
+
+def _tabulated(n_samples, values):
+    # r exp(-r) sampled coarsely: the slope table's zero misses the largest
+    # flow sample, so capacity, the flow there, is below the flow's maximum
+    d = TabulatedDiagram.sample(lambda r: r * np.exp(-r), lambda r: (1.0 - r) * np.exp(-r),
+                                lambda r: (r - 2.0) * np.exp(-r), rho_max=1.6, n=n_samples)
+    rho_peak, f_peak = d.flow_peak
+    assert f_peak > d.capacity
+    vals = values(rho_peak)
+    sc = Scenario(diagram=d, length=1.0, rho_star=rho_peak,
+                  rho0=sampled_profile(1.0, rho_peak, vals), horizon=2.0, output_interval=0.5)
+    return sc, FreeInletGain(0.5, 1.0, rho_peak), PicardSettings()
+
+
+def _preset(name):
+    cfg = config.preset(name)
+    return config.build_scenario(cfg), config.build_free_gain(cfg), config.build_picard(cfg)
+
+
+_X100 = np.linspace(0.0, 1.0, 101)
+WINDOW_CASES = {
+    "paper-sec5-free": lambda: _preset("paper-sec5-free"),
+    "paper-fig7": lambda: _preset("paper-fig7"),
+    "bump60-low": lambda: _bump60(0.5, 1.3),
+    "bump60-mid": lambda: _bump60(2.0, 0.7),
+    "bump60-high": lambda: _bump60(3.5, 0.2),
+    "two-signed-sine": lambda: _sampled(0.7 + 0.5 * np.sin(3.0 * np.pi * _X100), 0.9, 5.0),
+    "two-signed-steps": lambda: _sampled(np.where(_X100 < 0.5, 1.4, 0.2), 1.2, 3.0),
+    "three-nodes": lambda: _sampled([0.7, 1.3, 0.3], 0.5, 5.0),
+    "equilibrium": lambda: _sampled(np.full(101, 0.7), 0.5, 2.0),
+    "table11-equilibrium": lambda: _tabulated(11, lambda r: np.full(21, r)),
+    "table21-two-signed": lambda: _tabulated(
+        21, lambda r: r + 0.4 * np.sin(3.0 * np.pi * np.linspace(0.0, 1.0, 41))),
+}
+
+
+class TestCandidateWindow:
+    @pytest.mark.parametrize("case", list(WINDOW_CASES))
+    def test_equals_full_matrix(self, case, monkeypatch):
+        scenario, gain, settings = WINDOW_CASES[case]()
+        solve = free_inlet._solve_window
+        widths = []
+
+        def checked(*args):
+            out = solve(*args)
+            g, iters, ratio = full_window(*args)
+            assert np.array_equal(out[1], g)
+            assert (out[3], out[4]) == (iters, ratio)
+            widths.append(out[5])
+            return out
+
+        monkeypatch.setattr(free_inlet, "_solve_window", checked)
+        tr = free_inlet.simulate(scenario, gain, settings)
+        n = scenario.rho0.x.size
+        assert len(widths) == tr.metadata["picard"]["windows"]
+        assert tr.metadata["picard"]["candidates_max"] == max(widths) <= n
+        if case.endswith("equilibrium"):
+            assert min(widths) == n  # every node ties, so every node stays
+        elif n > 3:
+            assert max(widths) < n
+
+    def test_iterate_past_the_peak_flow_raises(self, free_scenario, free_gain):
+        class LowCapacity(ExponentialDiagram):
+            capacity = 0.1  # below the bump's bottleneck value P_BUMP
+
+        sc = Scenario(diagram=LowCapacity(rho_max=1.6), length=1.0, rho_star=0.7,
+                      rho0=free_scenario.rho0, horizon=2.0, output_interval=1.0)
+        with pytest.raises(StateEscapeError, match="shrink factor"):
+            free_inlet.simulate(sc, free_gain)
+
+    @pytest.mark.parametrize("amplitude,width", [(3.0, 1.15), (3.5, 1.17), (4.0, 1.2)])
+    def test_fine_grid_candidates_stay_narrow(self, amplitude, width):
+        # timing-free perf guard on the fine-grid benchmark's free-law shape
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        sc = Scenario(diagram=d, length=1.0, rho_star=0.7,
+                      rho0=bump_profile(1.0, 1600, 0.7, amplitude=amplitude, width=width),
+                      horizon=60.0, output_interval=1.0)
+        tr = free_inlet.simulate(sc, FreeInletGain(0.3, 1.0, 0.7))
+        assert tr.metadata["picard"]["candidates_max"] <= 1601 // 8
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,9 @@ Proves:
   1.  f(0) = 0 and the closed-form values at rho = 1, 0.7 (16 digits)
   2.  vsl_flow at l = 1 equals flow bitwise; the a=1 reference value
   3.  critical density by bisection: exponential (= 1/density_scale),
-      shape-2 family, and a 1001-point table of the same curve
+      shape-2 family, and a 1001-point table of the same curve; flow_peak
+      is (critical density, capacity) for the family and the largest
+      sample, the interpolant's maximum, for coarse tables
   4.  delta: a = 0 gives rho_max; a = 1 gives 1/(b a^(1/shape)); the
       below-threshold case keeps rho_max
   5.  saturating limit: 1 at/below delta, interior root above it; the
@@ -115,6 +117,19 @@ class TestCriticalDensity:
             lambda r: (r - 2.0) * np.exp(-r),
             rho_max=1.6)
         assert t.critical_density == pytest.approx(1.0, abs=1e-6)
+
+    def test_flow_peak(self, diagram):
+        assert diagram.flow_peak == (diagram.critical_density, diagram.capacity)
+        fine = np.linspace(0.0, 1.6, 160001)
+        for n in (11, 21, 101):
+            t = TabulatedDiagram.sample(
+                lambda r: r * np.exp(-r),
+                lambda r: (1.0 - r) * np.exp(-r),
+                lambda r: (r - 2.0) * np.exp(-r),
+                rho_max=1.6, n=n)
+            rho_peak, f_peak = t.flow_peak
+            # the interpolant's maximum, above the flow at the slope table's zero
+            assert float(np.max(t.flow(fine))) == f_peak == t.flow(rho_peak) > t.capacity
 
     def test_slope_changes_sign_around_it(self, diagram):
         r = diagram.critical_density

@@ -15,8 +15,9 @@ Proves:
   6.  certify() reports the failing curvature margin without raising
   7.  the CLI returns 0 on clean runs, 2 on usage errors, and prints one
       status line per law; a compare of a run directory with a missing,
-      truncated or incomplete file and a run into an existing file exit 2
-      with an error line and no traceback; the [project.scripts] entry
+      truncated or incomplete file, a run into an existing file and a
+      fixed-law run with sigma * horizon past log(float max) exit 2 with an
+      error line and no traceback; the [project.scripts] entry
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
       runs as its own process
   8.  a non-finite float in any config key, a gain outside its window, a
@@ -412,6 +413,16 @@ class TestCli:
         self.assert_error_exit(tmp_path, "run", "--preset", "paper-sec5-free",
                                "--out", str(target))
         assert target.read_text() == "not a directory\n"
+
+    def test_fixed_run_past_the_exp_limit(self, tmp_path):
+        # sigma * horizon = 720 > log(float max): refused before the Picard solve
+        cfg = with_overrides(RunConfig(), law="fixed_inlet", mode="override", n_cells=20,
+                             horizon=6000.0, snapshots=3, picard_time_samples=2)
+        path = tmp_path / "c.ini"
+        save_config(cfg, str(path))
+        err = self.assert_error_exit(tmp_path, "run", "--config", str(path),
+                                     "--out", str(tmp_path / "o"))
+        assert "sigma * horizon = 720 exceeds" in err
 
     def test_console_script_entry_point(self, tmp_path):
         # An installed `vslcontrol` script is only the wrapper pip generates
