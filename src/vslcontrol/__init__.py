@@ -10,10 +10,9 @@ them against a direct PDE integration, and ships a CSV-emitting CLI.
 
 from .errors import (AssumptionError, CertificationError, ConfigError,
                      ConvergenceError, DomainError, SolverDivergenceError,
-                     StateEscapeError, UnsupportedDiagramError, VslControlError)
+                     StateEscapeError, VslControlError)
 from .fundamental_diagram import (AssumptionReport, CheckResult, ExponentialDiagram,
-                                  FundamentalDiagram, TabulatedDiagram, speed_limits,
-                                  validate_assumptions)
+                                  speed_limits, validate_assumptions)
 from .profile import (DensityProfile, Scenario, bump_profile, polynomial_profile,
                       sampled_profile, uniform_profile)
 from .trace import SimulationTrace
@@ -30,10 +29,9 @@ __all__ = [
     "AdmissibilityResult", "AssumptionError", "AssumptionReport",
     "CertificationError", "CheckResult", "ConditionResult", "ConfigError",
     "ConvergenceError", "DensityProfile", "DomainError", "ExponentialDiagram",
-    "FixedInletGains", "FreeInletGain", "FundamentalDiagram", "OracleSettings",
-    "PicardSettings", "RunConfig", "Scenario", "SimulationTrace",
-    "SolverDivergenceError", "StateEscapeError", "TabulatedDiagram",
-    "TraceComparison", "UnsupportedDiagramError", "VslControlError",
+    "FixedInletGains", "FreeInletGain", "OracleSettings", "PicardSettings",
+    "RunConfig", "Scenario", "SimulationTrace", "SolverDivergenceError",
+    "StateEscapeError", "TraceComparison", "VslControlError",
     "bump_profile", "config", "fixed_inlet", "free_inlet", "load_config",
     "parse_config", "pde_oracle", "picard", "polynomial_profile", "preset",
     "runner", "sampled_profile", "serialize_config", "speed_limits",

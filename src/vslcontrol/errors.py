@@ -13,10 +13,6 @@ class AssumptionError(VslControlError):
     """A fundamental diagram violates a structural assumption needed here."""
 
 
-class UnsupportedDiagramError(VslControlError):
-    """The diagram kind does not support the requested operation."""
-
-
 class CertificationError(VslControlError):
     """Gain calibration failed a sufficient condition in strict mode."""
 

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificationError, DomainError, StateEscapeError
-from .fundamental_diagram import FundamentalDiagram, _bisect
+from .fundamental_diagram import ExponentialDiagram, _bisect
 from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
@@ -99,7 +99,7 @@ class FixedInletGains:
     def failed_conditions(self) -> tuple[ConditionResult, ...]:
         return tuple(c for c in self.conditions if not c.passed)
 
-    def controller(self, diagram: FundamentalDiagram, x: np.ndarray, u_tol: float = U_TOL
+    def controller(self, diagram: ExponentialDiagram, x: np.ndarray, u_tol: float = U_TOL
                    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, None]]:
         """The law on the nodes x: evaluate(rho) -> (u, f(rho), None).
 
@@ -127,13 +127,13 @@ class FixedInletGains:
 
         return evaluate
 
-    def controls(self, diagram: FundamentalDiagram, x: np.ndarray, rho: np.ndarray,
+    def controls(self, diagram: ExponentialDiagram, x: np.ndarray, rho: np.ndarray,
                  u_tol: float = U_TOL) -> tuple[np.ndarray, np.ndarray, None]:
         """(u, f(rho), None) at the nodes x for densities rho."""
         return self.controller(diagram, x, u_tol)(rho)
 
 
-def calibrate(diagram: FundamentalDiagram, rho_star: float, length: float,
+def calibrate(diagram: ExponentialDiagram, rho_star: float, length: float,
               sigma: float, gamma: float, mode: str = "strict") -> FixedInletGains:
     """Evaluate the sufficient conditions and package the gains.
 
@@ -211,7 +211,7 @@ class AdmissibilityResult:
     boundary_gap: float
 
 
-def admissible(gains: FixedInletGains, diagram: FundamentalDiagram,
+def admissible(gains: FixedInletGains, diagram: ExponentialDiagram,
                profile: DensityProfile) -> AdmissibilityResult:
     """Whether the profile lies in the invariant family of the law.
 
@@ -230,7 +230,7 @@ def admissible(gains: FixedInletGains, diagram: FundamentalDiagram,
                                min_slack, float(profile.x[idx]), boundary_gap)
 
 
-def control_profile(gains: FixedInletGains, diagram: FundamentalDiagram,
+def control_profile(gains: FixedInletGains, diagram: ExponentialDiagram,
                     profile: DensityProfile, u_tol: float = U_TOL) -> np.ndarray:
     """u at every grid node."""
     check_pairing(gains, profile)
@@ -438,7 +438,7 @@ def _gathered_max(gJ: np.ndarray, xs: np.ndarray, ds: np.ndarray, start: np.ndar
         s = e
 
 
-def _flow_budget(gains: FixedInletGains, diagram: FundamentalDiagram, x: np.ndarray
+def _flow_budget(gains: FixedInletGains, diagram: ExponentialDiagram, x: np.ndarray
                  ) -> Callable[[np.ndarray, float], np.ndarray]:
     """(D, S) -> f(rho_star) + sigma D - (gamma x^2 / 2) S on the nodes x.
 

@@ -24,15 +24,14 @@ window length.
 Each update takes, at every time sample of a window, the minimum over the
 nodes of f(rho_star + s dev_i) / (1 + k s D0_i), with s = exp(-k int g) the
 shrink factor and dev, D0 the window-start deviation and its integrals.
-Every iterate lies in [0, f_peak] (flows are nonnegative and the inlet
-node's weight is 1), so s stays in [s_lo, 1], s_lo = exp(-k span f_peak).
-f rises to a single peak and falls after it, the diagram's unimodality
-assumption: `diagram.flow_peak` gives the peak (critical density and
-capacity for every ExponentialDiagram, the largest sample for a table).
-So over that range each node's weighted flow lies between bounds taken
-from its two ends: the flow's minimum is at an end, its maximum is f_peak
-when the node's density interval holds the peak and at an end otherwise,
-and the denominator is linear in s.  A node
+Every iterate lies in [0, f_peak], f_peak the diagram's capacity (flows are
+nonnegative and the inlet node's weight is 1), so s stays in [s_lo, 1],
+s_lo = exp(-k span f_peak).  f rises to a single peak at the critical
+density and falls after it, the diagram's unimodality assumption.  So over
+that range each node's weighted flow lies between bounds taken from its
+two ends: the flow's minimum is at an end, its maximum is f_peak when the
+node's density interval holds the peak and at an end otherwise, and the
+denominator is linear in s.  A node
 whose lower bound exceeds the least upper bound is never a row minimizer,
 so a window's updates scan the other nodes only, its candidates:
 O(n + n_t w) per window, w the candidate count, instead of O(n_t n) per
@@ -51,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StateEscapeError
-from .fundamental_diagram import FundamentalDiagram
+from .fundamental_diagram import ExponentialDiagram
 from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
@@ -89,7 +88,7 @@ class FreeInletGain:
                 f"gain must lie in (0, {1.0 / (self.length * self.rho_star):.6g}) "
                 f"= (0, 1/(length*rho_star))")
 
-    def controller(self, diagram: FundamentalDiagram, x: np.ndarray, u_tol: float = 0.0
+    def controller(self, diagram: ExponentialDiagram, x: np.ndarray, u_tol: float = 0.0
                    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, int]]:
         """The law on the nodes x: evaluate(rho) -> (u, f(rho), bottleneck index).
 
@@ -111,13 +110,13 @@ class FreeInletGain:
 
         return evaluate
 
-    def controls(self, diagram: FundamentalDiagram, x: np.ndarray, rho: np.ndarray,
+    def controls(self, diagram: ExponentialDiagram, x: np.ndarray, rho: np.ndarray,
                  u_tol: float = 0.0) -> tuple[np.ndarray, np.ndarray, int]:
         """(u, f(rho), bottleneck index) at the nodes x for densities rho."""
         return self.controller(diagram, x, u_tol)(rho)
 
 
-def bottleneck(gain: FreeInletGain, diagram: FundamentalDiagram,
+def bottleneck(gain: FreeInletGain, diagram: ExponentialDiagram,
                profile: DensityProfile) -> tuple[float, float]:
     """Minimum of f(rho) M over the grid and its smallest minimizer."""
     check_pairing(gain, profile)
@@ -126,14 +125,14 @@ def bottleneck(gain: FreeInletGain, diagram: FundamentalDiagram,
     return float(value), float(profile.x[idx])
 
 
-def control_profile(gain: FreeInletGain, diagram: FundamentalDiagram,
+def control_profile(gain: FreeInletGain, diagram: ExponentialDiagram,
                     profile: DensityProfile) -> np.ndarray:
     """u at every grid node."""
     check_pairing(gain, profile)
     return gain.controls(diagram, profile.x, profile.values)[0]
 
 
-def decay_rate_bound(gain: FreeInletGain, diagram: FundamentalDiagram,
+def decay_rate_bound(gain: FreeInletGain, diagram: ExponentialDiagram,
                      s: float) -> float:
     """Certified exponential rate c(s) for initial data bounded below by s."""
     if not (0.0 < s <= diagram.rho_max):
@@ -145,7 +144,7 @@ def decay_rate_bound(gain: FreeInletGain, diagram: FundamentalDiagram,
         1.0 + gain.gain * gain.length * (diagram.rho_max - gain.rho_star))
 
 
-def _contraction_coefficient(gain: FreeInletGain, diagram: FundamentalDiagram) -> float:
+def _contraction_coefficient(gain: FreeInletGain, diagram: ExponentialDiagram) -> float:
     """kappa / T: the contraction factor of a window of length T is coeff * T."""
     k, L = gain.gain, gain.length
     spread = max(gain.rho_star, diagram.rho_max - gain.rho_star)
@@ -161,7 +160,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     factorized solution at the scenario's output times.  Each window's
     updates take their row minima over its candidate nodes alone: the nodes
     whose weighted flow, bounded over the shrink range [s_lo, 1] through f's
-    single peak (`diagram.flow_peak`), can reach the least upper bound.
+    single peak (critical density, capacity), can reach the least upper bound.
     Those minima are the minima over all nodes bit for bit (see the module
     docstring); metadata["picard"]["candidates_max"] is the largest
     candidate count.  A window that fails to converge is halved and retried
@@ -249,7 +248,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
         })
 
 
-def _solve_window(diagram: FundamentalDiagram, gain: FreeInletGain, rho_star: float,
+def _solve_window(diagram: ExponentialDiagram, gain: FreeInletGain, rho_star: float,
                   x: np.ndarray, dev: np.ndarray, span: float,
                   settings: PicardSettings):
     """Fixed point of g(t) = P(rho[t]) on one window, by Picard iteration.
@@ -269,7 +268,7 @@ def _solve_window(diagram: FundamentalDiagram, gain: FreeInletGain, rho_star: fl
     tn = np.linspace(0.0, span, settings.time_samples + 1)
     dt = np.diff(tn)
     D0 = cumulative_trapezoid(x, dev)
-    rho_peak, f_peak = diagram.flow_peak
+    rho_peak, f_peak = diagram.critical_density, diagram.capacity
     s_lo = math.exp(-k * span * f_peak) * (1.0 - _MARGIN)
     # row 0 (s = 1) is the window start, the same bits as the update's first row
     ends = np.array([[1.0], [s_lo]])

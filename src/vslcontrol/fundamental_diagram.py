@@ -18,7 +18,9 @@ Two structural assumptions are used by the controllers built on top:
     already equals the unlimited flow (l_sat = 1 up to a threshold density
     delta, below which any speed limit strictly reduces flow).
 
-`validate_assumptions` checks both on a sample grid and reports violations.
+`validate_assumptions` checks both and reports violations: the shape of f
+through the family's exact conditions (`shape_checks`), the limit
+response on a density subgrid.
 Each limit operation has one elementwise path: `saturating_limit` gives
 l_sat, and `speed_limits` is the one inversion l(rho, u) of
 F(rho, l) = u f(rho).  Both bisect through `_bisect_all`; the scalar
@@ -30,11 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionError, ConvergenceError, DomainError, UnsupportedDiagramError
+from .errors import AssumptionError, ConvergenceError, DomainError
 
 TOL_ROOT = 1e-12
 MAX_BISECT_ITER = 200
@@ -72,78 +74,8 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-class FundamentalDiagram:
-    """Interface shared by all diagram kinds.
-
-    Subclasses provide flow, flow_slope, flow_curvature and rho_max.
-    Derived quantities (critical density, capacity, the limit-reduction
-    threshold) are computed lazily and cached.
-    """
-
-    rho_max: float
-
-    def flow(self, rho):
-        raise NotImplementedError
-
-    def flow_slope(self, rho):
-        raise NotImplementedError
-
-    def flow_curvature(self, rho):
-        raise NotImplementedError
-
-    # -- derived constants
-
-    @cached_property
-    def critical_density(self) -> float:
-        """Unique rho_cr with f'(rho_cr) = 0, by bracketed bisection."""
-        slope0 = float(self.flow_slope(0.0))
-        slope1 = float(self.flow_slope(self.rho_max))
-        if slope0 <= 0.0:
-            raise AssumptionError("flow slope is not positive at rho = 0")
-        if slope1 >= 0.0:
-            raise AssumptionError("flow slope does not change sign on [0, rho_max]; "
-                                  "no interior critical density")
-        return _bisect(lambda r: float(self.flow_slope(r)), 0.0, self.rho_max, slope0)
-
-    @cached_property
-    def capacity(self) -> float:
-        """Peak flow f(rho_cr)."""
-        return float(self.flow(self.critical_density))
-
-    @cached_property
-    def flow_peak(self) -> tuple[float, float]:
-        """(density, flow) where f peaks: f rises up to it and falls after it."""
-        return self.critical_density, self.capacity
-
-    @cached_property
-    def delta(self) -> float:
-        """Density threshold below which any speed limit strictly reduces flow."""
-        return self.rho_max
-
-    @cached_property
-    def max_abs_slope(self) -> float:
-        """max |f'| over [0, rho_max], estimated on a 2001-point grid.
-
-        Serves as the Lipschitz constant of f and as a safe wave-speed
-        bound (the limit ratio never exceeds 1).
-        """
-        grid = np.linspace(0.0, self.rho_max, 2001)
-        return float(np.max(np.abs(self.flow_slope(grid))))
-
-    def _check_density(self, rho) -> np.ndarray:
-        r = np.asarray(rho, dtype=float)
-        tol = DENSITY_TOL_REL * max(1.0, self.rho_max)
-        # min/max propagate NaN and NaN fails both comparisons, so this
-        # rejects every array holding a NaN or an entry below -tol or above
-        # rho_max + tol, in one pass each
-        if r.size and not (np.minimum.reduce(r, axis=None) >= -tol
-                           and np.maximum.reduce(r, axis=None) <= self.rho_max + tol):
-            raise DomainError(f"density outside [0, {self.rho_max}]")
-        return r
-
-
 @dataclass(frozen=True, eq=False)
-class ExponentialDiagram(FundamentalDiagram):
+class ExponentialDiagram:
     """The exponential family F(rho, l) above.
 
     flow_scale:      A > 0
@@ -151,6 +83,9 @@ class ExponentialDiagram(FundamentalDiagram):
     shape:           exponent > 0
     vsl_sensitivity: a >= 0 (a = 0 makes the limited flow exactly l * f(rho))
     rho_max:         jam density > 0
+
+    Derived constants (critical density, capacity, the limit-reduction
+    threshold, the slope bound) are computed lazily and cached.
     """
 
     flow_scale: float = 1.0
@@ -239,6 +174,44 @@ class ExponentialDiagram(FundamentalDiagram):
             return self.rho_max
         return 1.0 / (self.density_scale * a ** (1.0 / self.shape))
 
+    @cached_property
+    def critical_density(self) -> float:
+        """Unique rho_cr with f'(rho_cr) = 0, by bracketed bisection."""
+        slope0 = float(self.flow_slope(0.0))
+        slope1 = float(self.flow_slope(self.rho_max))
+        if slope0 <= 0.0:
+            raise AssumptionError("flow slope is not positive at rho = 0")
+        if slope1 >= 0.0:
+            raise AssumptionError("flow slope does not change sign on [0, rho_max]; "
+                                  "no interior critical density")
+        return _bisect(lambda r: float(self.flow_slope(r)), 0.0, self.rho_max, slope0)
+
+    @cached_property
+    def capacity(self) -> float:
+        """Peak flow f(rho_cr): f rises up to rho_cr and falls after it."""
+        return float(self.flow(self.critical_density))
+
+    @cached_property
+    def max_abs_slope(self) -> float:
+        """max |f'| over [0, rho_max], estimated on a 2001-point grid.
+
+        Serves as the Lipschitz constant of f and as a safe wave-speed
+        bound (the limit ratio never exceeds 1).
+        """
+        grid = np.linspace(0.0, self.rho_max, 2001)
+        return float(np.max(np.abs(self.flow_slope(grid))))
+
+    def _check_density(self, rho) -> np.ndarray:
+        r = np.asarray(rho, dtype=float)
+        tol = DENSITY_TOL_REL * max(1.0, self.rho_max)
+        # min/max propagate NaN and NaN fails both comparisons, so this
+        # rejects every array holding a NaN or an entry below -tol or above
+        # rho_max + tol, in one pass each
+        if r.size and not (np.minimum.reduce(r, axis=None) >= -tol
+                           and np.maximum.reduce(r, axis=None) <= self.rho_max + tol):
+            raise DomainError(f"density outside [0, {self.rho_max}]")
+        return r
+
     def _saturation_residual(self, rho: float, l) -> np.ndarray:
         a = self.vsl_sensitivity
         core = (self.density_scale * rho) ** self.shape
@@ -272,97 +245,16 @@ class ExponentialDiagram(FundamentalDiagram):
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True, eq=False)
-class TabulatedDiagram(FundamentalDiagram):
-    """Diagram given by samples of f, f' and f'' on a uniform density grid.
-
-    Each array is interpolated with a monotone cubic (PCHIP), which
-    preserves the sign structure of the data between nodes, so the
-    assumption checks stay meaningful.  No speed-limit response model is
-    attached: speed_limits raises UnsupportedDiagramError, the validator
-    skips its limit check, and delta defaults to rho_max.
-    """
-
-    rho_grid: np.ndarray
-    flow_values: np.ndarray
-    slope_values: np.ndarray
-    curvature_values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.rho_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 4:
-            raise DomainError("rho_grid must be a 1-d array with at least 4 nodes")
-        if not np.all(np.isfinite(grid)):
-            raise DomainError("rho_grid must be finite")
-        if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
-            raise DomainError("rho_grid must start at 0 and increase strictly")
-        for name in ("flow_values", "slope_values", "curvature_values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != grid.shape:
-                raise DomainError(f"{name} must match rho_grid in shape")
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "rho_grid", grid)
-
-    @property
-    def rho_max(self) -> float:  # type: ignore[override]
-        return float(self.rho_grid[-1])
-
-    @cached_property
-    def _interpolants(self):
-        from scipy.interpolate import PchipInterpolator
-        return tuple(PchipInterpolator(self.rho_grid, v, extrapolate=False)
-                     for v in (self.flow_values, self.slope_values, self.curvature_values))
-
-    def _eval(self, which: int, rho):
-        r = self._check_density(rho)
-        r = np.clip(r, 0.0, self.rho_max)
-        out = self._interpolants[which](r)
-        return out if np.asarray(out).ndim else float(out)
-
-    @cached_property
-    def flow_peak(self) -> tuple[float, float]:
-        """The largest flow sample and its density.
-
-        The monotone interpolant never leaves the range of two neighbouring
-        samples, so this is the flow's maximum.  It can sit up to a grid step
-        from the critical density, the zero of the interpolated slope table.
-        """
-        j = int(np.argmax(self.flow_values))
-        return float(self.rho_grid[j]), float(self.flow_values[j])
-
-    def flow(self, rho):
-        return self._eval(0, rho)
-
-    def flow_slope(self, rho):
-        return self._eval(1, rho)
-
-    def flow_curvature(self, rho):
-        return self._eval(2, rho)
-
-    @classmethod
-    def sample(cls, flow: Callable, slope: Callable, curvature: Callable,
-               rho_max: float, n: int = 1001) -> "TabulatedDiagram":
-        """Build a table by sampling three callables on a uniform grid."""
-        grid = np.linspace(0.0, rho_max, n)
-        return cls(grid, np.asarray(flow(grid), dtype=float),
-                   np.asarray(slope(grid), dtype=float),
-                   np.asarray(curvature(grid), dtype=float))
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     detail: str
     where: tuple | None = None
-    skipped: bool = False
 
     def __str__(self) -> str:
-        status = "skip" if self.skipped else ("pass" if self.passed else "FAIL")
         loc = "" if self.where is None else f" at {self.where}"
-        return f"{self.name}: {status} ({self.detail}{loc})"
+        return f"{self.name}: {'pass' if self.passed else 'FAIL'} ({self.detail}{loc})"
 
 
 @dataclass(frozen=True)
@@ -371,87 +263,58 @@ class AssumptionReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed or c.skipped for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.checks)
 
 
-def validate_assumptions(diagram: FundamentalDiagram, n_samples: int = 2001) -> AssumptionReport:
-    """Check the structural assumptions on a sample grid over [0, rho_max].
+def validate_assumptions(diagram: ExponentialDiagram) -> AssumptionReport:
+    """Check the structural assumptions the controllers use.
 
-    Reported checks:
-      flow_vanishes_at_zero        f(0) = 0
-      flow_positive_inside         f > 0 on (0, rho_max]
+    Reported checks, the first two exact for the family (`shape_checks`):
       single_flow_peak             f' changes sign + -> - exactly once
-      strict_concavity             f'' < 0 everywhere
+      strict_concavity             f'' < 0 on [0, rho_max]
       limit_monotone_below_saturation
-                                   dF/dl > 0 for l < l_sat(rho) (diagrams
-                                   with a limit model; a 41-point density
-                                   subgrid and 9 limit fractions)
+                                   dF/dl > 0 for l < l_sat(rho) on a
+                                   41-point density subgrid and 9 limit
+                                   fractions
 
-    Returns a report with one entry per check and the first violating
-    sample, if any.  Nothing raises here; callers decide what a failure
-    means for them.
+    f(0) = 0 and f > 0 on (0, rho_max] hold for every member, since the
+    constructor enforces A, b, shape > 0, so they are not checked.  Returns
+    a report with one entry per check and the first violating point, if
+    any.  Nothing raises here; callers decide what a failure means for them.
     """
-    grid = np.linspace(0.0, diagram.rho_max, n_samples)
-    fv = np.asarray(diagram.flow(grid), dtype=float)
-    sv = np.asarray(diagram.flow_slope(grid), dtype=float)
-    cv = np.asarray(diagram.flow_curvature(grid), dtype=float)
-    checks: list[CheckResult] = []
+    return AssumptionReport((*shape_checks(diagram), _limit_monotonicity_check(diagram)))
 
-    scale = max(1.0, float(np.max(np.abs(fv))))
-    ok = abs(fv[0]) <= 1e-12 * scale
-    checks.append(CheckResult("flow_vanishes_at_zero", ok, f"f(0) = {fv[0]:.3e}"))
 
-    bad = np.nonzero(fv[1:] <= 0.0)[0]
-    if bad.size:
-        rho_bad = float(grid[1 + bad[0]])
-        checks.append(CheckResult("flow_positive_inside", False,
-                                  f"f({rho_bad:.6g}) = {fv[1 + bad[0]]:.3e}", (rho_bad,)))
+def shape_checks(diagram: ExponentialDiagram) -> tuple[CheckResult, CheckResult]:
+    """single_flow_peak and strict_concavity from the family's exact conditions.
+
+    With v = (b rho)^shape, f' = A e^(-v/shape) (1 - v) changes sign once,
+    at rho = 1/b, so f has an interior peak iff rho_max > 1/b.  And
+    f'' = -A e^(-v/shape) (v / rho) (1 + shape - v), with v increasing, is
+    negative on (0, rho_max] iff (b rho_max)^shape < 1 + shape; at rho = 0,
+    v / rho tends to b for shape = 1, to 0 for shape > 1 and to infinity
+    for shape < 1, so f''(0) < 0 iff shape <= 1.
+    """
+    b, shape, rho_max = diagram.density_scale, diagram.shape, diagram.rho_max
+    has_peak = rho_max > 1.0 / b
+    peak = CheckResult("single_flow_peak", has_peak,
+                       f"rho_max = {rho_max:.6g} {'>' if has_peak else '<='} 1/b = {1.0 / b:.6g}")
+    v = (b * rho_max) ** shape
+    if shape > 1.0:
+        concave = CheckResult("strict_concavity", False,
+                              f"f''(0) = 0 for shape = {shape:.6g} > 1", (0.0,))
+    elif v >= 1.0 + shape:
+        rho_bad = (1.0 + shape) ** (1.0 / shape) / b
+        concave = CheckResult("strict_concavity", False,
+                              f"(b rho_max)^shape = {v:.6g} >= 1 + shape = {1.0 + shape:.6g}",
+                              (rho_bad,))
     else:
-        checks.append(CheckResult("flow_positive_inside", True, "f > 0 on (0, rho_max]"))
-
-    checks.append(_sign_pattern_check(grid, sv))
-
-    bad = np.nonzero(cv >= 0.0)[0]
-    if bad.size:
-        rho_bad = float(grid[bad[0]])
-        checks.append(CheckResult("strict_concavity", False,
-                                  f"f''({rho_bad:.6g}) = {cv[bad[0]]:.3e}", (rho_bad,)))
-    else:
-        checks.append(CheckResult("strict_concavity", True, "f'' < 0 on [0, rho_max]"))
-
-    if isinstance(diagram, ExponentialDiagram):
-        checks.append(_limit_monotonicity_check(diagram))
-    else:
-        checks.append(CheckResult("limit_monotone_below_saturation", True,
-                                  "not applicable: no speed-limit response model",
-                                  skipped=True))
-    return AssumptionReport(tuple(checks))
-
-
-def _sign_pattern_check(grid: np.ndarray, slopes: np.ndarray) -> CheckResult:
-    name = "single_flow_peak"
-    if slopes[0] <= 0.0:
-        return CheckResult(name, False, f"f'(0) = {slopes[0]:.3e} is not positive", (float(grid[0]),))
-    neg = np.nonzero(slopes < 0.0)[0]
-    if neg.size == 0:
-        return CheckResult(name, False, "f' never becomes negative; no interior peak")
-    first_neg = int(neg[0])
-    # strictly positive before the transition, at most one zero sample at it
-    head = slopes[:first_neg]
-    zeros = np.nonzero(head == 0.0)[0]
-    if zeros.size > 1 or (zeros.size == 1 and zeros[0] != first_neg - 1):
-        rho_bad = float(grid[zeros[0]])
-        return CheckResult(name, False, "f' vanishes before the peak", (rho_bad,))
-    tail = slopes[first_neg:]
-    bad = np.nonzero(tail >= 0.0)[0]
-    if bad.size:
-        rho_bad = float(grid[first_neg + bad[0]])
-        return CheckResult(name, False, f"f' returns to {tail[bad[0]]:.3e} past the peak", (rho_bad,))
-    lo, hi = float(grid[max(first_neg - 1, 0)]), float(grid[first_neg])
-    return CheckResult(name, True, f"single + -> - transition in [{lo:.6g}, {hi:.6g}]")
+        concave = CheckResult("strict_concavity", True,
+                              f"(b rho_max)^shape = {v:.6g} < 1 + shape = {1.0 + shape:.6g}")
+    return peak, concave
 
 
 def _limit_monotonicity_check(diagram: ExponentialDiagram) -> CheckResult:
@@ -492,7 +355,7 @@ def _bisect_all(up: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.n
     return 0.5 * (lo + hi)
 
 
-def speed_limits(diagram: FundamentalDiagram, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+def speed_limits(diagram: ExponentialDiagram, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Physical limit ratios realizing the control u on a density field.
 
     The one inversion of the limit response: solves F(rho, l) = u * f(rho)
@@ -501,8 +364,6 @@ def speed_limits(diagram: FundamentalDiagram, rho: np.ndarray, u: np.ndarray) ->
     [0, rho_max] and controls outside (0, 1], NaN included, raise
     DomainError.
     """
-    if not isinstance(diagram, ExponentialDiagram):
-        raise UnsupportedDiagramError("physical limits need a diagram with a limit model")
     r, uu = np.broadcast_arrays(diagram._check_density(rho), np.asarray(u, dtype=float))
     if _outside_unit(uu, 1.0 + 1e-9):
         raise DomainError("control values must lie in (0, 1]")

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .fundamental_diagram import FundamentalDiagram
+from .fundamental_diagram import ExponentialDiagram
 from .quadrature import cumulative_trapezoid
 
 
@@ -94,7 +94,7 @@ class Scenario:
     always include t = 0 and t = horizon.
     """
 
-    diagram: FundamentalDiagram
+    diagram: ExponentialDiagram
     length: float
     rho_star: float
     rho0: DensityProfile

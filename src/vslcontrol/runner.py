@@ -38,7 +38,7 @@ from .config import (RunConfig, build_diagram, build_free_gain,
                      build_oracle_settings, build_picard, build_scenario,
                      save_config)
 from .errors import VslControlError
-from .fundamental_diagram import CheckResult, FundamentalDiagram, speed_limits
+from .fundamental_diagram import CheckResult, ExponentialDiagram, shape_checks, speed_limits
 from .picard import PicardSettings
 from .profile import DensityProfile, Scenario
 from .quadrature import cumulative_trapezoid
@@ -282,7 +282,7 @@ def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
         fh.writelines(row_fmt % row for row in rows)
 
 
-def _write_trace(out: str, diagram: FundamentalDiagram, trace: SimulationTrace) -> None:
+def _write_trace(out: str, diagram: ExponentialDiagram, trace: SimulationTrace) -> None:
     _write_long(os.path.join(out, "density.csv"), "t,x,density",
                 trace.times, trace.x, trace.rho)
     limits = speed_limits(diagram, trace.rho, trace.u)
@@ -366,11 +366,16 @@ def _write_report(out: str, cfg: RunConfig, law: str, trace: SimulationTrace,
 # certification
 
 def certification_lines(cfg: RunConfig, law: str | None = None) -> list[str]:
-    """Human-readable evaluation of every gain condition, both sides shown."""
+    """Human-readable evaluation of every gain condition, both sides shown.
+
+    A `diagram` block comes first: the family's exact single_flow_peak and
+    strict_concavity conditions.  They are reported, not enforced here.
+    """
     scenario_laws = ("free_inlet", "fixed_inlet") if cfg.law == "both" else (cfg.law,)
     laws = scenario_laws if law is None else (law,)
     d = build_diagram(cfg)
     lines = ["certification:"]
+    lines.extend(f"  diagram {c}" for c in shape_checks(d))
     for current in laws:
         if current == "free_inlet":
             bound = 1.0 / (cfg.length * cfg.rho_star)

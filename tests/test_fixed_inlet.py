@@ -5,7 +5,9 @@ Proves:
       exponential setup: reserve band width a, concavity floor Q, back
       slope q, decay rate sigma - gamma L
   2.  the curvature margin genuinely fails for those gains (lhs ~ 4.9e-5
-      against 0.1); strict mode raises naming it, override mode records it
+      against 0.1); strict mode raises naming it, override mode records it;
+      a diagram that fails strict_concavity (rho_max 2.5, shape 2) has
+      min_concavity <= 0, so its curvature margin fails in either mode
   3.  admissibility: equilibrium and the reference bump pass with the
       binding slack at the inlet; a profile off the set point at x = 0 is
       rejected via the boundary gap
@@ -76,6 +78,19 @@ class TestCalibrate:
     def test_strict_mode_raises_naming_the_margin(self, diagram):
         with pytest.raises(CertificationError, match="curvature_margin"):
             fixed_inlet.calibrate(diagram, 0.7, 1.0, 0.12, 0.1, mode="strict")
+
+    @pytest.mark.parametrize("fields", [dict(rho_max=2.5), dict(shape=2.0, rho_max=1.6)],
+                             ids=["rho_max-2.5", "shape-2"])
+    def test_non_concave_diagram_cannot_certify(self, fields):
+        # min(-f'') over [0, rho_max] is <= 0 when strict_concavity fails, so
+        # the curvature margin fails whatever the gains
+        d = ExponentialDiagram(**fields)
+        gains = fixed_inlet.calibrate(d, 0.7, 1.0, 0.12, 0.1, mode="override")
+        assert gains.min_concavity <= 0.0
+        assert [c.name for c in gains.failed_conditions()] == ["curvature_margin"]
+        assert gains.failed_conditions()[0].lhs <= 0.0
+        with pytest.raises(CertificationError, match="curvature_margin"):
+            fixed_inlet.calibrate(d, 0.7, 1.0, 0.12, 0.1, mode="strict")
 
     def test_bad_mode_rejected(self, diagram):
         with pytest.raises(DomainError):

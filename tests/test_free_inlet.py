@@ -21,8 +21,9 @@ Proves:
       iteration count and contraction ratio of the full (time samples x
       nodes) matrix bit for bit: on both free presets, oracle-batch-shaped
       60-cell bumps, deviations of both signs, a 3-node grid, equilibrium
-      and coarse tabulated diagrams, whose largest flow sample lies above
-      their capacity; an iterate past the peak flow the bounds assume
+      and, with rho_star at the peak, family members that are not concave
+      (rho_max 2.1, 2.5) or flat at 0 (shape 2); an iterate past the peak
+      flow the bounds assume
       raises StateEscapeError; the fine-grid benchmark's bumps keep at most
       an eighth of their 1601 nodes as candidates
 """
@@ -32,7 +33,7 @@ import pytest
 
 from vslcontrol import (ConvergenceError, DomainError, ExponentialDiagram,
                         FreeInletGain, PicardSettings, Scenario, StateEscapeError,
-                        TabulatedDiagram, bump_profile, config, free_inlet, picard,
+                        bump_profile, config, free_inlet, picard,
                         sampled_profile, uniform_profile)
 from vslcontrol.quadrature import cumulative_trapezoid
 
@@ -305,13 +306,11 @@ def _sampled(values, gain, horizon):
     return sc, FreeInletGain(gain, 1.0, 0.7), PicardSettings()
 
 
-def _tabulated(n_samples, values):
-    # r exp(-r) sampled coarsely: the slope table's zero misses the largest
-    # flow sample, so capacity, the flow there, is below the flow's maximum
-    d = TabulatedDiagram.sample(lambda r: r * np.exp(-r), lambda r: (1.0 - r) * np.exp(-r),
-                                lambda r: (r - 2.0) * np.exp(-r), rho_max=1.6, n=n_samples)
-    rho_peak, f_peak = d.flow_peak
-    assert f_peak > d.capacity
+def _at_peak(diagram, values):
+    # rho_star at the critical density: nodes straddle the peak, where the
+    # bounds take the capacity as the flow's maximum
+    d = ExponentialDiagram(**diagram)
+    rho_peak = d.critical_density
     vals = values(rho_peak)
     sc = Scenario(diagram=d, length=1.0, rho_star=rho_peak,
                   rho0=sampled_profile(1.0, rho_peak, vals), horizon=2.0, output_interval=0.5)
@@ -334,9 +333,12 @@ WINDOW_CASES = {
     "two-signed-steps": lambda: _sampled(np.where(_X100 < 0.5, 1.4, 0.2), 1.2, 3.0),
     "three-nodes": lambda: _sampled([0.7, 1.3, 0.3], 0.5, 5.0),
     "equilibrium": lambda: _sampled(np.full(101, 0.7), 0.5, 2.0),
-    "table11-equilibrium": lambda: _tabulated(11, lambda r: np.full(21, r)),
-    "table21-two-signed": lambda: _tabulated(
-        21, lambda r: r + 0.4 * np.sin(3.0 * np.pi * np.linspace(0.0, 1.0, 41))),
+    "rho_max2.5-equilibrium": lambda: _at_peak(dict(rho_max=2.5), lambda r: np.full(21, r)),
+    "rho_max2.1-two-signed": lambda: _at_peak(
+        dict(rho_max=2.1), lambda r: r + 0.9 * np.sin(3.0 * np.pi * np.linspace(0.0, 1.0, 41))),
+    "shape2-two-signed": lambda: _at_peak(
+        dict(shape=2.0, rho_max=1.6),
+        lambda r: r + 0.4 * np.sin(3.0 * np.pi * np.linspace(0.0, 1.0, 41))),
 }
 
 

@@ -4,9 +4,8 @@ Proves:
   1.  f(0) = 0 and the closed-form values at rho = 1, 0.7 (16 digits)
   2.  vsl_flow at l = 1 equals flow bitwise; the a=1 reference value
   3.  critical density by bisection: exponential (= 1/density_scale),
-      shape-2 family, and a 1001-point table of the same curve; flow_peak
-      is (critical density, capacity) for the family and the largest
-      sample, the interpolant's maximum, for coarse tables
+      shape-2 family, and the non-concave members rho_max = 2.1 and 2.5;
+      capacity, the flow there, is the flow's maximum on a fine grid
   4.  delta: a = 0 gives rho_max; a = 1 gives 1/(b a^(1/shape)); the
       below-threshold case keeps rho_max
   5.  saturating limit: 1 at/below delta, interior root above it; the
@@ -15,7 +14,11 @@ Proves:
   6.  speed_limits inverts the limit response: a known l at a = 1, full
       flow maps to the saturating limit, controls outside (0, 1] rejected;
       a field gives the same bits whole, row by row and in small blocks
-  7.  assumption validator verdicts on the three reference diagrams
+  7.  assumption validator verdicts on family members: rho_max 1.6 and
+      shape 0.5 pass, rho_max 2.1 and 2.5 are not concave, rho_max 0.9 has
+      no peak, shape 2 has f''(0) = 0; the exact conditions agree with the
+      former 2001-point sampler on 500 seeded random members away from
+      the boundaries, and f(0) = 0 < f on the rest of the grid for each
   8.  domain errors: negative density, density above rho_max, bad limit,
       NaN limit; speed_limits rejects bad or NaN densities and NaN
       controls on both the a = 0 and the a > 0 path
@@ -25,7 +28,8 @@ Proves:
  11.  the density check accepts and rejects exactly what the elementwise
       comparisons do at the +-tol edges, for 0-d, 1-d, 2-d and empty input,
       and rejects NaN
- 12.  non-finite constructor fields are rejected with DomainError
+ 12.  non-finite constructor fields, and A, b, shape or rho_max <= 0 or
+      a < 0, are rejected with DomainError
  13.  saturating_limit and speed_limits stop their bisection at its fixed
       point with the result of the full fixed-count loops; a step that
       moves nothing stops the one bisection loop, a NaN element runs it out
@@ -36,8 +40,7 @@ Proves:
 import numpy as np
 import pytest
 
-from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram,
-                        TabulatedDiagram, UnsupportedDiagramError, speed_limits,
+from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram, speed_limits,
                         validate_assumptions)
 from vslcontrol import fundamental_diagram
 from vslcontrol.fundamental_diagram import DENSITY_TOL_REL, _bisect_all
@@ -110,26 +113,21 @@ class TestCriticalDensity:
         d = ExponentialDiagram(shape=2.0, rho_max=1.6)
         assert d.critical_density == pytest.approx(1.0, abs=1e-9)
 
-    def test_tabulated_from_same_curve(self):
-        t = TabulatedDiagram.sample(
-            lambda r: r * np.exp(-r),
-            lambda r: (1.0 - r) * np.exp(-r),
-            lambda r: (r - 2.0) * np.exp(-r),
-            rho_max=1.6)
-        assert t.critical_density == pytest.approx(1.0, abs=1e-6)
+    @pytest.mark.parametrize("rho_max", [2.1, 2.5])
+    def test_non_concave_members_keep_their_peak(self, rho_max):
+        d = ExponentialDiagram(rho_max=rho_max)
+        assert d.critical_density == pytest.approx(1.0, abs=1e-9)
+        assert d.capacity == pytest.approx(F_AT_1, rel=1e-12)
 
-    def test_flow_peak(self, diagram):
-        assert diagram.flow_peak == (diagram.critical_density, diagram.capacity)
-        fine = np.linspace(0.0, 1.6, 160001)
-        for n in (11, 21, 101):
-            t = TabulatedDiagram.sample(
-                lambda r: r * np.exp(-r),
-                lambda r: (1.0 - r) * np.exp(-r),
-                lambda r: (r - 2.0) * np.exp(-r),
-                rho_max=1.6, n=n)
-            rho_peak, f_peak = t.flow_peak
-            # the interpolant's maximum, above the flow at the slope table's zero
-            assert float(np.max(t.flow(fine))) == f_peak == t.flow(rho_peak) > t.capacity
+    def test_flow_peak(self):
+        # the free law's window bounds take capacity as the flow's maximum
+        for fields in (dict(rho_max=1.6), dict(rho_max=2.5), dict(shape=2.0, rho_max=1.6),
+                       dict(shape=0.5, density_scale=2.0, rho_max=1.6)):
+            d = ExponentialDiagram(**fields)
+            fine = np.linspace(0.0, d.rho_max, 160001)
+            assert d.capacity == d.flow(d.critical_density)
+            assert float(np.max(d.flow(fine))) <= d.capacity * (1.0 + 1e-15)
+            assert d.critical_density == pytest.approx(1.0 / d.density_scale, abs=1e-9)
 
     def test_slope_changes_sign_around_it(self, diagram):
         r = diagram.critical_density
@@ -190,25 +188,25 @@ class TestValidator:
         names = [c.name for c in report.checks]
         assert "strict_concavity" in names and "single_flow_peak" in names
 
-    def test_concave_quadratic_passes(self):
-        t = TabulatedDiagram.sample(
-            lambda r: r * (2.0 - r),
-            lambda r: 2.0 - 2.0 * r,
-            lambda r: np.full_like(r, -2.0),
-            rho_max=1.6)
-        report = validate_assumptions(t)
-        assert report.passed
-        assert t.critical_density == pytest.approx(1.0, abs=1e-9)
-
-    def test_linear_flow_fails_peak_and_concavity(self):
-        t = TabulatedDiagram.sample(
-            lambda r: r.copy(),
-            lambda r: np.ones_like(r),
-            lambda r: np.zeros_like(r),
-            rho_max=1.6)
-        report = validate_assumptions(t)
-        failed = {c.name for c in report.checks if not (c.passed or c.skipped)}
-        assert failed == {"single_flow_peak", "strict_concavity"}
+    @pytest.mark.parametrize("fields,failed,where", [
+        (dict(rho_max=1.6), set(), None),
+        (dict(shape=0.5, rho_max=1.6), set(), None),
+        # f'' >= 0 from rho = 2 on, the inflection point (1 + shape)^(1/shape) / b
+        (dict(rho_max=2.1), {"strict_concavity"}, (2.0,)),
+        (dict(rho_max=2.5), {"strict_concavity"}, (2.0,)),
+        (dict(rho_max=0.9), {"single_flow_peak"}, None),
+        (dict(shape=2.0, rho_max=1.6), {"strict_concavity"}, (0.0,)),
+        (dict(shape=2.0, rho_max=0.9), {"single_flow_peak", "strict_concavity"}, (0.0,)),
+    ], ids=["rho_max-1.6", "shape-0.5", "rho_max-2.1", "rho_max-2.5", "rho_max-0.9",
+            "shape-2", "shape-2-no-peak"])
+    def test_family_verdicts(self, fields, failed, where):
+        report = validate_assumptions(ExponentialDiagram(**fields))
+        checks = {c.name: c for c in report.checks}
+        assert list(checks) == ["single_flow_peak", "strict_concavity",
+                                "limit_monotone_below_saturation"]
+        assert {c.name for c in report.checks if not c.passed} == failed
+        assert report.passed == (not failed)
+        assert checks["strict_concavity"].where == where
 
     def test_limit_check_reports_the_first_violation_row_major(self, monkeypatch):
         # dF/dl <= 0 for rho > 0.81 and l > 0.55: with a = 0, l_sat = 1, so
@@ -220,16 +218,54 @@ class TestValidator:
         assert check.passed is False
         assert check.where == (0.84, 0.6125)
 
-    def test_tabulated_limit_check_is_skipped(self):
-        t = TabulatedDiagram.sample(
-            lambda r: r * (2.0 - r),
-            lambda r: 2.0 - 2.0 * r,
-            lambda r: np.full_like(r, -2.0),
-            rho_max=1.6)
-        report = validate_assumptions(t)
-        skipped = [c for c in report.checks if c.skipped]
-        assert len(skipped) == 1
-        assert skipped[0].name == "limit_monotone_below_saturation"
+
+
+def sampled_verdicts(d, n_samples=2001):
+    """(single peak, strict concavity) as the validator once sampled them:
+    f' changes sign + -> - once and f'' < 0 at every point of an
+    n_samples-point grid over [0, rho_max], 0 and rho_max included."""
+    grid = np.linspace(0.0, d.rho_max, n_samples)
+    slopes = np.asarray(d.flow_slope(grid), dtype=float)
+    curvature = np.asarray(d.flow_curvature(grid), dtype=float)
+    neg = np.nonzero(slopes < 0.0)[0]
+    if slopes[0] <= 0.0 or neg.size == 0:
+        peak = False
+    else:
+        head, tail = slopes[:neg[0]], slopes[neg[0]:]
+        zeros = np.nonzero(head == 0.0)[0]
+        peak = (zeros.size == 0 or (zeros.size == 1 and zeros[0] == neg[0] - 1)) \
+            and not np.any(tail >= 0.0)
+    return peak, not np.any(curvature >= 0.0)
+
+
+class TestExactConditions:
+    def test_agree_with_the_sampled_reference(self):
+        rng = np.random.default_rng(12)
+        verdicts = []
+        while len(verdicts) < 500:
+            b = rng.uniform(0.3, 3.0)
+            shape = rng.choice([rng.uniform(0.3, 1.0), 1.0, rng.uniform(1.0, 3.0)])
+            rho_max = rng.uniform(0.5, 3.0) / b
+            v = (b * rho_max) ** shape
+            # the grid's sampling decides within 1e-3 of a boundary; shape = 1
+            # itself is exact (f''(0) = -2 A b)
+            near = [abs(b * rho_max - 1.0), abs(v / (1.0 + shape) - 1.0)]
+            if shape != 1.0:
+                near.append(abs(shape - 1.0))
+            if min(near) < 1e-3:
+                continue
+            d = ExponentialDiagram(flow_scale=rng.uniform(0.5, 2.0), density_scale=b,
+                                   shape=shape, rho_max=rho_max)
+            exact = tuple(c.passed for c in fundamental_diagram.shape_checks(d))
+            assert exact == sampled_verdicts(d), (b, shape, rho_max)
+            flows = d.flow(np.linspace(0.0, rho_max, 2001))
+            assert flows[0] == 0.0 and np.all(flows[1:] > 0.0)
+            verdicts.append((shape, *exact))
+        # both verdicts of both checks occur, on either side of shape = 1
+        for side in (lambda s: s < 1.0, lambda s: s > 1.0):
+            seen = [(p, c) for s, p, c in verdicts if side(s)]
+            assert {p for p, _ in seen} == {True, False}
+        assert {c for s, _, c in verdicts if s <= 1.0} == {True, False}
 
 
 class TestDerivatives:
@@ -309,15 +345,6 @@ class TestSpeedLimits:
         for got in (rows, small):
             np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
 
-    def test_tabulated_rejected(self):
-        t = TabulatedDiagram.sample(
-            lambda r: r * (2.0 - r),
-            lambda r: 2.0 - 2.0 * r,
-            lambda r: np.full_like(r, -2.0),
-            rho_max=1.6)
-        with pytest.raises(UnsupportedDiagramError):
-            speed_limits(t, np.array([0.5]), np.array([0.9]))
-
 
 class TestBisectionFixedPoint:
     """saturating_limit and speed_limits against the fixed-count loops they stop early."""
@@ -396,13 +423,9 @@ class TestBisectionFixedPoint:
 
 
 def test_no_critical_density_raises():
-    t = TabulatedDiagram.sample(
-        lambda r: r.copy(),
-        lambda r: np.ones_like(r),
-        lambda r: np.zeros_like(r),
-        rho_max=1.6)
-    with pytest.raises(AssumptionError):
-        t.critical_density
+    # rho_max 0.9 < 1/b: f rises on all of [0, rho_max]
+    with pytest.raises(AssumptionError, match="no interior critical density"):
+        ExponentialDiagram(rho_max=0.9).critical_density
 
 
 class TestDensityCheck:
@@ -442,16 +465,12 @@ class TestNonFiniteFields:
         with pytest.raises(DomainError):
             ExponentialDiagram(**{field: bad})
 
-    @pytest.mark.parametrize("field", ["rho_grid", "flow_values", "slope_values",
-                                       "curvature_values"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("node", [3, -1])
-    def test_tabulated(self, field, bad, node):
-        grid = np.linspace(0.0, 1.6, 11)
-        tables = dict(rho_grid=grid, flow_values=grid * (2.0 - grid),
-                      slope_values=2.0 - 2.0 * grid, curvature_values=np.full_like(grid, -2.0))
-        TabulatedDiagram(**tables)
-        spoiled = tables[field].copy()
-        spoiled[node] = bad
+    # A, b, shape > 0 is what makes f(0) = 0 and f > 0 on (0, rho_max]
+    # hold for every member, so the validator need not check them
+    @pytest.mark.parametrize("field,bad", [(f, v) for f in ("flow_scale", "density_scale",
+                                                             "shape", "rho_max")
+                                           for v in (0.0, -1.0)]
+                             + [("vsl_sensitivity", -0.5)])
+    def test_nonpositive(self, field, bad):
         with pytest.raises(DomainError):
-            TabulatedDiagram(**{**tables, field: spoiled})
+            ExponentialDiagram(**{field: bad})

@@ -12,8 +12,10 @@ Covered invariants:
                                 generated the flow, on the monotone
                                 branch; a batch equals its one-point calls
                                 bit for bit
-  validator_flags_concavity     concave tabulated diagrams pass, wiggly
-                                ones fail exactly on strict concavity
+  validator_flags_concavity     concave family members pass; members past
+                                the inflection point or with shape > 1
+                                fail exactly on strict concavity, where
+                                the exact condition says
   free_equilibrium_fixed_point  equilibrium data stays put with u = 1
   free_decay_and_flux           closed loop: u in (0, 1], inlet flow equals
                                 the bottleneck, sup deviation under the
@@ -36,7 +38,7 @@ import numpy as np
 import pytest
 
 from vslcontrol import (ExponentialDiagram, FreeInletGain, OracleSettings,
-                        Scenario, TabulatedDiagram, bump_profile, fixed_inlet,
+                        Scenario, bump_profile, fixed_inlet,
                         free_inlet, pde_oracle, sampled_profile, speed_limits,
                         uniform_profile, validate_assumptions)
 from vslcontrol.config import (RunConfig, parse_config, serialize_config,
@@ -93,28 +95,27 @@ def limit_inversion_round_trip(rng, n_cases=N_CASES):
 
 def validator_flags_concavity(rng, n_cases=N_CASES):
     for _ in range(n_cases):
-        a = rng.uniform(0.5, 2.0)
-        c = rng.uniform(1.0, 3.0)
-        good = TabulatedDiagram.sample(
-            lambda r: a * r * (1.0 - r / c),
-            lambda r: a * (1.0 - 2.0 * r / c),
-            lambda r: np.full_like(np.asarray(r, dtype=float), -2.0 * a / c),
-            rho_max=0.9 * c, n=401)
-        report = validate_assumptions(good, n_samples=401)
+        b = rng.uniform(0.5, 2.0)
+        shape = rng.uniform(0.3, 1.0)
+        common = dict(flow_scale=rng.uniform(0.5, 2.0), density_scale=b,
+                      vsl_sensitivity=rng.uniform(0.0, 1.5))
+        # f'' changes sign at the inflection point, past the peak at 1/b
+        inflection = (1.0 + shape) ** (1.0 / shape) / b
+        good = ExponentialDiagram(shape=shape, **common,
+                                  rho_max=rng.uniform(1.01 / b, 0.99 * inflection))
+        report = validate_assumptions(good)
         assert report.passed, [ck.name for ck in report.checks if not ck.passed]
 
-        eps = rng.uniform(0.002, 0.01)
-        omega = np.sqrt(2.0 * a / c / eps) * rng.uniform(1.6, 2.5)
-        bad = TabulatedDiagram.sample(
-            lambda r: a * r * (1.0 - r / c) + eps * np.sin(omega * r),
-            lambda r: a * (1.0 - 2.0 * r / c) + eps * omega * np.cos(omega * r),
-            lambda r: -2.0 * a / c * np.ones_like(np.asarray(r, dtype=float))
-                      - eps * omega ** 2 * np.sin(omega * r),
-            rho_max=0.9 * c, n=801)
-        report = validate_assumptions(bad, n_samples=801)
-        assert not report.passed
-        assert "strict_concavity" in {ck.name for ck in report.checks
-                                      if not ck.passed and not ck.skipped}
+        for bad, where in ((ExponentialDiagram(shape=shape, **common,
+                                               rho_max=rng.uniform(1.01, 2.0) * inflection),
+                            inflection),
+                           (ExponentialDiagram(shape=rng.uniform(1.01, 3.0), **common,
+                                               rho_max=rng.uniform(1.01, 3.0) / b), 0.0)):
+            failed = [ck for ck in validate_assumptions(bad).checks if not ck.passed]
+            assert [ck.name for ck in failed] == ["strict_concavity"]
+            assert failed[0].where == pytest.approx((where,), rel=1e-12)
+            # f'' vanishes at the reported point
+            assert bad.flow_curvature(where) == pytest.approx(0.0, abs=1e-12)
     return n_cases
 
 

@@ -12,14 +12,19 @@ Proves:
       a run whose densities pass delta (a = 1) keeps its pinned SHA-256
   4.  two runs of the same config produce byte-identical files
   5.  compare_runs of a directory against itself is exactly zero
-  6.  certify() reports the failing curvature margin without raising
+  6.  certify() reports the failing curvature margin without raising;
+      certify and report.txt both carry the diagram's exact single_flow_peak
+      and strict_concavity verdicts: pass on the presets, a non-concave
+      free run (rho_max 2.5) reports strict_concavity FAIL and exits 0, a
+      diagram with no peak (rho_max 0.9) is certified as failing and its
+      run exits 2
   7.  the CLI returns 0 on clean runs, 2 on usage errors, and prints one
       status line per law; a compare of a run directory with a missing,
       truncated or incomplete file, a run into an existing file and a
       fixed-law run with sigma * horizon past log(float max) exit 2 with an
       error line and no traceback; the [project.scripts] entry
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
-      runs as its own process
+      runs as its own process; a preset run imports no scipy module
   8.  a non-finite float in any config key, a gain outside its window, a
       strict calibration failure, keys under [DEFAULT] and each removed
       key ([diagram] kind, [oracle] scheme, dt, escape_factor) all exit 2
@@ -283,6 +288,44 @@ class TestCertify:
         assert "1.42857" in text  # 1/(L rho_star)
 
 
+class TestDiagramConditions:
+    """The family's exact conditions, reported by certify and report.txt alike."""
+
+    def test_presets_pass(self, quick_free):
+        res, _ = quick_free
+        text = open(os.path.join(res.law("free_inlet").directory, "report.txt")).read()
+        for name in PRESETS:
+            cert = runner.certify(preset(name))
+            for check in ("single_flow_peak", "strict_concavity"):
+                assert f"  diagram {check}: pass" in cert and f"  diagram {check}: pass" in text
+
+    def test_non_concave_free_run_reports_but_runs(self, tmp_path, capsys):
+        cfg = with_overrides(preset("paper-sec5-free"), rho_max=2.5)
+        path = str(tmp_path / "c.ini")
+        save_config(cfg, path)
+        out = str(tmp_path / "o")
+        assert cli.main(["run", "--config", path, "--out", out]) == 0
+        assert "free_inlet: ok" in capsys.readouterr().out
+        assert cli.main(["certify", "--config", path]) == 0
+        cert = capsys.readouterr().out
+        report = open(os.path.join(out, "free_inlet", "report.txt")).read()
+        for text in (cert, report):
+            assert "  diagram single_flow_peak: pass" in text
+            assert "  diagram strict_concavity: FAIL" in text
+
+    def test_no_peak_is_certified_as_failing_and_refused_by_run(self, tmp_path, capsys):
+        cfg = with_overrides(preset("paper-sec5-free"), **QUICK, rho_max=0.9,
+                             profile_kind="uniform", uniform_value=0.8)
+        path = str(tmp_path / "c.ini")
+        save_config(cfg, path)
+        assert cli.main(["certify", "--config", path]) == 0
+        assert "  diagram single_flow_peak: FAIL" in capsys.readouterr().out
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+        assert "no interior critical density" in capsys.readouterr().err
+        assert not (out / "free_inlet" / "density.csv").exists()
+
+
 class TestCli:
     def test_run_returns_zero(self, tmp_path, capsys):
         rc = cli.main(["run", "--preset", "paper-sec5-free", "--out",
@@ -423,6 +466,21 @@ class TestCli:
         err = self.assert_error_exit(tmp_path, "run", "--config", str(path),
                                      "--out", str(tmp_path / "o"))
         assert "sigma * horizon = 720 exceeds" in err
+
+    def test_run_imports_no_scipy(self, tmp_path):
+        # numpy is the one runtime dependency; a full preset run in its own
+        # process must not import scipy, not even lazily
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from vslcontrol.cli import main; "
+             "rc = main(['run', '--preset', 'paper-sec5-free', '--out', 'o']); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+             "sys.exit(rc)"],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "free_inlet: ok" in proc.stdout
+        assert proc.stdout.rstrip().endswith("[]"), proc.stdout
 
     def test_console_script_entry_point(self, tmp_path):
         # An installed `vslcontrol` script is only the wrapper pip generates
