@@ -13,13 +13,18 @@ Output layout (per run directory):
     <law>/report.txt          certification, constants, invariant summary
     <law>/oracle/…            oracle trace + gaps.csv  (when enabled)
 
-All floats are printed with 17 significant digits, which round-trips
-float64 exactly; identical configs therefore produce bit-identical files.
-The long-format files take one %-format and one write per time row, with
-the x column formatted once per file into the row template; limits.csv
-reuses control.csv's rows when the limits equal the controls bit for bit
-(vsl_sensitivity = 0).  The other CSV files are column tables written by
-`_write_columns`.
+All floats are printed as FMT = "%.17g", 17 significant digits, which
+round-trips float64 exactly; identical configs therefore produce
+bit-identical files.  `csvformat.format_block` formats a block of values at
+once: for 1e-4 <= |v| < 1e17, where %.17g prints fixed notation, the
+digits come from exact vectorised arithmetic, and every other value (0,
+-0.0, subnormal, smaller or larger, nan, inf) goes through FMT % v one at a
+time.  Either way the bytes are those of FMT % v.  The long-format files
+format the x column and the times once per file and the grid in blocks of
+whole time rows, about _WRITE_BLOCK values each, written as one buffer;
+limits.csv gets control.csv's bytes when the limits equal the controls bit
+for bit (vsl_sensitivity = 0).  The other CSV files are column tables
+written by `_write_columns` through the same formatter.
 The run exits nonzero if any runtime invariant check fails.
 """
 
@@ -38,13 +43,14 @@ from .config import (RunConfig, build_diagram, build_free_gain,
                      build_oracle_settings, build_picard, build_scenario,
                      save_config)
 from .errors import VslControlError
-from .fundamental_diagram import CheckResult, ExponentialDiagram, shape_checks, speed_limits
+from .fundamental_diagram import (HEAP_BLOCK, CheckResult, ExponentialDiagram,
+                                  shape_checks, speed_limits)
 from .picard import PicardSettings
 from .profile import DensityProfile, Scenario
 from .quadrature import cumulative_trapezoid
 from .trace import SimulationTrace
 
-FMT = "%.17g"
+FMT = "%.17g"  # the CSV float format; csvformat writes exactly its bytes
 
 
 @dataclass(frozen=True)
@@ -247,39 +253,48 @@ def _u_gap_check(trace: SimulationTrace, tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 # artifact writers
 
+# values per written block.  Formatting and line assembly hold about 180
+# bytes per value at once: 0.6 MB for a block of fine-grid rows, less than
+# speed_limits holds on the same field (1.4 MB), so the writers do not set
+# a run's peak memory.
+_WRITE_BLOCK = HEAP_BLOCK // 2
+
+
 def _write_long(path: str, header: str, times: np.ndarray, x: np.ndarray,
                 grid: np.ndarray, twin: tuple[str, str] | None = None) -> None:
     """One CSV row t,x,value per grid entry, t-major; `twin`, a (path,
     header) pair, names a second file that gets the same rows under its
     own header."""
-    # The row template holds the formatted x column, a %s for the row's t
-    # string at the start of each line and FMT for each value; FMT gives
-    # the same bytes for a Python float as for a numpy float64.  Rows are
-    # converted one at a time, so no Python-float copy of the grid exists.
-    row_fmt = "%s" + "%s".join(f",{FMT % xi},{FMT}\n" for xi in x.tolist())
-    args = [None] * (2 * x.size)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh, \
-            (open(twin[0], "w", encoding="utf-8", newline="\n") if twin
-             else contextlib.nullcontext()) as th:
-        fh.write(header + "\n")
-        if twin:
-            th.write(twin[1] + "\n")
-        for t, row in zip(times.tolist(), grid):
-            args[0::2] = [FMT % t] * x.size
-            args[1::2] = row.tolist()
-            line = row_fmt % tuple(args)
-            fh.write(line)
-            if twin:
-                th.write(line)
+    # x and t are formatted once per file; the grid in blocks of whole
+    # time rows, about _WRITE_BLOCK values each, written as one buffer
+    from . import csvformat  # loaded on the first write, see csvformat
+    xs, ts = csvformat.format_block(x), csvformat.format_block(times)
+    rows = max(1, _WRITE_BLOCK // max(x.size, 1))
+    targets = [(path, header)] + ([twin] if twin else [])
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "wb")) for p, _ in targets]
+        for fh, (_, head) in zip(files, targets):
+            fh.write(head.encode("utf-8") + b"\n")
+        for s in range(0, times.size, rows):
+            block = grid[s:s + rows]
+            vs = csvformat.format_block(block)
+            buf = csvformat.join_lines(ts[s:s + rows, None], xs,
+                                       vs.reshape(block.shape + vs.shape[-1:]))
+            for fh in files:
+                fh.write(buf)
 
 
 def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
     """One CSV row per index of the equal-length columns, each cell in FMT."""
-    row_fmt = ",".join([FMT] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        rows = zip(*(np.asarray(c).tolist() for c in columns))
-        fh.writelines(row_fmt % row for row in rows)
+    from . import csvformat  # loaded on the first write, see csvformat
+    table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+    rows = max(1, _WRITE_BLOCK // table.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        for s in range(0, table.shape[0], rows):
+            block = table[s:s + rows]
+            cells = csvformat.format_block(block).reshape(block.shape + (-1,))
+            fh.write(csvformat.join_lines(*(cells[:, j] for j in range(block.shape[1]))))
 
 
 def _write_trace(out: str, diagram: ExponentialDiagram, trace: SimulationTrace) -> None:
@@ -418,23 +433,39 @@ def _read_table(path: str, columns: int) -> np.ndarray:
 
 
 def _read_long(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The times, nodes and (times, nodes) values of a long-format file."""
     data = _read_table(path, 3)
     times, x = np.unique(data[:, 0]), np.unique(data[:, 1])
     # rows are written t-major with x ascending; verify rather than assume
-    if (data.shape[0] != times.size * x.size
-            or not np.array_equal(data[:, 0].reshape(times.size, x.size)[:, 0], times)):
+    if data.shape[0] != times.size * x.size:
+        raise VslControlError(f"{path} does not hold one row per (t, x) pair")
+    if not np.all(data[:, 0].reshape(times.size, x.size) == times[:, None]):
         raise VslControlError(f"unexpected row order in {path}")
+    if not np.all(data[:, 1].reshape(times.size, x.size) == x):
+        raise VslControlError(f"the x column of {path} is not the node grid in every time row")
     return times, x, data[:, 2].reshape(times.size, x.size)
+
+
+def _expect_same(path: str, name: str, got: np.ndarray, want: np.ndarray) -> None:
+    if not np.array_equal(got, want):
+        raise VslControlError(f"{path} does not hold the {name} of density.csv")
 
 
 def load_trace(directory: str) -> SimulationTrace:
     """Rebuild a SimulationTrace from a run directory's CSV files.
 
-    A missing, truncated or malformed file raises VslControlError naming it.
+    A missing, truncated or malformed file raises VslControlError naming it,
+    and so does a file whose times (or, for control.csv, nodes) are not
+    those of density.csv.
     """
     times, x, rho = _read_long(os.path.join(directory, "density.csv"))
-    _, _, u = _read_long(os.path.join(directory, "control.csv"))
-    flows = _read_table(os.path.join(directory, "flows.csv"), 3)
+    cpath = os.path.join(directory, "control.csv")
+    ctimes, cx, u = _read_long(cpath)
+    _expect_same(cpath, "times", ctimes, times)
+    _expect_same(cpath, "node grid", cx, x)
+    fpath = os.path.join(directory, "flows.csv")
+    flows = _read_table(fpath, 3)
+    _expect_same(fpath, "times", flows[:, 0], times)
     mpath = os.path.join(directory, "metadata.json")
     try:
         with open(mpath, "r", encoding="utf-8") as fh:
@@ -443,7 +474,11 @@ def load_trace(directory: str) -> SimulationTrace:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise VslControlError(f"cannot read {mpath}: {type(exc).__name__} {exc}") from exc
     bpath = os.path.join(directory, "bottleneck.csv")
-    bott = _read_table(bpath, 2)[:, 1] if os.path.exists(bpath) else None
+    bott = None
+    if os.path.exists(bpath):
+        table = _read_table(bpath, 2)
+        _expect_same(bpath, "times", table[:, 0], times)
+        bott = table[:, 1]
     return SimulationTrace(
         times=times, x=x, rho=rho, u=u, rho_star=rho_star,
         inlet_flow=flows[:, 1], outlet_flow=flows[:, 2],

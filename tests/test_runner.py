@@ -20,9 +20,11 @@ Proves:
       run exits 2
   7.  the CLI returns 0 on clean runs, 2 on usage errors, and prints one
       status line per law; a compare of a run directory with a missing,
-      truncated or incomplete file, a run into an existing file and a
-      fixed-law run with sigma * horizon past log(float max) exit 2 with an
-      error line and no traceback; the [project.scripts] entry
+      truncated or incomplete file, with density.csv rows out of x order,
+      with control.csv on another node grid, or with control.csv,
+      flows.csv or bottleneck.csv at other times, a run into an existing
+      file and a fixed-law run with sigma * horizon past log(float max)
+      exit 2 with an error line and no traceback; the [project.scripts] entry
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
       runs as its own process; a preset run imports no scipy module
   8.  a non-finite float in any config key, a gain outside its window, a
@@ -34,7 +36,14 @@ Proves:
       every benchmark workload passes its own check on one tiny case
  10.  the long-format and column-table writers give the bytes of a plain
       per-cell writer, for one and many rows, nodes and columns and for
-      -0.0, subnormal, huge, NaN and infinite values
+      -0.0, subnormal, huge, NaN and infinite values; the block formatter
+      equals "%.17g" % v byte for byte on over a million values (random
+      bits, log-uniform magnitudes, dyadic values and exact 17th-digit
+      ties, decimal-rounded values and their neighbours, powers of ten and
+      their neighbours, specials); on fine-grid-shaped density, control
+      and limit grids no value takes the per-value fallback, and on the
+      writer tests' specials exactly the values outside [1e-4, 1e17) do;
+      importing the package does not load the formatter, the first write does
  11.  every name in vslcontrol.__all__ resolves
 """
 
@@ -52,10 +61,11 @@ import pytest
 
 import vslcontrol
 from conftest import load_benchmark_module
-from vslcontrol import cli, runner
+from vslcontrol import cli, csvformat, fixed_inlet, free_inlet, runner
 from vslcontrol.config import (_FIELD_TYPES, _LAYOUT, ConfigError, PRESETS, RunConfig,
-                               load_config, parse_config, preset, save_config,
-                               serialize_config, with_overrides)
+                               build_picard, build_scenario, load_config, parse_config,
+                               preset, save_config, serialize_config, with_overrides)
+from vslcontrol.fundamental_diagram import speed_limits
 
 # short horizons need a looser terminal u-gap than the presets' long-run targets
 QUICK = dict(n_cells=60, horizon=3.0, snapshots=7,
@@ -442,6 +452,40 @@ class TestCli:
         err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
         assert "control.csv" in err
 
+    def test_compare_density_row_out_of_x_order(self, quick_free, run_copy, tmp_path):
+        # two nodes of the first time row swapped: read by sorted x, each of
+        # the two values would pair with the other's node
+        path = run_copy / "density.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_bytes(b"".join(lines))
+        original = quick_free[0].law("free_inlet").directory
+        err = self.assert_error_exit(tmp_path, "compare", original, str(run_copy))
+        assert "density.csv" in err and "node grid" in err
+
+    def test_compare_control_on_another_grid(self, quick_free, run_copy, tmp_path):
+        trace = runner.load_trace(str(run_copy))
+        runner._write_long(str(run_copy / "control.csv"), "t,x,u",
+                           trace.times, 2.0 * trace.x, trace.u)
+        original = quick_free[0].law("free_inlet").directory
+        err = self.assert_error_exit(tmp_path, "compare", original, str(run_copy))
+        assert "control.csv" in err and "node grid" in err
+
+    @pytest.mark.parametrize("name,columns", [("control.csv", None), ("flows.csv", 3),
+                                              ("bottleneck.csv", 2)])
+    def test_compare_file_at_other_times(self, run_copy, tmp_path, name, columns):
+        path = run_copy / name
+        if columns is None:
+            trace = runner.load_trace(str(run_copy))
+            runner._write_long(str(path), "t,x,u", trace.times + 1.0, trace.x, trace.u)
+        else:
+            header = path.read_text().splitlines()[0]
+            table = runner._read_table(str(path), columns)
+            table[:, 0] += 1.0
+            runner._write_columns(str(path), header, *table.T)
+        err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
+        assert name in err and "times" in err
+
     def test_compare_metadata_without_rho_star(self, run_copy, tmp_path):
         path = run_copy / "metadata.json"
         meta = json.loads(path.read_text())
@@ -603,6 +647,115 @@ class TestColumnWriter:
         runner._write_columns(str(got), header, *columns)
         self.reference(str(want), header, *columns)
         assert got.read_bytes() == want.read_bytes()
+
+
+class TestFormatBlock:
+    """csvformat.format_block against Python's own FMT, one value at a time."""
+
+    @staticmethod
+    def values() -> np.ndarray:
+        """Over a million values that stress each step of the exact path."""
+        rng = np.random.default_rng(20261019)
+        bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+        magnitudes = np.exp(rng.uniform(np.log(1e-8), np.log(1e18), 300_000))
+        magnitudes *= rng.choice([-1.0, 1.0], magnitudes.size)
+        k = np.arange(-60, 61, dtype=float)
+        dyadic = np.concatenate([2.0 ** k, 3.0 * 2.0 ** k, 5.0 * 2.0 ** k,
+                                 1.0 + 2.0 ** -k[k > 0], 1.0 - 2.0 ** -k[k > 0]])
+        # exact ties of the 17th digit: odd / 2**(17 - e) in [10**e, 10**(e + 1))
+        ties = []
+        for e in range(-4, 16):
+            j = 17 - e
+            lo, hi = int(10.0 ** e * 2 ** j), min(int(10.0 ** (e + 1) * 2 ** j), 2 ** 53)
+            odd = rng.integers(lo // 2, hi // 2, 5000) * 2 + 1
+            ties.append(np.ldexp(odd.astype(float), -j))
+        rounded = np.array([round(m, int(d)) for m, d in zip(
+            (rng.uniform(-1.0, 1.0, 150_000) * 10.0 ** rng.integers(-4, 17, 150_000)).tolist(),
+            rng.integers(1, 18, 150_000))])
+        edges = np.concatenate([10.0 ** np.arange(-5, 19), -10.0 ** np.arange(-5, 19)])
+        steps = [edges]
+        for _ in range(8):
+            steps = ([np.nextafter(steps[0], 0.0)] + steps
+                     + [np.nextafter(steps[-1], np.inf * edges)])
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf])
+        parts = [bits, magnitudes, dyadic, -dyadic, *ties, rounded,
+                 np.nextafter(rounded, np.inf), np.nextafter(rounded, -np.inf), *steps, specials]
+        return np.concatenate(parts)
+
+    @staticmethod
+    def format_rows(values: np.ndarray) -> list[bytes]:
+        out = []
+        for s in range(0, values.size, 65536):
+            rows = np.ascontiguousarray(csvformat.format_block(values[s:s + 65536]))
+            out.extend(rows.view(f"S{rows.shape[1]}").ravel().tolist())
+        return out
+
+    def test_equals_python_byte_for_byte(self):
+        values = self.values()
+        assert values.size >= 1_000_000
+        got = self.format_rows(values)
+        want = [(runner.FMT % v).encode("ascii") for v in values.tolist()]
+        if got != want:
+            bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+            pytest.fail(f"{len(bad)} values differ, such as {bad[:5]}")
+
+    def test_rows_are_left_aligned_and_padded_with_nul(self):
+        rows = csvformat.format_block(np.array([-1e16, 0.5, 1.0, np.nan]))
+        assert rows.dtype == np.uint8 and rows.shape[1] <= 24
+        text = [bytes(r).rstrip(b"\0") for r in rows]
+        assert text == [b"-10000000000000000", b"0.5", b"1", b"nan"]
+        assert all(b"\0" not in t for t in text)
+        assert csvformat.format_block(np.array([])).shape == (0, 0)
+
+    def test_loaded_on_the_first_write_only(self, tmp_path):
+        # a process that writes no CSV (the oracle workloads) neither loads
+        # the formatter nor builds its tables
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, numpy as np, vslcontrol; "
+             "print('vslcontrol.csvformat' in sys.modules); "
+             "vslcontrol.runner._write_columns('c.csv', 'a', np.ones(3)); "
+             "print('vslcontrol.csvformat' in sys.modules)"],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        scalar = csvformat.format_scalar
+
+        def counting(value):
+            calls.append(value)
+            return scalar(value)
+        monkeypatch.setattr(csvformat, "format_scalar", counting)
+        return calls
+
+    def test_fine_grid_fields_take_the_exact_path(self, counted, tmp_path):
+        cfg = RunConfig(law="both", n_cells=1600, horizon=60.0, snapshots=61,
+                        vsl_sensitivity=1.0, mode="override",
+                        bump_amplitude=3.5, bump_width=1.17)
+        scenario = build_scenario(cfg)
+        for law, module in (("free_inlet", free_inlet), ("fixed_inlet", fixed_inlet)):
+            trace = module.simulate(scenario, runner._build_gains(cfg, scenario, law),
+                                    build_picard(cfg))
+            limits = speed_limits(scenario.diagram, trace.rho, trace.u)
+            for grid in (trace.rho, trace.u, limits):
+                assert grid.shape == (61, 1601)
+                csvformat.format_block(grid)
+        assert counted == []
+        # a whole file: t = 0 and x = 0 are the only values outside, each formatted once
+        runner._write_long(str(tmp_path / "d.csv"), "t,x,density",
+                           trace.times, trace.x, trace.rho)
+        assert counted == [0.0, 0.0]
+
+    def test_specials_fall_back_exactly_when_outside(self, counted):
+        specials = TestLongWriter.SPECIALS
+        csvformat.format_block(np.array(specials))
+        outside = [v for v in specials if not 1e-4 <= abs(v) < 1e17]
+        assert [runner.FMT % v for v in counted] == [runner.FMT % v for v in outside]
+        assert len(outside) == len(specials) - 1
 
 
 def test_every_exported_name_resolves():
