@@ -148,9 +148,12 @@ class ExponentialDiagram:
         return out if out.ndim else float(out)
 
     def _vsl_flow_raw(self, r, l):
+        return self._limited_flow(self.flow_scale * r, self.density_scale * r, l)
+
+    def _limited_flow(self, ar, br, l):
+        """F(rho, l) from A rho and b rho, bit for bit: v / -shape is (-v) / shape."""
         s = 1.0 + self.vsl_sensitivity * (1.0 - l)
-        v = (self.density_scale * r / s) ** self.shape
-        return self.flow_scale * r * l * np.exp(-v / self.shape)
+        return ar * l * np.exp((br / s) ** self.shape / -self.shape)
 
     def _limit_slope(self, rho, limit):
         """dF/dl, used by the assumption checks."""
@@ -193,13 +196,15 @@ class ExponentialDiagram:
 
     @cached_property
     def max_abs_slope(self) -> float:
-        """max |f'| over [0, rho_max], estimated on a 2001-point grid.
+        """max |f'| over [0, rho_max], in closed form.
 
+        f' = A at rho = 0, falls until (b rho)^shape = 1 + shape, then rises
+        towards 0: the max is A or -f' at min((1 + shape)^(1/shape) / b, rho_max).
         Serves as the Lipschitz constant of f and as a safe wave-speed
         bound (the limit ratio never exceeds 1).
         """
-        grid = np.linspace(0.0, self.rho_max, 2001)
-        return float(np.max(np.abs(self.flow_slope(grid))))
+        infl = (1.0 + self.shape) ** (1.0 / self.shape) / self.density_scale
+        return float(max(self.flow_scale, -self.flow_slope(min(infl, self.rho_max))))
 
     def _check_density(self, rho) -> np.ndarray:
         r = np.asarray(rho, dtype=float)
@@ -212,11 +217,10 @@ class ExponentialDiagram:
             raise DomainError(f"density outside [0, {self.rho_max}]")
         return r
 
-    def _saturation_residual(self, rho: float, l) -> np.ndarray:
+    def _saturation_residual(self, k, l) -> np.ndarray:
+        """The saturation equation's residual, given k = shape / (b rho)^shape."""
         a = self.vsl_sensitivity
-        core = (self.density_scale * rho) ** self.shape
-        l = np.asarray(l, dtype=float)
-        return (1.0 + a * (1.0 - l)) ** self.shape * (1.0 + self.shape / core * np.log(l)) - 1.0
+        return (1.0 + a * (1.0 - l)) ** self.shape * (1.0 + k * np.log(l)) - 1.0
 
     def saturating_limit(self, rho):
         """Smallest limit ratio whose limited flow equals the unlimited flow.
@@ -232,15 +236,15 @@ class ExponentialDiagram:
         out = np.ones_like(r)
         mask = r > self.delta
         if np.any(mask):
-            rm = r[mask]
+            k = self.shape / (self.density_scale * r[mask]) ** self.shape
             grid = np.geomspace(1e-9, 1.0, 600)
             # the residual is 0 at l = 1, so every row has a hit; the scan
             # takes _SCAN_ROWS densities at a time, so its memory is bounded
             first = np.concatenate([
-                np.argmax(self._saturation_residual(rm[s:s + _SCAN_ROWS, None], grid) >= 0.0,
+                np.argmax(self._saturation_residual(k[s:s + _SCAN_ROWS, None], grid) >= 0.0,
                           axis=1)
-                for s in range(0, rm.size, _SCAN_ROWS)])
-            out[mask] = _bisect_all(lambda mid: self._saturation_residual(rm, mid) >= 0.0,
+                for s in range(0, k.size, _SCAN_ROWS)])
+            out[mask] = _bisect_all(lambda mid: self._saturation_residual(k, mid) >= 0.0,
                                     grid[np.maximum(first - 1, 0)], grid[first], 80)
         return out if out.ndim else float(out)
 
@@ -339,19 +343,24 @@ def _bisect_all(up: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.n
                 max_steps: int) -> np.ndarray:
     """Elementwise bisection midpoints after at most max_steps halvings.
 
-    up(mid) is True where the root lies in [lo, mid].  A step that moves
+    up(mid) is True where the root lies in [lo, mid].  Requires 0 <= lo <= hi,
+    so lo <= mid <= hi, and the branch-free ends fmin(hi, mid / go) and
+    maximum(lo, mid * ~go) are np.where(go, mid, hi) and np.where(go, lo, mid)
+    bit for bit: mid / 1 = mid, mid / 0 = inf or NaN (fmin skips NaN),
+    mid * 0 = +0.0 <= lo and mid * 1 = mid.  A step that moves
     neither end is a fixed point: every later step computes the same mid
     and the same side, so the loop stops there with the result of running
     all max_steps.  NaN never compares equal, so a NaN element runs them all.
     """
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        go_lo = up(mid)
-        new_lo = np.where(go_lo, lo, mid)
-        new_hi = np.where(go_lo, mid, hi)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_steps):
+            mid = 0.5 * (lo + hi)
+            go = up(mid)
+            new_lo = np.maximum(lo, mid * ~go)
+            new_hi = np.fmin(hi, mid / go)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
@@ -379,6 +388,8 @@ def speed_limits(diagram: ExponentialDiagram, rho: np.ndarray, u: np.ndarray) ->
         rp = rb[pos]
         hi = diagram.saturating_limit(rp)
         y = np.minimum(ob[pos] * diagram.flow(rp), diagram._vsl_flow_raw(rp, hi))
-        ob[pos] = _bisect_all(lambda mid: diagram._vsl_flow_raw(rp, np.maximum(mid, 1e-300)) >= y,
+        # hi >= 1e-9, so every mid >= hi * 2^-100 > 7e-40 stays positive
+        ar, br = diagram.flow_scale * rp, diagram.density_scale * rp
+        ob[pos] = _bisect_all(lambda mid: diagram._limited_flow(ar, br, mid) >= y,
                               np.zeros_like(rp), hi, 100)
     return out.reshape(r.shape)

@@ -31,10 +31,18 @@ Proves:
  12.  non-finite constructor fields, and A, b, shape or rho_max <= 0 or
       a < 0, are rejected with DomainError
  13.  saturating_limit and speed_limits stop their bisection at its fixed
-      point with the result of the full fixed-count loops; a step that
-      moves nothing stops the one bisection loop, a NaN element runs it out
+      point with the result of the full fixed-count loops, and controls
+      down to 1e-300 run the 100-step cap with the same bits as the loop
+      that floored mid at 1e-300; a step that moves nothing stops the one
+      bisection loop, a NaN element runs it out; its min/max ends give
+      np.where's midpoints bit for bit, capped or stopped; a fine-grid-
+      shaped field evaluates the predicate at most 55 times per block and
+      computes A rho and b rho once, outside the steps
  14.  the validator's limit check reports the first violation in
       row-major (rho, l) order
+ 15.  max_abs_slope, in closed form, is never below max |f'| on a
+      2,000,001-point grid and within 1e-12 of it, for shapes 0.5 to 8;
+      it is A exactly where the steepest descent is at rho = 0
 """
 
 import numpy as np
@@ -132,6 +140,23 @@ class TestCriticalDensity:
     def test_slope_changes_sign_around_it(self, diagram):
         r = diagram.critical_density
         assert diagram.flow_slope(r - 1e-4) > 0.0 > diagram.flow_slope(r + 1e-4)
+
+
+class TestMaxAbsSlope:
+    @pytest.mark.parametrize("shape,rho_max", [(0.5, 1.6), (1.0, 1.6), (2.0, 1.6),
+                                               (5.0, 1.6), (8.0, 1.9)])
+    def test_bounds_a_fine_grid(self, shape, rho_max):
+        # f' is steepest at rho = 0 up to shape 2 here; from shape 5 on, at
+        # the inflection density, which a 2001-point grid can miss
+        d = ExponentialDiagram(flow_scale=1.5, shape=shape, rho_max=rho_max)
+        fine = np.max(np.abs(d.flow_slope(np.linspace(0.0, rho_max, 2_000_001))))
+        assert d.max_abs_slope >= fine
+        assert d.max_abs_slope == pytest.approx(fine, rel=1e-12, abs=0.0)
+        coarse = np.max(np.abs(d.flow_slope(np.linspace(0.0, rho_max, 2001))))
+        if shape <= 2.0:
+            assert d.max_abs_slope == coarse == 1.5
+        else:
+            assert coarse < fine
 
 
 class TestDelta:
@@ -354,13 +379,19 @@ class TestBisectionFixedPoint:
         out = np.ones_like(r)
         mask = r > d.delta
         rm = r[mask]
+        a, shape = d.vsl_sensitivity, d.shape
+
+        def residual(rho, l):
+            core = (d.density_scale * rho) ** shape
+            return (1.0 + a * (1.0 - l)) ** shape * (1.0 + shape / core * np.log(l)) - 1.0
+
         grid = np.geomspace(1e-9, 1.0, 600)
-        first = np.argmax(d._saturation_residual(rm[:, None], grid[None, :]) >= 0.0, axis=1)
+        first = np.argmax(residual(rm[:, None], grid[None, :]) >= 0.0, axis=1)
         lo = np.where(first > 0, grid[np.maximum(first - 1, 0)], grid[0])
         hi = grid[first]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            up = d._saturation_residual(rm, mid) >= 0.0
+            up = residual(rm, mid) >= 0.0
             hi = np.where(up, mid, hi)
             lo = np.where(up, lo, mid)
         out[mask] = 0.5 * (lo + hi)
@@ -368,6 +399,7 @@ class TestBisectionFixedPoint:
 
     @classmethod
     def full_speed_limits(cls, d, rho, u):
+        # keeps the floor np.maximum(mid, 1e-300) that speed_limits dropped
         out = np.empty_like(rho)
         zero = rho <= 0.0
         out[zero] = u[zero]
@@ -384,27 +416,88 @@ class TestBisectionFixedPoint:
         return out
 
     @pytest.mark.parametrize("shape", [1.0, 2.0])
-    @pytest.mark.parametrize("rows", ["saturating", "below_delta", "mixed"])
+    @pytest.mark.parametrize("rows", ["saturating", "below_delta", "mixed", "tiny_u"])
     @pytest.mark.parametrize("size", [1, 257])
     def test_equals_fixed_count_loops(self, shape, rows, size, monkeypatch):
         d = ExponentialDiagram(vsl_sensitivity=1.0, shape=shape, rho_max=1.6)
         rng = np.random.default_rng(5)
         lo, hi = {"saturating": (d.delta * 1.001, 1.6), "below_delta": (0.1, d.delta),
-                  "mixed": (0.0, 1.6)}[rows]
+                  "mixed": (0.0, 1.6), "tiny_u": (0.0, 1.6)}[rows]
         rho = rng.uniform(lo, hi, size)
         u = rng.uniform(0.05, 1.0, size)
+        if rows == "tiny_u":
+            # rho on (0, 1.6], roots below hi * 2^-100: the loop runs its
+            # 100-step cap, with mid far above the reference's 1e-300 floor
+            rho, u = hi - rho, 10.0 ** rng.uniform(-300.0, -6.0, size)
         if size > 1:
             rho[0], u[1] = lo, 1.0
         want_sat = self.full_saturating_limits(d, rho[rho > 0.0])
         want = self.full_speed_limits(d, rho, u)
-        calls = []
-        raw = ExponentialDiagram._vsl_flow_raw
-        monkeypatch.setattr(ExponentialDiagram, "_vsl_flow_raw",
-                            lambda self, r, l: calls.append(1) or raw(self, r, l))
+        evals = count_evaluations(monkeypatch, 100)
         got = speed_limits(d, rho, u)
-        np.testing.assert_array_equal(got, want)
-        assert len(calls) < 100  # the 100-step loop stopped at its fixed point
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        if rows == "tiny_u":
+            assert evals == [100]
+        else:
+            assert len(evals) == 1 and evals[0] < 100  # stopped at its fixed point
         np.testing.assert_array_equal(d.saturating_limit(rho[rho > 0.0]), want_sat)
+
+    def test_branch_free_ends_equal_np_where(self):
+        # np.where's ends, the loop as it was, on brackets with lo = 0,
+        # lo == hi (0 included), subnormal hi and hi = 1, and a predicate
+        # that picks a side at random from mid's bits
+        def where_loop(up, lo, hi, max_steps):
+            for _ in range(max_steps):
+                mid = 0.5 * (lo + hi)
+                go = up(mid)
+                new_lo, new_hi = np.where(go, lo, mid), np.where(go, mid, hi)
+                if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                    break
+                lo, hi = new_lo, new_hi
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(17)
+        n = 1000
+        hi = np.concatenate([rng.uniform(0.0, 1.0, n), np.ones(n),
+                             5e-324 * rng.integers(0, 2 ** 20, n), 2.0 ** -1022 * rng.random(n),
+                             10.0 ** rng.uniform(-300.0, 0.0, n)])
+        hi[2 * n:2 * n + 5] = 0.0
+        lo = hi * rng.random(hi.size)
+        lo[::4] = 0.0
+        lo[1::5] = hi[1::5]
+        assert np.sum(lo == hi) >= n and np.sum((lo == 0.0) & (hi == 0.0)) > 0
+        for max_steps in (30, 1100):
+            mids = {}
+            for name, loop in (("where", where_loop), ("min_max", _bisect_all)):
+                seen = mids[name] = []
+
+                def up(mid):
+                    seen.append(mid.copy())
+                    bits = mid.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+                    return (bits >> np.uint64(40)) & np.uint64(1) == 1
+
+                seen.append(loop(up, lo.copy(), hi.copy(), max_steps))
+            assert len(mids["min_max"]) == len(mids["where"]) > 2
+            for a, b in zip(mids["min_max"], mids["where"]):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_a_fine_grid_field_costs_bounded_calls(self, monkeypatch):
+        # a 61 x 1601 field at a = 1 with the fine-grid workload's range of
+        # densities and controls is 12 blocks; each stops within 55
+        # predicate evaluations and calls _vsl_flow_raw once, for y: the
+        # steps evaluate F from A rho and b rho computed once per block
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        rng = np.random.default_rng(7)
+        rho = rng.uniform(0.7, 1.11, (61, 1601))
+        u = rng.uniform(0.9, 1.0, rho.shape)
+        evals = count_evaluations(monkeypatch, 100)
+        raw = []
+        flow = ExponentialDiagram._vsl_flow_raw
+        monkeypatch.setattr(ExponentialDiagram, "_vsl_flow_raw",
+                            lambda self, r, l: raw.append(1) or flow(self, r, l))
+        speed_limits(d, rho, u)
+        assert len(evals) == len(raw) == -(-rho.size // fundamental_diagram.HEAP_BLOCK) == 12
+        assert max(evals) <= 55
 
     def test_only_a_step_that_moves_nothing_stops(self):
         calls = []
@@ -420,6 +513,25 @@ class TestBisectionFixedPoint:
         calls.clear()
         _bisect_all(up, np.array([0.25, 0.0]), np.array([0.25, np.nan]), 50)
         assert len(calls) == 50
+
+
+def count_evaluations(monkeypatch, max_steps):
+    """How often each call of _bisect_all with max_steps evaluates its predicate."""
+    counts = []
+    bisect = fundamental_diagram._bisect_all
+
+    def counted(up, lo, hi, steps):
+        if steps != max_steps:
+            return bisect(up, lo, hi, steps)
+        counts.append(0)
+
+        def counted_up(mid):
+            counts[-1] += 1
+            return up(mid)
+        return bisect(counted_up, lo, hi, steps)
+
+    monkeypatch.setattr(fundamental_diagram, "_bisect_all", counted)
+    return counts
 
 
 def test_no_critical_density_raises():
