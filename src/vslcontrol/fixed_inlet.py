@@ -105,25 +105,36 @@ class FixedInletGains:
 
         u is exactly 1 at x = 0 on admissible data.  Every evaluation runs
         the diagram's domain check and raises StateEscapeError when the flow
-        vanishes or u leaves (0, 1 + u_tol]; u is clipped to 1.
+        vanishes or u leaves (0, 1 + u_tol]; u is clipped to 1.  u and
+        f(rho) live in buffers bound here: they are valid until the next
+        call of evaluate.
         """
         budget = _flow_budget(self, diagram, x)
-        rho_star, flow, dx, ceiling = self.rho_star, diagram.flow, np.diff(x), 1.0 + u_tol
+        rho_star, dx, ceiling = self.rho_star, np.diff(x), 1.0 + u_tol
+        u, fv, work = np.empty(x.size), np.empty(x.size), np.empty(x.size)
 
         def evaluate(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
-            dev = rho - rho_star
-            top = budget(running_trapezoid(dx, dev), float(np.abs(dev).max()))
-            fv = np.asarray(flow(rho), dtype=float)
-            # fmin/fmax skip NaN exactly as the elementwise comparisons do
-            if np.fmin.reduce(fv) <= 0.0:
+            lo, hi = diagram.density_range(rho)
+            # fl(rho_i - rho_star) is monotone in rho_i, so the sup of
+            # |rho - rho_star| sits at the state's min or max, exactly
+            sup = max(abs(lo - rho_star), abs(hi - rho_star))
+            np.subtract(rho, rho_star, out=work)
+            budget(running_trapezoid(dx, work, out=u), sup, out=u, scratch=work)
+            diagram.flow_into(rho, fv, work)
+            # fmin/fmax skip NaN exactly as the elementwise comparisons do.
+            # f is NaN only at a negative density under a fractional shape,
+            # so on a nonnegative state argmin/argmax, a third of the cost,
+            # find the same extremes
+            least, most = (np.fmin.reduce, np.fmax.reduce) if lo < 0.0 else (_least, _most)
+            if least(fv) <= 0.0:
                 raise StateEscapeError("flow vanished; control undefined")
-            u = top / fv
-            if np.fmin.reduce(u) <= 0.0 or np.fmax.reduce(u) > ceiling:
+            np.divide(u, fv, out=u)
+            if least(u) <= 0.0 or most(u) > ceiling:
                 bad = (u <= 0.0) | (u > ceiling)
                 i = int(np.argmax(np.where(bad, np.abs(u - 0.5), -1.0)))
                 raise StateEscapeError(
                     f"control {u[i]:.6g} left (0, 1] at x = {x[i]:.6g}; profile not admissible")
-            return np.minimum(u, 1.0), fv, None
+            return np.minimum(u, 1.0, out=u), fv, None
 
         return evaluate
 
@@ -438,13 +449,29 @@ def _gathered_max(gJ: np.ndarray, xs: np.ndarray, ds: np.ndarray, start: np.ndar
         s = e
 
 
+def _least(a: np.ndarray) -> float:
+    return a.item(a.argmin())
+
+
+def _most(a: np.ndarray) -> float:
+    return a.item(a.argmax())
+
+
 def _flow_budget(gains: FixedInletGains, diagram: ExponentialDiagram, x: np.ndarray
-                 ) -> Callable[[np.ndarray, float], np.ndarray]:
+                 ) -> Callable[..., np.ndarray]:
     """(D, S) -> f(rho_star) + sigma D - (gamma x^2 / 2) S on the nodes x.
 
-    f(rho_star) and gamma x^2 / 2 are computed here, once per grid.
+    f(rho_star) and gamma x^2 / 2 are computed here, once per grid.  The
+    budget is written into out and (gamma x^2 / 2) S into scratch when
+    they are given; out may be D itself.
     """
     f_star = float(diagram.flow(gains.rho_star))
     sigma = gains.sigma
     quad = 0.5 * gains.gamma * x ** 2
-    return lambda node_integrals, sup: f_star + sigma * node_integrals - quad * sup
+
+    def budget(node_integrals, sup, out=None, scratch=None):
+        out = np.multiply(sigma, node_integrals, out=out)
+        np.add(f_star, out, out=out)
+        return np.subtract(out, np.multiply(quad, sup, out=scratch), out=out)
+
+    return budget

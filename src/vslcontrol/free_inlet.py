@@ -95,18 +95,26 @@ class FreeInletGain:
         The bottleneck index is the smallest minimizer of f(rho) M, where
         u equals 1 exactly.  u never exceeds 1 by construction, so u_tol is
         accepted only to share the fixed law's signature.  Every evaluation
-        runs the diagram's domain check and the positivity check.
+        runs the diagram's domain check and the positivity check.  u and
+        f(rho) live in buffers bound here: they are valid until the next
+        call of evaluate.
         """
-        k, rho_star, flow, dx = self.gain, self.rho_star, diagram.flow, np.diff(x)
+        k, rho_star, dx = self.gain, self.rho_star, np.diff(x)
+        u, fv, work = np.empty(x.size), np.empty(x.size), np.empty(x.size)
 
         def evaluate(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-            fv = np.asarray(flow(rho), dtype=float)
-            weighted = fv / (1.0 + k * running_trapezoid(dx, rho - rho_star))
+            diagram.density_range(rho)
+            diagram.flow_into(rho, fv, work)
+            np.subtract(rho, rho_star, out=work)
+            # u holds k D, then 1 + k D, then the weighted flow f M, then u
+            np.multiply(k, running_trapezoid(dx, work, out=u), out=u)
+            np.add(1.0, u, out=u)
+            weighted = np.divide(fv, u, out=u)
             idx = int(weighted.argmin())
             value = float(weighted[idx])
             if value <= 0.0:
                 raise StateEscapeError("weighted flow lost positivity")
-            return value / weighted, fv, idx
+            return np.divide(value, weighted, out=u), fv, idx
 
         return evaluate
 

@@ -109,9 +109,22 @@ class ExponentialDiagram:
     # f(rho) = A rho exp(-(b rho)^shape / shape)
     def flow(self, rho):
         r = self._check_density(rho)
-        v = (self.density_scale * r) ** self.shape
-        out = self.flow_scale * r * np.exp(-v / self.shape)
+        out = self.flow_into(r, np.empty_like(r), np.empty_like(r))
         return out if out.ndim else float(out)
+
+    def flow_into(self, r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """f(r) written into out, with work as scratch; returns out.
+
+        Unchecked: the caller has run density_range on r.  The one formula
+        of f: flow allocates the two arrays, a bound law reuses its own.
+        -v / shape is v / -shape bit for bit.
+        """
+        np.multiply(self.density_scale, r, out=work)
+        work **= self.shape
+        np.divide(work, -self.shape, out=work)
+        np.exp(work, out=work)
+        np.multiply(self.flow_scale, r, out=out)
+        return np.multiply(out, work, out=out)
 
     # f'(rho) = A exp(-(b rho)^shape / shape) (1 - (b rho)^shape)
     def flow_slope(self, rho):
@@ -199,22 +212,52 @@ class ExponentialDiagram:
         """max |f'| over [0, rho_max], in closed form.
 
         f' = A at rho = 0, falls until (b rho)^shape = 1 + shape, then rises
-        towards 0: the max is A or -f' at min((1 + shape)^(1/shape) / b, rho_max).
+        towards 0: the max is A or -f' at min(inflection_density, rho_max).
         Serves as the Lipschitz constant of f and as a safe wave-speed
         bound (the limit ratio never exceeds 1).
         """
-        infl = (1.0 + self.shape) ** (1.0 / self.shape) / self.density_scale
-        return float(max(self.flow_scale, -self.flow_slope(min(infl, self.rho_max))))
+        return float(max(self.flow_scale,
+                         -self.flow_slope(min(self.inflection_density, self.rho_max))))
+
+    @cached_property
+    def inflection_density(self) -> float:
+        """(1 + shape)^(1/shape) / b, where f'' = 0 and f' is least."""
+        return (1.0 + self.shape) ** (1.0 / self.shape) / self.density_scale
+
+    def slope_bound(self, lo: float, hi: float) -> float:
+        """max |f'| over [lo, hi], a band inside [0, rho_max], in closed form.
+
+        f' falls up to the inflection density and rises after it, so |f'|
+        is monotone or V-shaped on a band without it and peaks at an end;
+        a band that holds it peaks there, at -f'(inflection_density).  The
+        points go through flow_slope as one array, whose power and exp
+        round as on any grid of the band (a numpy scalar's power may not).
+        """
+        infl = self.inflection_density
+        points = [lo, hi, infl] if lo <= infl <= hi else [lo, hi]
+        return float(np.max(np.abs(self.flow_slope(np.array(points)))))
+
+    def density_range(self, r: np.ndarray) -> tuple[float, float]:
+        """(min, max) of the nonempty float array r, which must lie in [0, rho_max].
+
+        The one density-domain rule: entries may stray DENSITY_TOL_REL *
+        max(1, rho_max) outside the interval.  argmin and argmax point at
+        the first NaN if there is one, and NaN fails both comparisons, so
+        one pass each rejects every array holding a NaN or an entry out of
+        range, with DomainError.  (They cost a third of np.minimum.reduce
+        on an oracle-sized state.)
+        """
+        lo = r.item(r.argmin())
+        hi = r.item(r.argmax())
+        tol = DENSITY_TOL_REL * max(1.0, self.rho_max)
+        if not (lo >= -tol and hi <= self.rho_max + tol):
+            raise DomainError(f"density outside [0, {self.rho_max}]")
+        return lo, hi
 
     def _check_density(self, rho) -> np.ndarray:
         r = np.asarray(rho, dtype=float)
-        tol = DENSITY_TOL_REL * max(1.0, self.rho_max)
-        # min/max propagate NaN and NaN fails both comparisons, so this
-        # rejects every array holding a NaN or an entry below -tol or above
-        # rho_max + tol, in one pass each
-        if r.size and not (np.minimum.reduce(r, axis=None) >= -tol
-                           and np.maximum.reduce(r, axis=None) <= self.rho_max + tol):
-            raise DomainError(f"density outside [0, {self.rho_max}]")
+        if r.size:
+            self.density_range(r)
         return r
 
     def _saturation_residual(self, k, l) -> np.ndarray:

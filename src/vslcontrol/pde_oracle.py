@@ -12,17 +12,21 @@ fixed-inlet law holds rho(t, 0) = rho_star) has its inlet node frozen; the
 free-inlet law sets the inlet flow through u itself and needs no boundary
 pin.
 
-The law is bound to the oracle grid once per run (gains.controller), so a
-right-hand side pays only for what changes with the state: one evaluation
-of the law, with its domain and escape checks, and a slice stencil equal,
-operation for operation, to -np.gradient(q, h, edge_order=2).
+The law is bound to the oracle grid once per run (gains.controller), and
+the run binds its buffers once: the state, a stage state, the flux and
+k1..k4.  A right-hand side pays only for what changes with the state: one
+evaluation of the law, whose one min/max pass over the stage state serves
+its domain check (and the fixed law's sup norm), and a slice stencil equal,
+operation for operation, to -np.gradient(q, h, edge_order=2).  RK4 combines
+the stages in place with the operations of the textbook formula, so every
+bit is that of the plain loop.
 
 The time step is sized per output interval from the grid state alone:
 the state's density range at the start of the interval, widened by a fixed
 margin into a speed band, bounds the wave speed max|f'| that sets the CFL
 step.  A state that leaves its speed band during the interval sends the
-interval back to its start with a band wide enough to cover what was seen,
-so no step runs above the CFL cap.
+interval back to its start with a band rebuilt around the drift seen,
+extrapolated over the whole interval, so no step runs above the CFL cap.
 
 This module trades accuracy for independence: nothing here reuses the
 closed-form structure of the laws beyond the feedback formulas themselves.
@@ -41,11 +45,9 @@ from .trace import SimulationTrace, law_trace
 
 ORACLE_U_TOL = 1e-3  # discretization wiggle allowance on u <= 1
 # the speed band of an output interval is the state's range [lo, hi] widened
-# on each side by BAND_REL * (hi - lo) + BAND_ABS * rho_max; its max|f'| is
-# sampled at BAND_SAMPLES points
+# on each side by BAND_REL * (hi - lo) + BAND_ABS * rho_max
 BAND_REL = 0.1
 BAND_ABS = 1e-3
-BAND_SAMPLES = 257
 # a run diverges once its sup-norm deviation from rho_star exceeds
 # ESCAPE_FACTOR * max(initial sup deviation, 0.05 * rho_max)
 ESCAPE_FACTOR = 4.0
@@ -78,22 +80,26 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     scenario's road.  It is bound to the oracle grid once, by
     gains.controller; every stage then takes u and f(rho) from that bound
     law, which checks the density domain, the flow's positivity and the
-    range of u on each call.  The inlet node is frozen when
-    gains.pins_inlet.  The initial profile is linearly resampled onto the
-    oracle grid.
+    range of u on each call, from one min/max pass over the stage state.
+    The inlet node is frozen when gains.pins_inlet.  The initial profile
+    is linearly resampled onto the oracle grid.  The state, stage and
+    k1..k4 buffers are bound once per run.
 
     Each output interval gets its own uniform step.  The state's range
     [lo, hi] at the start of the interval, widened by
     BAND_REL * (hi - lo) + BAND_ABS * rho_max on each side, is its speed
-    band; s is max|f'| over the band clipped to [0, rho_max], sampled at
-    BAND_SAMPLES points, and the interval takes the fewest equal steps
-    with dt * s / h <= cfl_cap.  After every step the state's min and max
-    must stay inside the speed band; if they leave it, the interval is run
-    again from its start with the band rebuilt around everything seen.
+    band; s is max|f'| over the band clipped to [0, rho_max], in closed
+    form (ExponentialDiagram.slope_bound), and the interval takes the
+    fewest equal steps with dt * s / h <= cfl_cap.  After every step one
+    min/max pass gives the state's range, which must stay inside the speed
+    band.  If it leaves the band after m of n steps, the interval is run
+    again from its start with [lo, hi] widened to the range seen, its
+    drift from the start extrapolated by n / m.
 
     After each output interval the state must be finite and its sup-norm
     deviation from rho_star within the escape band (see ESCAPE_FACTOR),
-    or SolverDivergenceError is raised.  metadata records "steps", every
+    or SolverDivergenceError is raised; both checks read the range of the
+    step's min/max pass.  metadata records "steps", every
     step taken, those of discarded attempts included;
     "steps_per_interval", the steps of each interval's kept attempt;
     "redone_intervals", the number of discarded attempts; "cfl", the
@@ -117,8 +123,7 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
         whose states span [lo, hi]."""
         margin = BAND_REL * (hi - lo) + BAND_ABS * d.rho_max
         below, above = lo - margin, hi + margin
-        grid = np.linspace(max(below, 0.0), min(above, d.rho_max), BAND_SAMPLES)
-        s = float(np.max(np.abs(d.flow_slope(grid))))
+        s = d.slope_bound(max(below, 0.0), min(above, d.rho_max))
         n_steps = max(1, math.ceil(interval * s / (settings.cfl_cap * h)))
         if interval / n_steps * s / h > settings.cfl_cap:
             n_steps += 1  # the quotient above rounded down onto an integer
@@ -134,23 +139,37 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     two_h = 2.0 * h
     inlet_c = (1.5 / h, -2.0 / h, 0.5 / h)
     outlet_c = (-0.5 / h, 2.0 / h, -1.5 / h)
+    # the run's buffers, and the views the stencil reads and writes: the
+    # state, a stage state, the flux q and k1..k4
+    state, stage, q = np.empty(x.size), np.empty(x.size), np.empty(x.size)
+    k1, k2, k3, k4 = np.empty((4, x.size))
+    q_left, q_right, q_head, q_tail = q[:-2], q[2:], q[:3], q[-3:]
+    inner = [k[1:-1] for k in (k1, k2, k3, k4)]
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        u, fv, _ = law(state)
-        q = u * fv
-        out = np.empty_like(q)
-        out[1:-1] = (q[:-2] - q[2:]) / two_h
-        out[0] = 0.0 if pins else inlet_c[0] * q[0] + inlet_c[1] * q[1] + inlet_c[2] * q[2]
-        out[-1] = outlet_c[0] * q[-3] + outlet_c[1] * q[-2] + outlet_c[2] * q[-1]
-        return out
+    def rhs(at: np.ndarray, out: np.ndarray, interior: np.ndarray) -> None:
+        u, fv, _ = law(at)
+        np.multiply(u, fv, out=q)
+        np.divide(np.subtract(q_left, q_right, out=interior), two_h, out=interior)
+        if pins:
+            out[0] = 0.0
+        else:
+            q0, q1, q2 = q_head.tolist()
+            out[0] = inlet_c[0] * q0 + inlet_c[1] * q1 + inlet_c[2] * q2
+        q0, q1, q2 = q_tail.tolist()
+        out[-1] = outlet_c[0] * q0 + outlet_c[1] * q1 + outlet_c[2] * q2
 
-    def rk4_step(state: np.ndarray, dt: float) -> np.ndarray:
+    def rk4_step(dt: float) -> None:
+        """One RK4 step of the state, in place, with the operations of
+        state + (dt/6) (k1 + 2 k2 + 2 k3 + k4) and its stage states."""
         half_dt = 0.5 * dt
-        k1 = rhs(state)
-        k2 = rhs(state + half_dt * k1)
-        k3 = rhs(state + half_dt * k2)
-        k4 = rhs(state + dt * k3)
-        return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhs(state, k1, inner[0])
+        rhs(np.add(state, np.multiply(half_dt, k1, out=stage), out=stage), k2, inner[1])
+        rhs(np.add(state, np.multiply(half_dt, k2, out=stage), out=stage), k3, inner[2])
+        rhs(np.add(state, np.multiply(dt, k3, out=stage), out=stage), k4, inner[3])
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(state, np.multiply(dt / 6.0, k1, out=k1), out=state)
 
     rho_out = np.empty((targets.size, x.size))
     rho_out[0] = rho
@@ -158,34 +177,42 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     taken = 0
     redone = 0
     cfl = 0.0
+    # the range of the latest state: one min/max pass after every step
+    # serves the band check and, at an interval's end, the finite and
+    # escape checks
+    seen_lo, seen_hi = rho.item(rho.argmin()), rho.item(rho.argmax())
     for j in range(1, targets.size):
-        start = rho
-        lo, hi = float(start.min()), float(start.max())
+        lo0, hi0 = lo, hi = seen_lo, seen_hi
         while True:
             below, above, n_steps, s = plan(lo, hi)
             dt = interval / n_steps
-            rho = start
-            for _ in range(n_steps):
-                rho = rk4_step(rho, dt)
+            state[:] = rho_out[j - 1]
+            for m in range(1, n_steps + 1):
+                rk4_step(dt)
                 taken += 1
-                seen_lo, seen_hi = float(rho.min()), float(rho.max())
+                seen_lo, seen_hi = state.item(state.argmin()), state.item(state.argmax())
                 if seen_lo < below or seen_hi > above:
                     break
             else:
                 break
-            lo, hi = min(lo, seen_lo), max(hi, seen_hi)
+            # the attempt left its band after m of n_steps steps: extrapolate
+            # the drift seen over the whole interval
+            lo = min(lo, lo0 + (seen_lo - lo0) * n_steps / m)
+            hi = max(hi, hi0 + (seen_hi - hi0) * n_steps / m)
             redone += 1
         steps_per_interval.append(n_steps)
         cfl = max(cfl, dt * s / h)
-        if not np.all(np.isfinite(rho)):
+        # argmin and argmax point at a NaN if there is one, and at any infinity
+        if not (math.isfinite(seen_lo) and math.isfinite(seen_hi)):
             raise SolverDivergenceError(
                 f"state became non-finite near t = {targets[j]:.6g}")
-        worst = float(np.max(np.abs(rho - scenario.rho_star)))
-        if worst > escape or float(np.min(rho)) < -1e-9 * d.rho_max:
+        # fl(rho_i - rho_star) is monotone in rho_i: the sup sits at an end
+        worst = max(abs(seen_lo - scenario.rho_star), abs(seen_hi - scenario.rho_star))
+        if worst > escape or seen_lo < -1e-9 * d.rho_max:
             raise SolverDivergenceError(
                 f"deviation {worst:.3g} escaped the band {escape:.3g} "
                 f"near t = {targets[j]:.6g}")
-        rho_out[j] = rho
+        rho_out[j] = state
 
     trace = law_trace(
         gains, d, targets, x, rho_out, ORACLE_U_TOL, metadata={

@@ -14,14 +14,22 @@ def cumulative_trapezoid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return running_trapezoid(np.diff(x), y)
 
 
-def running_trapezoid(dx: np.ndarray, y: np.ndarray) -> np.ndarray:
+def running_trapezoid(dx: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
     """cumulative_trapezoid on the grid whose steps are dx = np.diff(x).
 
-    For callers that integrate on one grid many times and take dx once.
+    For callers that integrate on one grid many times and take dx once;
+    out, when given, is a float array like y, not y itself, that receives
+    the result.
     """
-    out = np.empty_like(np.asarray(y, dtype=float))
+    if out is None:
+        out = np.empty_like(np.asarray(y, dtype=float))
     out[0] = 0.0
-    (0.5 * (y[1:] + y[:-1]) * dx).cumsum(out=out[1:])
+    cells = out[1:]
+    np.add(y[1:], y[:-1], out=cells)
+    np.multiply(0.5, cells, out=cells)
+    np.multiply(cells, dx, out=cells)
+    np.add.accumulate(cells, out=cells)  # cumsum's loop, with less call overhead
     return out
 
 

@@ -1,7 +1,8 @@
 """Flow-density relationships.
 
 Proves:
-  1.  f(0) = 0 and the closed-form values at rho = 1, 0.7 (16 digits)
+  1.  f(0) = 0 and the closed-form values at rho = 1, 0.7 (16 digits); a
+      float gives the bits of a one-element array in every shape
   2.  vsl_flow at l = 1 equals flow bitwise; the a=1 reference value
   3.  critical density by bisection: exponential (= 1/density_scale),
       shape-2 family, and the non-concave members rho_max = 2.1 and 2.5;
@@ -43,6 +44,10 @@ Proves:
  15.  max_abs_slope, in closed form, is never below max |f'| on a
       2,000,001-point grid and within 1e-12 of it, for shapes 0.5 to 8;
       it is A exactly where the steepest descent is at rho = 0
+ 16.  slope_bound, max |f'| over a band in closed form, equals the max
+      over 257 samples bit for bit on 1000 random bands without the
+      inflection density, and -f' there on bands across it, which the
+      samples fall short of
 """
 
 import numpy as np
@@ -73,6 +78,14 @@ class TestExponentialFlow:
         r = np.array([0.0, 0.3, 1.0, 1.6])
         np.testing.assert_array_equal(diagram.flow(r),
                                       [diagram.flow(v) for v in r])
+
+    @pytest.mark.parametrize("shape", [0.5, 1.5, 2.0, 3.0])
+    def test_scalar_rounds_as_the_array_in_every_shape(self, shape):
+        # one formula on buffers: a float goes through numpy's array power
+        # and exp as a grid does, not through its scalar math
+        d = ExponentialDiagram(shape=shape, rho_max=12.0)
+        r = np.random.default_rng(5).uniform(0.0, 12.0, 2000)
+        assert [d.flow(v) for v in r] == d.flow(r).tolist()
 
     def test_out_of_range_density_rejected(self, diagram):
         with pytest.raises(DomainError):
@@ -566,6 +579,8 @@ class TestDensityCheck:
                     diagram._check_density(r)
             else:
                 assert diagram._check_density(r).shape == r.shape
+                if r.size:
+                    assert diagram.density_range(r) == (np.min(r), np.max(r))
         assert verdicts == {True, False}
 
 
@@ -586,3 +601,34 @@ class TestNonFiniteFields:
     def test_nonpositive(self, field, bad):
         with pytest.raises(DomainError):
             ExponentialDiagram(**{field: bad})
+
+
+class TestSlopeBound:
+    @staticmethod
+    def sampled(d, lo, hi):
+        """The band bound the oracle used before: max |f'| over 257 samples."""
+        return float(np.max(np.abs(d.flow_slope(np.linspace(lo, hi, 257)))))
+
+    @pytest.mark.parametrize("shape,rho_max", [(1.0, 1.6), (2.0, 1.6), (1.0, 2.5), (0.5, 12.0)])
+    def test_equals_the_samples_off_the_inflection(self, shape, rho_max):
+        d = ExponentialDiagram(shape=shape, rho_max=rho_max)
+        infl = d.inflection_density
+        rng = np.random.default_rng(15)
+        checked = 0
+        while checked < 1000:
+            lo, hi = np.sort(rng.uniform(0.0, rho_max, 2))
+            if lo <= infl <= hi:
+                continue
+            assert d.slope_bound(lo, hi) == self.sampled(d, lo, hi)
+            checked += 1
+
+    def test_peaks_at_the_inflection_inside_the_band(self):
+        d = ExponentialDiagram(rho_max=2.5)
+        assert d.inflection_density == 2.0
+        peak = -d.flow_slope(2.0)
+        rng = np.random.default_rng(16)
+        short = 0
+        for lo, hi in zip(rng.uniform(1.5, 2.0, 2000), rng.uniform(2.0, 2.5, 2000)):
+            assert d.slope_bound(lo, hi) == peak
+            short += self.sampled(d, lo, hi) < peak
+        assert short == 2000

@@ -14,15 +14,20 @@ Proves:
   6.  conservation bookkeeping: interior mass change matches boundary
       fluxes to discretization accuracy
   7.  records that are not laws, and laws for another road, are rejected
-  8.  the lean right-hand side (law bound once, slice stencil) gives the
-      same bits as a plain loop over gains.controls and np.gradient under
-      RK4, for both laws
-  9.  a bound law still runs its domain and escape checks on every call
+  8.  the lean right-hand side (law and buffers bound once, slice
+      stencil, RK4 in place) gives the same bits as a plain loop over
+      gains.controls and np.gradient under RK4, for both laws at 60, 400
+      and 800 cells and shapes 1 and 2; the checked ExponentialDiagram.flow
+      is called as often whatever the step count, so no stage goes back
+      to the allocating, separately checked flow
+  9.  a bound law still runs its domain and escape checks on every call;
+      the fixed law's checks skip a NaN flow as np.fmin does
   10. the automatic step is sized from the state's own density band: on
       criterion 07's free-law run the realised CFL stays under the cap with
       at most a fifth of the steps the global bound takes, and a state that
       leaves its band has its interval run again, step for step as the
-      plain loop with the kept per-interval steps
+      plain loop with the kept per-interval steps; a steady drift is
+      extrapolated over the interval, so it is redone a few times only
 """
 
 from dataclasses import fields
@@ -30,8 +35,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from vslcontrol import (DomainError, FreeInletGain, OracleSettings, Scenario,
-                        SolverDivergenceError, StateEscapeError, bump_profile,
+from vslcontrol import (DomainError, ExponentialDiagram, FreeInletGain, OracleSettings,
+                        Scenario, SolverDivergenceError, StateEscapeError, bump_profile,
                         fixed_inlet, free_inlet, pde_oracle, uniform_profile)
 from vslcontrol.config import (build_free_gain, build_oracle_settings, build_scenario,
                                preset, with_overrides)
@@ -180,16 +185,46 @@ def reference_rows(scenario, gains, n_cells, steps_per_interval):
 
 
 class TestLeanPath:
+    @pytest.mark.parametrize("shape", [1.0, 2.0])
+    @pytest.mark.parametrize("n_cells", [60, 400, 800])
     @pytest.mark.parametrize("law", ["free", "fixed"])
-    def test_bitwise_equal_to_plain_loop(self, diagram, free_gain, fixed_gains, law):
-        gains = free_gain if law == "free" else fixed_gains
-        p = bump_profile(1.0, 60, 0.7, amplitude=2.0)
-        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=p,
+    def test_bitwise_equal_to_plain_loop(self, law, n_cells, shape):
+        d = ExponentialDiagram(shape=shape, rho_max=1.6)
+        gains = (FreeInletGain(0.3, 1.0, 0.7) if law == "free"
+                 else fixed_inlet.calibrate(d, 0.7, 1.0, 0.12, 0.1, mode="override"))
+        p = bump_profile(1.0, n_cells, 0.7, amplitude=2.0)
+        sc = Scenario(diagram=d, length=1.0, rho_star=0.7, rho0=p,
                       horizon=1.0, output_interval=0.5)
-        tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=60))
-        ref = reference_rows(sc, gains, 60, tr.metadata["steps_per_interval"])
+        tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=n_cells))
+        ref = reference_rows(sc, gains, n_cells, tr.metadata["steps_per_interval"])
         assert np.array_equal(tr.rho[-1], ref[-1])
         assert np.array_equal(tr.rho, ref)
+
+    @pytest.mark.parametrize("law", ["free", "fixed"])
+    def test_checked_flow_calls_do_not_grow_with_the_steps(self, diagram, free_gain,
+                                                          fixed_gains, law, monkeypatch):
+        # the stages check the domain once each and evaluate f into bound
+        # buffers; a stage that called the checked, allocating flow again
+        # would add calls in proportion to the steps
+        gains = free_gain if law == "free" else fixed_gains
+        calls = []
+        checked_flow = ExponentialDiagram.flow
+
+        def counted(self, rho):
+            calls.append(1)
+            return checked_flow(self, rho)
+
+        monkeypatch.setattr(ExponentialDiagram, "flow", counted)
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=bump_profile(1.0, 400, 0.7), horizon=0.2, output_interval=0.1)
+        counts, steps = [], []
+        for cfl_cap in (0.4, 0.2):
+            calls.clear()
+            tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=400, cfl_cap=cfl_cap))
+            counts.append(len(calls))
+            steps.append(tr.metadata["steps"])
+        assert steps[1] > steps[0] >= 20
+        assert counts[0] == counts[1] <= 2
 
 
 class TestChecksEveryCall:
@@ -201,12 +236,32 @@ class TestChecksEveryCall:
         good = np.full(x.size, 0.7)
         u, fv, _ = evaluate(good)
         assert np.all(u == 1.0)
+        fv = fv.copy()  # the results are valid until the next call
         for bad_value in (1.7, -0.01):
             row = good.copy()
             row[30] = bad_value
             with pytest.raises(DomainError):
                 evaluate(row)
         np.testing.assert_array_equal(evaluate(good)[1], fv)
+
+    def test_fixed_law_skips_a_nan_flow(self):
+        # under shape 0.5, f is NaN at a density just below 0, inside the
+        # domain's tolerance: the flow and control checks skip it, as
+        # np.fmin and the elementwise comparisons do, and still see a zero
+        d = ExponentialDiagram(shape=0.5, rho_max=1.6)
+        gains = fixed_inlet.calibrate(d, 0.7, 1.0, 0.12, 0.1, mode="override")
+        x = np.linspace(0.0, 1.0, 61)
+        evaluate = gains.controller(d, x, pde_oracle.ORACLE_U_TOL)
+        row = np.full(x.size, 0.7)
+        row[10] = -1e-12
+        with np.errstate(invalid="ignore"):
+            u, fv, _ = evaluate(row)
+            assert np.isnan(fv[10]) and np.isnan(u[10])
+            rest = np.delete(u, 10)
+            assert np.all((rest > 0.0) & (rest <= 1.0))
+            row[20] = 0.0
+            with pytest.raises(StateEscapeError, match="flow vanished"):
+                evaluate(row)
 
     def test_fixed_law_escape_message(self, diagram, fixed_gains):
         x = np.linspace(0.0, 1.0, 101)
@@ -283,6 +338,22 @@ class TestBandStep:
         assert meta["steps"] > sum(meta["steps_per_interval"])
         assert meta["cfl"] <= settings.cfl_cap
         assert tr.rho.max() > 0.7 + pde_oracle.BAND_ABS * diagram.rho_max
+        ref = reference_rows(sc, law, 60, meta["steps_per_interval"])
+        assert np.array_equal(tr.rho, ref)
+
+    @pytest.mark.parametrize("slope,max_redone", [(0.5, 4), (0.05, 2)])
+    def test_drift_is_extrapolated_over_the_interval(self, diagram, slope, max_redone):
+        # rebuilding the band around the range seen alone redid 15 and 5
+        # intervals here, taking 114 and 54 steps to keep 25 and 24
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=uniform_profile(1.0, 60, 0.7), horizon=1.0, output_interval=0.5)
+        law = RampLaw(slope)
+        settings = OracleSettings(n_cells=60)
+        tr = pde_oracle.integrate(sc, law, settings)
+        meta = tr.metadata
+        assert 1 <= meta["redone_intervals"] <= max_redone
+        assert meta["steps"] <= 2 * sum(meta["steps_per_interval"]) + 10
+        assert meta["cfl"] <= settings.cfl_cap
         ref = reference_rows(sc, law, 60, meta["steps_per_interval"])
         assert np.array_equal(tr.rho, ref)
 
