@@ -23,8 +23,11 @@ through the family's exact conditions (`shape_checks`), the limit
 response on a density subgrid.
 Each limit operation has one elementwise path: `saturating_limit` gives
 l_sat, and `speed_limits` is the one inversion l(rho, u) of
-F(rho, l) = u f(rho).  Both bisect through `_bisect_all`; the scalar
-`_bisect` finds scalar roots such as the critical density.
+F(rho, l) = u f(rho).  Both bisect through `_bisect_all`.  Where
+l_sat = 1, `speed_limits` starts from the bracket of `warmstart.bracket`,
+whose docstring proves that the loop from [0, 1] passes through it, so
+every limit keeps its bits.  The scalar `_bisect` finds scalar roots such
+as the fixed law's slope reserve.
 """
 
 from __future__ import annotations
@@ -129,13 +132,15 @@ class ExponentialDiagram:
     # f'(rho) = A exp(-(b rho)^shape / shape) (1 - (b rho)^shape)
     def flow_slope(self, rho):
         r = self._check_density(rho)
-        v = (self.density_scale * r) ** self.shape
+        # a float goes through numpy's array power and exp, as in flow
+        v = (self.density_scale * np.atleast_1d(r)) ** self.shape
         out = self.flow_scale * np.exp(-v / self.shape) * (1.0 - v)
-        return out if out.ndim else float(out)
+        return out if r.ndim else float(out[0])
 
     # f''(rho) = -A exp(-(b rho)^shape / shape) (b rho)^shape (1 + shape - (b rho)^shape) / rho
     def flow_curvature(self, rho):
-        r = self._check_density(rho)
+        r0 = self._check_density(rho)
+        r = np.atleast_1d(r0)  # one rounding for floats and arrays, as in flow_slope
         v = (self.density_scale * r) ** self.shape
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(r > 0.0, v / np.where(r > 0.0, r, 1.0), 0.0)
@@ -149,7 +154,7 @@ class ExponentialDiagram:
                 lim = np.inf
             ratio = np.where(r == 0.0, lim, ratio)
         out = -self.flow_scale * np.exp(-v / self.shape) * ratio * (1.0 + self.shape - v)
-        return out if out.ndim else float(out)
+        return out if r0.ndim else float(out[0])
 
     def vsl_flow(self, rho, limit):
         """Flow under speed-limit ratio `limit`, F(rho, limit)."""
@@ -157,8 +162,8 @@ class ExponentialDiagram:
         l = np.asarray(limit, dtype=float)
         if _outside_unit(l, 1.0):
             raise DomainError("limit ratio must lie in (0, 1]")
-        out = self._vsl_flow_raw(r, l)
-        return out if out.ndim else float(out)
+        out = self._vsl_flow_raw(np.atleast_1d(r), l)  # one rounding, as in flow_slope
+        return out if r.ndim or l.ndim else float(out[0])
 
     def _vsl_flow_raw(self, r, l):
         return self._limited_flow(self.flow_scale * r, self.density_scale * r, l)
@@ -192,15 +197,13 @@ class ExponentialDiagram:
 
     @cached_property
     def critical_density(self) -> float:
-        """Unique rho_cr with f'(rho_cr) = 0, by bracketed bisection."""
-        slope0 = float(self.flow_slope(0.0))
-        slope1 = float(self.flow_slope(self.rho_max))
-        if slope0 <= 0.0:
+        """Unique rho_cr with f'(rho_cr) = 0: 1/b, where (b rho)^shape = 1."""
+        if float(self.flow_slope(0.0)) <= 0.0:
             raise AssumptionError("flow slope is not positive at rho = 0")
-        if slope1 >= 0.0:
+        if float(self.flow_slope(self.rho_max)) >= 0.0:
             raise AssumptionError("flow slope does not change sign on [0, rho_max]; "
                                   "no interior critical density")
-        return _bisect(lambda r: float(self.flow_slope(r)), 0.0, self.rho_max, slope0)
+        return 1.0 / self.density_scale
 
     @cached_property
     def capacity(self) -> float:
@@ -414,7 +417,9 @@ def speed_limits(diagram: ExponentialDiagram, rho: np.ndarray, u: np.ndarray) ->
     elementwise by bisection on (0, l_sat(rho)], the monotone branch.
     With vsl_sensitivity = 0 this is simply l = u.  Densities outside
     [0, rho_max] and controls outside (0, 1], NaN included, raise
-    DomainError.
+    DomainError.  Cells with l_sat = 1 skip the bisection steps whose
+    outcome is proven: they start from `warmstart.bracket`, whose docstring
+    has the proof, and end with the same bits as from [0, 1].
     """
     r, uu = np.broadcast_arrays(diagram._check_density(rho), np.asarray(u, dtype=float))
     if _outside_unit(uu, 1.0 + 1e-9):
@@ -425,14 +430,7 @@ def speed_limits(diagram: ExponentialDiagram, rho: np.ndarray, u: np.ndarray) ->
     out = np.minimum(uu.ravel(), 1.0)  # zero density carries zero flow; any ratio realizes it
     # HEAP_BLOCK cells at a time, so the bisection's arrays stay small
     # whatever the field's size; each cell's result is the same in any block
+    from . import warmstart  # loaded on the first use, see warmstart
     for s in range(0, out.size, HEAP_BLOCK):
-        rb, ob = r1[s:s + HEAP_BLOCK], out[s:s + HEAP_BLOCK]
-        pos = rb > 0.0
-        rp = rb[pos]
-        hi = diagram.saturating_limit(rp)
-        y = np.minimum(ob[pos] * diagram.flow(rp), diagram._vsl_flow_raw(rp, hi))
-        # hi >= 1e-9, so every mid >= hi * 2^-100 > 7e-40 stays positive
-        ar, br = diagram.flow_scale * rp, diagram.density_scale * rp
-        ob[pos] = _bisect_all(lambda mid: diagram._limited_flow(ar, br, mid) >= y,
-                              np.zeros_like(rp), hi, 100)
+        warmstart.limits_block(diagram, r1[s:s + HEAP_BLOCK], out[s:s + HEAP_BLOCK])
     return out.reshape(r.shape)

@@ -2,11 +2,13 @@
 
 Proves:
   1.  f(0) = 0 and the closed-form values at rho = 1, 0.7 (16 digits); a
-      float gives the bits of a one-element array in every shape
+      float gives the bits of a one-element array in every shape, for
+      flow, flow_slope, flow_curvature and vsl_flow
   2.  vsl_flow at l = 1 equals flow bitwise; the a=1 reference value
-  3.  critical density by bisection: exponential (= 1/density_scale),
-      shape-2 family, and the non-concave members rho_max = 2.1 and 2.5;
-      capacity, the flow there, is the flow's maximum on a fine grid
+  3.  critical density in closed form, exactly 1/density_scale:
+      exponential, shape-2 family, and the non-concave members rho_max =
+      2.1 and 2.5; capacity, the flow there, is the flow's maximum on a
+      fine grid
   4.  delta: a = 0 gives rho_max; a = 1 gives 1/(b a^(1/shape)); the
       below-threshold case keeps rho_max
   5.  saturating limit: 1 at/below delta, interior root above it; the
@@ -36,9 +38,11 @@ Proves:
       down to 1e-300 run the 100-step cap with the same bits as the loop
       that floored mid at 1e-300; a step that moves nothing stops the one
       bisection loop, a NaN element runs it out; its min/max ends give
-      np.where's midpoints bit for bit, capped or stopped; a fine-grid-
-      shaped field evaluates the predicate at most 55 times per block and
-      computes A rho and b rho once, outside the steps
+      np.where's midpoints bit for bit, capped or stopped; every call
+      stops before its cap but the cold call of tiny controls; on a
+      fine-grid-shaped field below delta at least 95 % of the cells start
+      warm, each warm call evaluates the predicate at most 16 times (14 here), and
+      A rho and b rho are computed once per block, outside the steps
  14.  the validator's limit check reports the first violation in
       row-major (rho, l) order
  15.  max_abs_slope, in closed form, is never below max |f'| on a
@@ -48,14 +52,25 @@ Proves:
       over 257 samples bit for bit on 1000 random bands without the
       inflection density, and -f' there on bands across it, which the
       samples fall short of
+ 17.  speed_limits' warm start keeps every bit of the loop from [0, 1]:
+      roots on dyadic points of levels 1 to 40 and one ulp to either side,
+      u = 1, rho = delta and its neighbours, roots below 2^-40 and rho near
+      0, for a in {0.3, 1, 2} and shape in {0.5, 1, 2, 3}; a wrong first
+      guess sends every cell back to [0, hi]; a process loads warmstart
+      on its first speed_limits call with a > 0, not before
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram, speed_limits,
                         validate_assumptions)
-from vslcontrol import fundamental_diagram
+from vslcontrol import fundamental_diagram, warmstart
 from vslcontrol.fundamental_diagram import DENSITY_TOL_REL, _bisect_all
 
 F_AT_1 = 0.3678794411714423216
@@ -81,11 +96,19 @@ class TestExponentialFlow:
 
     @pytest.mark.parametrize("shape", [0.5, 1.5, 2.0, 3.0])
     def test_scalar_rounds_as_the_array_in_every_shape(self, shape):
-        # one formula on buffers: a float goes through numpy's array power
-        # and exp as a grid does, not through its scalar math
-        d = ExponentialDiagram(shape=shape, rho_max=12.0)
-        r = np.random.default_rng(5).uniform(0.0, 12.0, 2000)
-        assert [d.flow(v) for v in r] == d.flow(r).tolist()
+        # a float goes through numpy's array power and exp as a grid does,
+        # not through its scalar math; at shape 0.5 the slope at the first
+        # point once rounded differently (np.float64 ** 0.5 calls pow)
+        d = ExponentialDiagram(shape=shape, vsl_sensitivity=1.0, rho_max=12.0)
+        rng = np.random.default_rng(5)
+        r = rng.uniform(0.0, 12.0, 2000)
+        r[0] = 7.879307346479068
+        l = rng.uniform(0.05, 1.0, r.size)
+        for fn in (d.flow, d.flow_slope, d.flow_curvature):
+            assert [fn(v) for v in r] == fn(r).tolist(), fn.__name__
+            assert isinstance(fn(r[0]), float)
+        assert [d.vsl_flow(v, w) for v, w in zip(r, l)] == d.vsl_flow(r, l).tolist()
+        assert isinstance(d.vsl_flow(r[0], l[0]), float)
 
     def test_out_of_range_density_rejected(self, diagram):
         with pytest.raises(DomainError):
@@ -143,12 +166,13 @@ class TestCriticalDensity:
     def test_flow_peak(self):
         # the free law's window bounds take capacity as the flow's maximum
         for fields in (dict(rho_max=1.6), dict(rho_max=2.5), dict(shape=2.0, rho_max=1.6),
-                       dict(shape=0.5, density_scale=2.0, rho_max=1.6)):
+                       dict(shape=0.5, density_scale=2.0, rho_max=1.6),
+                       dict(density_scale=0.7, rho_max=2.0)):
             d = ExponentialDiagram(**fields)
             fine = np.linspace(0.0, d.rho_max, 160001)
             assert d.capacity == d.flow(d.critical_density)
             assert float(np.max(d.flow(fine))) <= d.capacity * (1.0 + 1e-15)
-            assert d.critical_density == pytest.approx(1.0 / d.density_scale, abs=1e-9)
+            assert d.critical_density == 1.0 / d.density_scale
 
     def test_slope_changes_sign_around_it(self, diagram):
         r = diagram.critical_density
@@ -449,10 +473,12 @@ class TestBisectionFixedPoint:
         evals = count_evaluations(monkeypatch, 100)
         got = speed_limits(d, rho, u)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        if rows == "tiny_u":
-            assert evals == [100]
-        else:
-            assert len(evals) == 1 and evals[0] < 100  # stopped at its fixed point
+        # every call stops at its fixed point, but the cold call of tiny_u,
+        # whose roots lie below hi * 2^-100, runs its cap
+        assert 1 <= len(evals) <= 2
+        for n, _, warm in evals:
+            assert n == 100 if rows == "tiny_u" and not warm else n < 100
+        assert rows != "tiny_u" or any(not warm for _, _, warm in evals)
         np.testing.assert_array_equal(d.saturating_limit(rho[rho > 0.0]), want_sat)
 
     def test_branch_free_ends_equal_np_where(self):
@@ -495,22 +521,29 @@ class TestBisectionFixedPoint:
                 np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_a_fine_grid_field_costs_bounded_calls(self, monkeypatch):
-        # a 61 x 1601 field at a = 1 with the fine-grid workload's range of
-        # densities and controls is 12 blocks; each stops within 55
-        # predicate evaluations and calls _vsl_flow_raw once, for y: the
-        # steps evaluate F from A rho and b rho computed once per block
+        # a 61 x 1601 field at a = 1 with densities below delta = 1, so
+        # l_sat = 1 everywhere, controls in [0.9, 1] and u = 1 at the inlet
+        # is 12 blocks.  At least 95 % of its cells start warm, each warm
+        # call stops within 16 predicate evaluations (14 here), and _vsl_flow_raw
+        # runs once per block, for y: the steps evaluate F from A rho and
+        # b rho computed once per block
         d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
         rng = np.random.default_rng(7)
-        rho = rng.uniform(0.7, 1.11, (61, 1601))
+        rho = rng.uniform(0.7, 1.0, (61, 1601))
         u = rng.uniform(0.9, 1.0, rho.shape)
+        u[:, 0] = 1.0
+        assert np.all(d.saturating_limit(rho) == 1.0)
         evals = count_evaluations(monkeypatch, 100)
         raw = []
         flow = ExponentialDiagram._vsl_flow_raw
         monkeypatch.setattr(ExponentialDiagram, "_vsl_flow_raw",
                             lambda self, r, l: raw.append(1) or flow(self, r, l))
         speed_limits(d, rho, u)
-        assert len(evals) == len(raw) == -(-rho.size // fundamental_diagram.HEAP_BLOCK) == 12
-        assert max(evals) <= 55
+        assert len(raw) == -(-rho.size // fundamental_diagram.HEAP_BLOCK) == 12
+        warm = [(n, cells) for n, cells, is_warm in evals if is_warm]
+        assert len(warm) == 12
+        assert sum(cells for _, cells in warm) >= 0.95 * rho.size
+        assert max(n for n, _ in warm) <= 16
 
     def test_only_a_step_that_moves_nothing_stops(self):
         calls = []
@@ -528,18 +561,137 @@ class TestBisectionFixedPoint:
         assert len(calls) == 50
 
 
+class TestWarmBracket:
+    """speed_limits' warm start against the loop from [0, hi] that it shortcuts."""
+
+    DIAGRAMS = [(a, shape) for a in (0.3, 1.0, 2.0) for shape in (0.5, 1.0, 2.0, 3.0)]
+
+    @staticmethod
+    def loop(d, ar, br, y, hi):
+        """100 np.where steps from [0, hi], the loop before it stopped early."""
+        lo = np.zeros_like(hi)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            up = d._limited_flow(ar, br, mid) >= y
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("a,shape", DIAGRAMS)
+    def test_roots_on_dyadic_points(self, a, shape):
+        # y = F(rho, p) at dyadic p = j / 2^k, k = 1..40, and its neighbours,
+        # so that the root sits on a mid of the loop or an ulp beside it
+        d = ExponentialDiagram(vsl_sensitivity=a, shape=shape, rho_max=1.6)
+        rng = np.random.default_rng(11)
+        k = np.repeat(np.arange(1, 41), 6)
+        p = (2.0 * np.floor(rng.random(k.size) * 2.0 ** (k - 1)) + 1.0) / 2.0 ** k
+        rho = rng.uniform(0.05, 1.0, p.size) * d.delta
+        ar, br = d.flow_scale * rho, d.density_scale * rho
+        hi = d.saturating_limit(rho)
+        assert np.all(hi == 1.0)
+        at_p = d._limited_flow(ar, br, p)
+        warm = []
+        for y in (at_p, np.nextafter(at_p, 0.0), np.nextafter(at_p, np.inf)):
+            y = np.minimum(y, d._vsl_flow_raw(rho, hi))
+            lo, up = warmstart.bracket(d, ar, br, y, hi)
+            got = _bisect_all(lambda mid: d._limited_flow(ar, br, mid) >= y, lo, up, 100)
+            want = self.loop(d, ar, br, y, hi)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            warm.append(lo > 0.0)
+        assert np.mean(warm) > 0.9
+
+    @pytest.mark.parametrize("a,shape", DIAGRAMS)
+    def test_edge_cells_keep_their_bits(self, a, shape):
+        # rho = delta and its float neighbours, rho near 0, u = 1 and the
+        # float below it, u whose roots lie below 2^-40, and u whose roots
+        # sit on dyadic points, against TestBisectionFixedPoint's loops
+        d = ExponentialDiagram(vsl_sensitivity=a, shape=shape, rho_max=1.6)
+        rng = np.random.default_rng(13)
+        delta = d.delta
+        rho = np.concatenate([[delta, np.nextafter(delta, 0.0), np.nextafter(delta, 2.0),
+                               5e-324, 1e-310, 1e-300, 1e-150, 1e-20, 1e-8],
+                              rng.uniform(0.0, 1.0, 12) * delta])
+        rho = rho[rho <= d.rho_max]
+        p = np.ldexp(1.0, -rng.integers(1, 41, 8)) * (2 * rng.integers(0, 2, 8) + 1)
+        u = np.concatenate([[1.0, np.nextafter(1.0, 0.0), 1e-300, 1e-40, 1e-13, 0.5],
+                            10.0 ** rng.uniform(-300.0, -13.0, 4)])
+        r, uu = np.broadcast_arrays(rho[:, None], np.concatenate([u, np.ones(3 * p.size)]))
+        r, uu = r.copy(), uu.copy()
+        # u = F(rho, p) / f(rho) and the floats beside it: roots on dyadic points
+        on_p = d.vsl_flow(rho[:, None], np.minimum(p, 1.0)) / d.flow(rho)[:, None]
+        for j, v in enumerate((on_p, np.nextafter(on_p, 0.0), np.nextafter(on_p, 2.0))):
+            uu[:, u.size + j * p.size:u.size + (j + 1) * p.size] = v
+        uu = np.where(np.isfinite(uu) & (uu > 0.0), np.minimum(uu, 1.0), 1.0)
+        got = speed_limits(d, r, uu)
+        want = TestBisectionFixedPoint.full_speed_limits(d, r.ravel(), uu.ravel())
+        np.testing.assert_array_equal(got.ravel().view(np.int64), want.view(np.int64))
+
+    def test_a_wrong_guess_falls_back(self, monkeypatch):
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        rng = np.random.default_rng(17)
+        rho = rng.uniform(0.1, 1.0, 2000)
+        u = rng.uniform(0.05, 1.0, rho.size)
+        u[:20] = 1.0
+        ar, br = d.flow_scale * rho, d.density_scale * rho
+        hi = d.saturating_limit(rho)
+        y = np.minimum(u * d.flow(rho), d._vsl_flow_raw(rho, hi))
+        want = TestBisectionFixedPoint.full_speed_limits(d, rho, u)
+        guess = warmstart.newton_limit(d, ar, br, y)
+        n = rho.size
+        near = [guess, guess * (1.0 + 2.0 ** -45), guess * (1.0 - 2.0 ** -45)]
+        wrong = [guess * (1.0 + 1e-9), guess * (1.0 - 1e-9), guess * 1.5, guess * 0.5,
+                 np.full(n, 0.5), np.full(n, np.nan), np.full(n, 2.0), np.zeros(n),
+                 -guess, np.full(n, np.inf), np.full(n, 2.0 ** -45)]
+        for trial in near + wrong:
+            monkeypatch.setattr(warmstart, "newton_limit",
+                                lambda *args, trial=trial: trial.copy())
+            lo, up = warmstart.bracket(d, ar, br, y, hi)
+            got = _bisect_all(lambda mid: d._limited_flow(ar, br, mid) >= y, lo, up, 100)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            if any(trial is w for w in wrong):
+                # the guess misses every root by more than 2^-41: [0, hi] throughout
+                assert np.all(lo == 0.0) and np.array_equal(up, hi)
+            else:
+                assert np.mean(lo > 0.0) > 0.95
+        # speed_limits with a wrong guess runs the cold call alone, same bits
+        evals = count_evaluations(monkeypatch, 100)
+        np.testing.assert_array_equal(speed_limits(d, rho, u).view(np.int64),
+                                      want.view(np.int64))
+        assert [warm for _, _, warm in evals] == [False]
+
+    def test_loaded_on_the_first_inversion_only(self):
+        # a process that inverts no limit response (the oracle workloads,
+        # every a = 0 run) does not compile the warm start
+        src = Path(fundamental_diagram.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, numpy as np, vslcontrol as v; "
+             "loaded = lambda: print('vslcontrol.warmstart' in sys.modules); "
+             "loaded(); v.speed_limits(v.ExponentialDiagram(), np.ones(3), 0.5); loaded(); "
+             "d = v.ExponentialDiagram(vsl_sensitivity=1.0); "
+             "v.speed_limits(d, np.ones(3), 0.5); loaded()"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False", "True"]
+
+
 def count_evaluations(monkeypatch, max_steps):
-    """How often each call of _bisect_all with max_steps evaluates its predicate."""
+    """[predicate evaluations, cells, warm] for each call of _bisect_all with max_steps.
+
+    A warm call starts from warmstart.bracket's brackets, every lo > 0; a cold
+    one from [0, hi].
+    """
     counts = []
     bisect = fundamental_diagram._bisect_all
 
     def counted(up, lo, hi, steps):
         if steps != max_steps:
             return bisect(up, lo, hi, steps)
-        counts.append(0)
+        assert np.all(lo > 0.0) or np.all(lo == 0.0)
+        counts.append([0, lo.size, bool(lo.size and lo[0] > 0.0)])
 
         def counted_up(mid):
-            counts[-1] += 1
+            counts[-1][0] += 1
             return up(mid)
         return bisect(counted_up, lo, hi, steps)
 
