@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificationError, DomainError, StateEscapeError
-from .fundamental_diagram import ExponentialDiagram, _bisect
+from .fundamental_diagram import ExponentialDiagram, _bisect_all
 from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
@@ -74,7 +74,7 @@ class FixedInletGains:
     """Gains (sigma, gamma) plus the constants derived during calibration.
 
     decay_rate = sigma - gamma * length; slope_reserve is the band width a
-    above; min_concavity and max_back_slope are the Q and q grid estimates.
+    above; min_concavity and max_back_slope are Q and q, in closed form.
     certified is True when every sufficient condition passed.
 
     The record is the law: `controller` binds it to a node grid and
@@ -175,25 +175,20 @@ def calibrate(diagram: ExponentialDiagram, rho_star: float, length: float,
         "slope_margin", slope_star, sl, slope_star > sl,
         "flow slope at the target versus sigma*L"))
 
-    rho_cr = diagram.critical_density
+    min_concavity = diagram.min_concavity
     if slope_star > sl:
-        top = rho_cr - rho_star
-        reserve = _bisect(lambda aa: float(diagram.flow_slope(rho_star + aa)) - sl,
-                          0.0, top, slope_star - sl)
-    else:
-        reserve = float("nan")
-
-    grid_all = np.linspace(0.0, diagram.rho_max, 2001)
-    min_concavity = float(np.min(-np.asarray(diagram.flow_curvature(grid_all))))
-    if np.isfinite(reserve):
-        band = np.linspace(rho_star + reserve, diagram.rho_max, 2001)
-        back = float(np.max(-np.asarray(diagram.flow_slope(band))))
-        max_back_slope = max(0.0, back)
+        # f' falls on [rho_star, rho_cr], where it ends at 0 < sl: the first
+        # a with f'(rho_star + a) <= sl, to the bisection's fixed point
+        reserve = float(_bisect_all(lambda mid: diagram.flow_slope(rho_star + mid) <= sl,
+                                    np.zeros(1), np.array([diagram.critical_density - rho_star]),
+                                    100)[0])
+        # -f' rises up to the inflection density and falls after it
+        back = min(max(diagram.inflection_density, rho_star + reserve), diagram.rho_max)
+        max_back_slope = max(0.0, -diagram.flow_slope(back))
         curve_lhs = sigma * min_concavity * reserve ** 2 / (
             2.0 * (max_back_slope + sl) * (diagram.rho_max - rho_star))
     else:
-        max_back_slope = float("nan")
-        curve_lhs = float("nan")
+        reserve = max_back_slope = curve_lhs = float("nan")
     conditions.append(ConditionResult(
         "curvature_margin", curve_lhs, gamma * length,
         bool(np.isfinite(curve_lhs) and curve_lhs > gamma * length),

@@ -18,16 +18,15 @@ Two structural assumptions are used by the controllers built on top:
     already equals the unlimited flow (l_sat = 1 up to a threshold density
     delta, below which any speed limit strictly reduces flow).
 
-`validate_assumptions` checks both and reports violations: the shape of f
-through the family's exact conditions (`shape_checks`), the limit
-response on a density subgrid.
+`validate_assumptions` checks the shape of f through the family's exact
+conditions; the limit response holds for every member (its docstring has
+the proof).
 Each limit operation has one elementwise path: `saturating_limit` gives
 l_sat, and `speed_limits` is the one inversion l(rho, u) of
-F(rho, l) = u f(rho).  Both bisect through `_bisect_all`.  Where
-l_sat = 1, `speed_limits` starts from the bracket of `warmstart.bracket`,
-whose docstring proves that the loop from [0, 1] passes through it, so
-every limit keeps its bits.  The scalar `_bisect` finds scalar roots such
-as the fixed law's slope reserve.
+F(rho, l) = u f(rho).  Both bisect through `_bisect_all`, the package's
+one bisection loop.  Where l_sat = 1, `speed_limits` starts from the
+bracket of `warmstart.bracket`, whose docstring proves that the loop from
+[0, 1] passes through it, so every limit keeps its bits.
 """
 
 from __future__ import annotations
@@ -39,42 +38,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionError, ConvergenceError, DomainError
+from .errors import AssumptionError, DomainError
 
-TOL_ROOT = 1e-12
-MAX_BISECT_ITER = 200
 DENSITY_TOL_REL = 1e-9  # slack on rho-domain checks, absorbs solver roundoff
 _SCAN_ROWS = 128  # densities per block of the saturating-limit scan (128 x 600 residuals)
 # cells per block of speed_limits' bisection: 64 KiB of float64, under
 # malloc's default 128 KiB mmap threshold, so each block's arrays come from
 # the heap and are reused instead of being mapped and faulted in afresh
 HEAP_BLOCK = 8192
-
-
-def _bisect(fn: Callable[[float], float], lo: float, hi: float,
-            flo: float | None = None) -> float:
-    """Root of fn on [lo, hi] by bisection to TOL_ROOT on the abscissa.
-
-    Requires a sign change on the bracket.  Keeps the subinterval whose left
-    value shares the sign of fn(lo), so the returned root is the first
-    crossing inside the bracket.
-    """
-    if flo is None:
-        flo = fn(lo)
-    if flo == 0.0:
-        return lo
-    if flo * fn(hi) > 0.0:
-        raise ConvergenceError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= TOL_ROOT:
-            return mid
-        fm = fn(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +59,8 @@ class ExponentialDiagram:
     rho_max:         jam density > 0
 
     Derived constants (critical density, capacity, the limit-reduction
-    threshold, the slope bound) are computed lazily and cached.
+    threshold, the slope bound, the concavity floor) are computed lazily,
+    in closed form, and cached.
     """
 
     flow_scale: float = 1.0
@@ -173,16 +145,6 @@ class ExponentialDiagram:
         s = 1.0 + self.vsl_sensitivity * (1.0 - l)
         return ar * l * np.exp((br / s) ** self.shape / -self.shape)
 
-    def _limit_slope(self, rho, limit):
-        """dF/dl, used by the assumption checks."""
-        r = np.asarray(rho, dtype=float)
-        l = np.asarray(limit, dtype=float)
-        a = self.vsl_sensitivity
-        s = 1.0 + a * (1.0 - l)
-        v = (self.density_scale * r / s) ** self.shape
-        core = (self.density_scale * r) ** self.shape
-        return self.flow_scale * r * np.exp(-v / self.shape) * (1.0 - a * l * core / s ** (1.0 + self.shape))
-
     @cached_property
     def delta(self) -> float:
         """rho_max when a (b rho_max)^shape <= 1, else 1 / (b a^(1/shape)).
@@ -197,10 +159,11 @@ class ExponentialDiagram:
 
     @cached_property
     def critical_density(self) -> float:
-        """Unique rho_cr with f'(rho_cr) = 0: 1/b, where (b rho)^shape = 1."""
-        if float(self.flow_slope(0.0)) <= 0.0:
-            raise AssumptionError("flow slope is not positive at rho = 0")
-        if float(self.flow_slope(self.rho_max)) >= 0.0:
+        """Unique rho_cr with f'(rho_cr) = 0: 1/b, where (b rho)^shape = 1.
+
+        Raises AssumptionError exactly where single_flow_peak fails.
+        """
+        if not self.rho_max > 1.0 / self.density_scale:
             raise AssumptionError("flow slope does not change sign on [0, rho_max]; "
                                   "no interior critical density")
         return 1.0 / self.density_scale
@@ -212,15 +175,26 @@ class ExponentialDiagram:
 
     @cached_property
     def max_abs_slope(self) -> float:
-        """max |f'| over [0, rho_max], in closed form.
+        """max |f'| over [0, rho_max]: the Lipschitz constant of f and a
+        safe wave-speed bound (the limit ratio never exceeds 1)."""
+        return self.slope_bound(0.0, self.rho_max)
 
-        f' = A at rho = 0, falls until (b rho)^shape = 1 + shape, then rises
-        towards 0: the max is A or -f' at min(inflection_density, rho_max).
-        Serves as the Lipschitz constant of f and as a safe wave-speed
-        bound (the limit ratio never exceeds 1).
+    @cached_property
+    def min_concavity(self) -> float:
+        """min(-f'') over [0, rho_max], in closed form.
+
+        With v = (b rho)^shape, -f'' is stationary where
+        v^2 - 3 shape v + shape^2 - 1 = 0.  The larger root
+        v2 = (3 shape + sqrt(5 shape^2 + 4)) / 2 lies past 1 + shape;
+        -f'' falls up to v2 and rises after it, and for shape > 1 it first
+        rises from 0 at rho = 0.  So the min is at rho = 0 or at
+        min(rho_max, v2^(1/shape) / b), both through flow_curvature as one
+        array (its rho = 0 limit is +inf for shape < 1).
         """
-        return float(max(self.flow_scale,
-                         -self.flow_slope(min(self.inflection_density, self.rho_max))))
+        s = self.shape
+        v2 = (3.0 * s + math.sqrt(5.0 * s * s + 4.0)) / 2.0
+        far = min(self.rho_max, v2 ** (1.0 / s) / self.density_scale)
+        return float(np.min(-self.flow_curvature(np.array([0.0, far]))))
 
     @cached_property
     def inflection_density(self) -> float:
@@ -320,26 +294,11 @@ class AssumptionReport:
 
 
 def validate_assumptions(diagram: ExponentialDiagram) -> AssumptionReport:
-    """Check the structural assumptions the controllers use.
+    """Check the structural assumptions the controllers use, exactly.
 
-    Reported checks, the first two exact for the family (`shape_checks`):
-      single_flow_peak             f' changes sign + -> - exactly once
-      strict_concavity             f'' < 0 on [0, rho_max]
-      limit_monotone_below_saturation
-                                   dF/dl > 0 for l < l_sat(rho) on a
-                                   41-point density subgrid and 9 limit
-                                   fractions
-
-    f(0) = 0 and f > 0 on (0, rho_max] hold for every member, since the
-    constructor enforces A, b, shape > 0, so they are not checked.  Returns
-    a report with one entry per check and the first violating point, if
-    any.  Nothing raises here; callers decide what a failure means for them.
-    """
-    return AssumptionReport((*shape_checks(diagram), _limit_monotonicity_check(diagram)))
-
-
-def shape_checks(diagram: ExponentialDiagram) -> tuple[CheckResult, CheckResult]:
-    """single_flow_peak and strict_concavity from the family's exact conditions.
+    Reported checks:
+      single_flow_peak   f' changes sign + -> - exactly once
+      strict_concavity   f'' < 0 on [0, rho_max]
 
     With v = (b rho)^shape, f' = A e^(-v/shape) (1 - v) changes sign once,
     at rho = 1/b, so f has an interior peak iff rho_max > 1/b.  And
@@ -347,6 +306,18 @@ def shape_checks(diagram: ExponentialDiagram) -> tuple[CheckResult, CheckResult]
     negative on (0, rho_max] iff (b rho_max)^shape < 1 + shape; at rho = 0,
     v / rho tends to b for shape = 1, to 0 for shape > 1 and to infinity
     for shape < 1, so f''(0) < 0 iff shape <= 1.
+
+    The rest holds for every member, so it is not checked.  f(0) = 0 and
+    f > 0 on (0, rho_max], since the constructor enforces A, b, shape > 0.
+    And dF/dl > 0 on (0, l_sat(rho)): dF/dl has the sign of
+    1 - (b rho)^shape phi(l), with phi(l) = a l / (1 + a (1 - l))^(1 + shape)
+    increasing on (0, 1], so dF/dl changes sign at most once, from + to -.
+    As F(rho, 0+) = 0 < f(rho) = F(rho, 1), the first l with F = f, which
+    is l_sat, lies on the rising branch.
+
+    Returns a report with one entry per check and the first violating
+    point, if any.  Nothing raises here; callers decide what a failure
+    means for them.
     """
     b, shape, rho_max = diagram.density_scale, diagram.shape, diagram.rho_max
     has_peak = rho_max > 1.0 / b
@@ -357,26 +328,13 @@ def shape_checks(diagram: ExponentialDiagram) -> tuple[CheckResult, CheckResult]
         concave = CheckResult("strict_concavity", False,
                               f"f''(0) = 0 for shape = {shape:.6g} > 1", (0.0,))
     elif v >= 1.0 + shape:
-        rho_bad = (1.0 + shape) ** (1.0 / shape) / b
         concave = CheckResult("strict_concavity", False,
                               f"(b rho_max)^shape = {v:.6g} >= 1 + shape = {1.0 + shape:.6g}",
-                              (rho_bad,))
+                              (diagram.inflection_density,))
     else:
         concave = CheckResult("strict_concavity", True,
                               f"(b rho_max)^shape = {v:.6g} < 1 + shape = {1.0 + shape:.6g}")
-    return peak, concave
-
-
-def _limit_monotonicity_check(diagram: ExponentialDiagram) -> CheckResult:
-    name = "limit_monotone_below_saturation"
-    rhos = np.linspace(0.0, diagram.rho_max, 41)[1:]
-    limits = np.linspace(0.05, 0.95, 9) * diagram.saturating_limit(rhos)[:, None]
-    bad = np.argwhere(diagram._limit_slope(rhos[:, None], limits) <= 0.0)
-    if bad.size:
-        i, j = bad[0]  # row-major: the first density, then its first limit
-        return CheckResult(name, False, "dF/dl <= 0 below the saturating limit",
-                           (float(rhos[i]), float(limits[i, j])))
-    return CheckResult(name, True, "dF/dl > 0 for l < l_sat(rho) on the subgrid")
+    return AssumptionReport((peak, concave))
 
 
 def _outside_unit(v: np.ndarray, top: float) -> bool:

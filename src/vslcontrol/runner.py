@@ -44,7 +44,7 @@ from .config import (RunConfig, build_diagram, build_free_gain,
                      save_config)
 from .errors import VslControlError
 from .fundamental_diagram import (HEAP_BLOCK, CheckResult, ExponentialDiagram,
-                                  shape_checks, speed_limits)
+                                  speed_limits, validate_assumptions)
 from .picard import PicardSettings
 from .profile import DensityProfile, Scenario
 from .quadrature import cumulative_trapezoid
@@ -134,7 +134,7 @@ def _run_law(cfg: RunConfig, scenario: Scenario, law: str, gains,
         oracle_gap = comp.max_density_gap
 
     _write_metadata(law_dir, trace, checks)
-    _write_report(law_dir, cfg, law, trace, checks, oracle_gap)
+    _write_report(law_dir, cfg, gains, trace, checks, oracle_gap)
     return LawResult(law=law, trace=trace, checks=checks,
                      directory=law_dir, oracle_gap=oracle_gap)
 
@@ -337,9 +337,9 @@ def _write_metadata(out: str, trace: SimulationTrace,
         fh.write("\n")
 
 
-def _write_report(out: str, cfg: RunConfig, law: str, trace: SimulationTrace,
+def _write_report(out: str, cfg: RunConfig, gains, trace: SimulationTrace,
                   checks: tuple[CheckResult, ...], oracle_gap: float | None) -> None:
-    lines = [f"run report: {law}"]
+    lines = [f"run report: {gains.law}"]
     if cfg.note:
         lines.append(f"note: {cfg.note}")
     lines.append(
@@ -350,7 +350,7 @@ def _write_report(out: str, cfg: RunConfig, law: str, trace: SimulationTrace,
         f"scenario: length={cfg.length:g} rho_star={cfg.rho_star:g} "
         f"n_cells={trace.x.size - 1} horizon={cfg.horizon:g} snapshots={cfg.snapshots}")
     lines.append("")
-    lines.extend(certification_lines(cfg, law))
+    lines.extend(certification_lines(cfg, gains))
     lines.append("")
     lines.append("constants:")
     for key in ("decay_rate_bound", "bottleneck_floor", "lipschitz_slope",
@@ -380,17 +380,22 @@ def _write_report(out: str, cfg: RunConfig, law: str, trace: SimulationTrace,
 # ---------------------------------------------------------------------------
 # certification
 
-def certification_lines(cfg: RunConfig, law: str | None = None) -> list[str]:
+def certification_lines(cfg: RunConfig, gains=None) -> list[str]:
     """Human-readable evaluation of every gain condition, both sides shown.
 
     A `diagram` block comes first: the family's exact single_flow_peak and
     strict_concavity conditions.  They are reported, not enforced here.
+    Given a run's gains, the block covers that run's law and its fixed-law
+    constants come from those gains; without them it covers the config's
+    laws, and the fixed law is calibrated here in override mode.
     """
-    scenario_laws = ("free_inlet", "fixed_inlet") if cfg.law == "both" else (cfg.law,)
-    laws = scenario_laws if law is None else (law,)
+    if gains is not None:
+        laws = (gains.law,)
+    else:
+        laws = ("free_inlet", "fixed_inlet") if cfg.law == "both" else (cfg.law,)
     d = build_diagram(cfg)
     lines = ["certification:"]
-    lines.extend(f"  diagram {c}" for c in shape_checks(d))
+    lines.extend(f"  diagram {c}" for c in validate_assumptions(d).checks)
     for current in laws:
         if current == "free_inlet":
             bound = 1.0 / (cfg.length * cfg.rho_star)
@@ -399,15 +404,15 @@ def certification_lines(cfg: RunConfig, law: str | None = None) -> list[str]:
                 f"  free_inlet gain_bound: 0 < {cfg.free_gain:.9g} < {bound:.9g}"
                 f" = 1/(L rho_star): {'pass' if ok else 'FAIL'}")
         else:
-            gains = fixed_inlet.calibrate(d, cfg.rho_star, cfg.length,
-                                          cfg.sigma, cfg.gamma, mode="override")
-            for cond in gains.conditions:
+            fixed = gains if gains is not None else fixed_inlet.calibrate(
+                d, cfg.rho_star, cfg.length, cfg.sigma, cfg.gamma, mode="override")
+            for cond in fixed.conditions:
                 lines.append(f"  fixed_inlet {cond}")
             lines.append(
-                f"  fixed_inlet derived: slope_reserve={gains.slope_reserve!r} "
-                f"min_concavity={gains.min_concavity!r} "
-                f"max_back_slope={gains.max_back_slope!r} "
-                f"decay_rate={gains.decay_rate!r} certified={gains.certified}")
+                f"  fixed_inlet derived: slope_reserve={fixed.slope_reserve!r} "
+                f"min_concavity={fixed.min_concavity!r} "
+                f"max_back_slope={fixed.max_back_slope!r} "
+                f"decay_rate={fixed.decay_rate!r} certified={fixed.certified}")
     return lines
 
 

@@ -20,6 +20,22 @@ def load_benchmark_module(name: str):
     return module
 
 
+def grid_extreme(fn, lo: float, hi: float, reduce, n: int = 2_000_001, near: float | None = None,
+                 chunk: int = 250_001) -> float:
+    """reduce (np.min or np.max) of fn over np.linspace(lo, hi, n), a chunk at a time.
+
+    With near inside [lo, hi], 20,001 more points sample the grid step on
+    either side of it: an interior extreme there then lies within rounding
+    of a sample, where the plain grid can miss it by its step squared.
+    """
+    grid = np.linspace(lo, hi, n)
+    if near is not None and lo < near < hi:
+        step = (hi - lo) / (n - 1)
+        grid = np.concatenate((grid, np.linspace(max(lo, near - step), min(hi, near + step),
+                                                 20_001)))
+    return float(reduce([reduce(fn(grid[s:s + chunk])) for s in range(0, grid.size, chunk)]))
+
+
 @pytest.fixture(scope="session")
 def diagram():
     """The reference diagram: f(rho) = rho * exp(-rho) on [0, 1.6]."""

@@ -2,8 +2,14 @@
 
 Proves:
   1.  calibrate derives the frozen reference constants for the standard
-      exponential setup: reserve band width a, concavity floor Q, back
-      slope q, decay rate sigma - gamma L
+      exponential setup: reserve band width a within 4 ulps, concavity
+      floor Q and back slope q bit for bit, decay rate sigma - gamma L;
+      the reserve predicate f'(rho_star + a) <= sigma L holds at a and
+      fails one float below it; q, in closed form, is never below the max
+      of max(0, -f') over a 2,000,001-point grid of the band and within
+      1e-12 of it, with rho_max on either side of the inflection density,
+      and Q is the diagram's min_concavity; on a pinned shape-3 member the
+      former 2001-point grid lies below q
   2.  the curvature margin genuinely fails for those gains (lhs ~ 4.9e-5
       against 0.1); strict mode raises naming it, override mode records it;
       a diagram that fails strict_concavity (rho_max 2.5, shape 2) has
@@ -45,6 +51,8 @@ from vslcontrol import (CertificationError, ConvergenceError, DomainError,
 from vslcontrol.free_inlet import PicardSettings
 from vslcontrol.quadrature import cumulative_trapezoid
 
+from conftest import grid_extreme
+
 A_RESERVE = 0.046777359792382555   # root of f'(rho_star + a) = sigma L
 Q_FLOOR = 0.08075860719786214      # min of -f'' over the band
 Q_BACK = 0.12113791079679324       # max of -f' right of the band
@@ -52,12 +60,58 @@ CURV_LHS = 0.000048854376922976124086
 U_OUTLET = 0.98947657575780870403  # continuum u(0, 1) on the bump
 
 
+def calibrate_at_half_slope(d):
+    """Gains at rho_star = 0.3 / b with sigma L half of f'(rho_star), L = 1."""
+    rho_star = 0.3 / d.density_scale
+    sigma = 0.5 * d.flow_slope(rho_star)
+    return fixed_inlet.calibrate(d, rho_star, 1.0, sigma, 0.1 * sigma, mode="override")
+
+
 class TestCalibrate:
     def test_frozen_constants(self, fixed_gains):
-        assert fixed_gains.slope_reserve == pytest.approx(A_RESERVE, abs=1e-9)
-        assert fixed_gains.min_concavity == pytest.approx(Q_FLOOR, rel=1e-12)
-        assert fixed_gains.max_back_slope == pytest.approx(Q_BACK, rel=1e-12)
+        ulps = np.float64(fixed_gains.slope_reserve).view(np.int64) \
+            - np.float64(A_RESERVE).view(np.int64)
+        assert abs(ulps) <= 4
+        assert fixed_gains.min_concavity == Q_FLOOR
+        assert fixed_gains.max_back_slope == Q_BACK
         assert fixed_gains.decay_rate == pytest.approx(0.02, rel=1e-12)
+
+    def test_reserve_predicate_flips_at_the_reserve(self, fixed_gains, diagram):
+        a, sl = fixed_gains.slope_reserve, 0.12 * 1.0
+        assert diagram.flow_slope(0.7 + a) <= sl
+        assert not diagram.flow_slope(0.7 + np.nextafter(a, 0.0)) <= sl
+
+    @staticmethod
+    def back_slope_cases():
+        rng = np.random.default_rng(18)
+        for shape in [0.3, 0.5, 1.0, 2.0, 3.0, *rng.uniform(0.3, 3.0, size=4)]:
+            b = rng.uniform(0.5, 2.0)
+            d0 = ExponentialDiagram(flow_scale=rng.uniform(0.5, 2.0), density_scale=b,
+                                    shape=shape)
+            infl = d0.inflection_density
+            for rho_max in (0.5 * (1.0 / b + infl), 1.5 * infl):
+                d = ExponentialDiagram(flow_scale=d0.flow_scale, density_scale=b, shape=shape,
+                                       rho_max=rho_max)
+                yield d, calibrate_at_half_slope(d)
+
+    def test_back_slope_bounds_a_fine_grid(self):
+        for d, g in self.back_slope_cases():
+            lo = g.rho_star + g.slope_reserve
+            fine = max(0.0, grid_extreme(lambda r: -d.flow_slope(r), lo, d.rho_max, np.max,
+                                         near=d.inflection_density))
+            # -f' takes about six rounded operations: a sample beside the
+            # inflection density may round up to about 6 eps above q's
+            # own evaluation; never by more
+            assert g.max_back_slope >= fine - 2e-15 * fine, (d.shape, d.rho_max)
+            assert g.max_back_slope == pytest.approx(fine, rel=1e-12, abs=0.0)
+            assert g.min_concavity == d.min_concavity
+
+    def test_old_grid_was_on_the_unsafe_side(self):
+        d = ExponentialDiagram(flow_scale=1.7709, density_scale=1.8897, shape=3.0, rho_max=2.07)
+        g = calibrate_at_half_slope(d)
+        band = np.linspace(g.rho_star + g.slope_reserve, d.rho_max, 2001)
+        coarse = float(np.max(-d.flow_slope(band)))
+        assert coarse < g.max_back_slope == -d.flow_slope(d.inflection_density)
 
     def test_reserve_solves_slope_equation(self, fixed_gains, diagram):
         got = float(diagram.flow_slope(0.7 + fixed_gains.slope_reserve))

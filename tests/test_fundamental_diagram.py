@@ -19,9 +19,11 @@ Proves:
       a field gives the same bits whole, row by row and in small blocks
   7.  assumption validator verdicts on family members: rho_max 1.6 and
       shape 0.5 pass, rho_max 2.1 and 2.5 are not concave, rho_max 0.9 has
-      no peak, shape 2 has f''(0) = 0; the exact conditions agree with the
-      former 2001-point sampler on 500 seeded random members away from
-      the boundaries, and f(0) = 0 < f on the rest of the grid for each
+      no peak, shape 2 has f''(0) = 0; the report holds the two exact
+      checks, which agree with the former 2001-point sampler on 500 seeded
+      random members away from the boundaries, and f(0) = 0 < f on the
+      rest of the grid for each; critical_density raises exactly where
+      single_flow_peak fails, on either side of rho_max = 1/b
   8.  domain errors: negative density, density above rho_max, bad limit,
       NaN limit; speed_limits rejects bad or NaN densities and NaN
       controls on both the a = 0 and the a > 0 path
@@ -43,8 +45,11 @@ Proves:
       fine-grid-shaped field below delta at least 95 % of the cells start
       warm, each warm call evaluates the predicate at most 16 times (14 here), and
       A rho and b rho are computed once per block, outside the steps
- 14.  the validator's limit check reports the first violation in
-      row-major (rho, l) order
+ 14.  min_concavity, min(-f'') in closed form, is never above the min
+      over a 2,000,001-point grid and within 1e-12 of it, for shapes 0.3
+      to 3 and random shapes, with rho_max before the inflection density,
+      between it and the far stationary point, and past both; on a
+      pinned shape-3 member the former 2001-point grid lies above it
  15.  max_abs_slope, in closed form, is never below max |f'| on a
       2,000,001-point grid and within 1e-12 of it, for shapes 0.5 to 8;
       it is A exactly where the steepest descent is at rho = 0
@@ -72,6 +77,8 @@ from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram, speed_
                         validate_assumptions)
 from vslcontrol import fundamental_diagram, warmstart
 from vslcontrol.fundamental_diagram import DENSITY_TOL_REL, _bisect_all
+
+from conftest import grid_extreme
 
 F_AT_1 = 0.3678794411714423216
 F_AT_07 = 0.34760971265398666029
@@ -196,6 +203,43 @@ class TestMaxAbsSlope:
             assert coarse < fine
 
 
+def far_stationary_density(d):
+    """v2^(1/shape) / b, where -f'' stops falling: v2 = (3 s + sqrt(5 s^2 + 4)) / 2."""
+    s = d.shape
+    return ((3.0 * s + np.sqrt(5.0 * s * s + 4.0)) / 2.0) ** (1.0 / s) / d.density_scale
+
+
+class TestMinConcavity:
+    @staticmethod
+    def members():
+        rng = np.random.default_rng(18)
+        shapes = [0.3, 0.5, 1.0, 2.0, 3.0, *rng.uniform(0.3, 3.0, size=4)]
+        for shape in shapes:
+            base = ExponentialDiagram(flow_scale=1.3, density_scale=0.8, shape=shape)
+            infl, far = base.inflection_density, far_stationary_density(base)
+            for rho_max in (0.9 * infl, 0.5 * (infl + far), 1.3 * far):
+                yield ExponentialDiagram(flow_scale=1.3, density_scale=0.8, shape=shape,
+                                         rho_max=rho_max)
+
+    def test_bounds_a_fine_grid(self):
+        for d in self.members():
+            fine = grid_extreme(lambda r: -d.flow_curvature(r), 0.0, d.rho_max, np.min,
+                                near=far_stationary_density(d))
+            # -f'' takes about eight rounded operations, so a sample beside
+            # an interior min may round up to about 8 eps below the closed
+            # form's own evaluation; never by more
+            assert d.min_concavity <= fine + 2e-15 * abs(fine), (d.shape, d.rho_max)
+            assert d.min_concavity == pytest.approx(fine, rel=1e-12, abs=0.0)
+
+    def test_old_grid_was_on_the_unsafe_side(self):
+        d = ExponentialDiagram(flow_scale=1.7709, density_scale=1.8897, shape=3.0, rho_max=2.07)
+        coarse = float(np.min(-d.flow_curvature(np.linspace(0.0, d.rho_max, 2001))))
+        fine = grid_extreme(lambda r: -d.flow_curvature(r), 0.0, d.rho_max, np.min)
+        assert d.min_concavity <= fine < coarse
+        # the min sits at the far stationary point, not at an end
+        assert d.min_concavity == -d.flow_curvature(far_stationary_density(d))
+
+
 class TestDelta:
     def test_zero_sensitivity(self, diagram):
         assert diagram.delta == 1.6
@@ -264,22 +308,20 @@ class TestValidator:
     def test_family_verdicts(self, fields, failed, where):
         report = validate_assumptions(ExponentialDiagram(**fields))
         checks = {c.name: c for c in report.checks}
-        assert list(checks) == ["single_flow_peak", "strict_concavity",
-                                "limit_monotone_below_saturation"]
+        assert list(checks) == ["single_flow_peak", "strict_concavity"]
         assert {c.name for c in report.checks if not c.passed} == failed
         assert report.passed == (not failed)
         assert checks["strict_concavity"].where == where
 
-    def test_limit_check_reports_the_first_violation_row_major(self, monkeypatch):
-        # dF/dl <= 0 for rho > 0.81 and l > 0.55: with a = 0, l_sat = 1, so
-        # the subgrid's first such point is rho = 0.84, l = fraction 0.6125
-        monkeypatch.setattr(ExponentialDiagram, "_limit_slope", lambda self, rho, limit: np.where(
-            (np.asarray(rho) > 0.81) & (np.asarray(limit) > 0.55), -1.0, 1.0))
-        check = validate_assumptions(ExponentialDiagram(rho_max=1.6)).checks[-1]
-        assert check.name == "limit_monotone_below_saturation"
-        assert check.passed is False
-        assert check.where == (0.84, 0.6125)
-
+    @pytest.mark.parametrize("b", [1.0, 0.7, 1.8897])
+    def test_critical_density_raises_exactly_without_a_peak(self, b):
+        for rho_max in (1.0 / b, np.nextafter(1.0 / b, 0.0), np.nextafter(1.0 / b, 2.0)):
+            d = ExponentialDiagram(density_scale=b, rho_max=float(rho_max))
+            if validate_assumptions(d).checks[0].passed:
+                assert d.critical_density == 1.0 / b
+            else:
+                with pytest.raises(AssumptionError, match="no interior critical density"):
+                    d.critical_density
 
 
 def sampled_verdicts(d, n_samples=2001):
@@ -318,7 +360,7 @@ class TestExactConditions:
                 continue
             d = ExponentialDiagram(flow_scale=rng.uniform(0.5, 2.0), density_scale=b,
                                    shape=shape, rho_max=rho_max)
-            exact = tuple(c.passed for c in fundamental_diagram.shape_checks(d))
+            exact = tuple(c.passed for c in validate_assumptions(d).checks)
             assert exact == sampled_verdicts(d), (b, shape, rho_max)
             flows = d.flow(np.linspace(0.0, rho_max, 2001))
             assert flows[0] == 0.0 and np.all(flows[1:] > 0.0)

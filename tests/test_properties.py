@@ -12,6 +12,11 @@ Covered invariants:
                                 generated the flow, on the monotone
                                 branch; a batch equals its one-point calls
                                 bit for bit
+  limit_response_rises          dF/dl > 0 below the saturating limit, on
+                                200 densities x 200 fractions of l_sat
+                                per member: the limit response that
+                                validate_assumptions proves rather than
+                                checks
   validator_flags_concavity     concave family members pass; members past
                                 the inflection point or with shape > 1
                                 fail exactly on strict concavity, where
@@ -90,6 +95,24 @@ def limit_inversion_round_trip(rng, n_cases=N_CASES):
     batch = speed_limits(d, rho, u)
     np.testing.assert_allclose(batch, l_true, rtol=0, atol=1e-8)
     np.testing.assert_array_equal(batch, [speed_limits(d, r, uu) for r, uu in zip(rho, u)])
+    return n_cases
+
+
+def limit_response_rises(rng, n_cases=N_CASES):
+    fractions = np.linspace(0.0, 1.0, 202)[1:-1]
+    for _ in range(n_cases):
+        A, b = rng.uniform(0.5, 2.0, size=2)
+        a, shape = rng.uniform(0.0, 3.0), rng.uniform(0.3, 3.0)
+        d = ExponentialDiagram(flow_scale=A, density_scale=b, shape=shape, vsl_sensitivity=a,
+                               rho_max=rng.uniform(0.5, 3.0) / b)
+        rho = np.linspace(0.0, d.rho_max, 201)[1:, None]
+        l = fractions * d.saturating_limit(rho)
+        # dF/dl = A rho e^(-(b rho / s)^shape / shape) (1 - a l (b rho)^shape / s^(1 + shape)),
+        # s = 1 + a (1 - l), written out here rather than taken from the package
+        s = 1.0 + a * (1.0 - l)
+        slope = A * rho * np.exp(-(b * rho / s) ** shape / shape) * (
+            1.0 - a * l * (b * rho) ** shape / s ** (1.0 + shape))
+        assert np.all(slope > 0.0), (A, b, shape, a, d.rho_max)
     return n_cases
 
 
@@ -291,6 +314,7 @@ def config_round_trip(rng, n_cases=N_CASES):
 PROPERTY_CHECKS = {
     "quadrature_affine_exactness": quadrature_affine_exactness,
     "limit_inversion_round_trip": limit_inversion_round_trip,
+    "limit_response_rises": limit_response_rises,
     "validator_flags_concavity": validator_flags_concavity,
     "free_equilibrium_fixed_point": free_equilibrium_fixed_point,
     "free_decay_and_flux": free_decay_and_flux,

@@ -17,7 +17,9 @@ Proves:
       and strict_concavity verdicts: pass on the presets, a non-concave
       free run (rho_max 2.5) reports strict_concavity FAIL and exits 0, a
       diagram with no peak (rho_max 0.9) is certified as failing and its
-      run exits 2
+      run exits 2; on every preset the certification block of report.txt,
+      written from the run's own gains (one calibration per run), equals
+      certify's output
   7.  the CLI returns 0 on clean runs, 2 on usage errors, and prints one
       status line per law; a compare of a run directory with a missing,
       truncated or incomplete file, with density.csv rows out of x order,
@@ -308,6 +310,23 @@ class TestDiagramConditions:
             cert = runner.certify(preset(name))
             for check in ("single_flow_peak", "strict_concavity"):
                 assert f"  diagram {check}: pass" in cert and f"  diagram {check}: pass" in text
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_report_block_equals_certify(self, name, tmp_path, monkeypatch):
+        cfg = preset(name)
+        calls = []
+        calibrate = fixed_inlet.calibrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(fixed_inlet, "calibrate", counted)
+        res = runner.run(cfg, str(tmp_path / name))
+        assert len(calls) == (cfg.law == "fixed_inlet")  # one calibration per run
+        text = open(os.path.join(res.law(cfg.law).directory, "report.txt")).read()
+        block = text[text.index("certification:\n"):text.index("\n\nconstants:")] + "\n"
+        assert block == runner.certify(cfg)
 
     def test_non_concave_free_run_reports_but_runs(self, tmp_path, capsys):
         cfg = with_overrides(preset("paper-sec5-free"), rho_max=2.5)
