@@ -11,10 +11,10 @@ them against a direct PDE integration, and ships a CSV-emitting CLI.
 from .errors import (AssumptionError, CertificationError, ConfigError,
                      ConvergenceError, DomainError, SolverDivergenceError,
                      StateEscapeError, VslControlError)
-from .fundamental_diagram import (AssumptionReport, CheckResult, ExponentialDiagram,
-                                  speed_limits, validate_assumptions)
+from .fundamental_diagram import (CheckResult, ExponentialDiagram, speed_limits,
+                                  validate_assumptions)
 from .profile import (DensityProfile, Scenario, bump_profile, polynomial_profile,
-                      sampled_profile, uniform_profile)
+                      uniform_profile)
 from .trace import SimulationTrace
 from .picard import PicardSettings
 from .free_inlet import FreeInletGain
@@ -26,14 +26,13 @@ from . import config, fixed_inlet, free_inlet, pde_oracle, picard, runner
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityResult", "AssumptionError", "AssumptionReport",
-    "CertificationError", "CheckResult", "ConditionResult", "ConfigError",
-    "ConvergenceError", "DensityProfile", "DomainError", "ExponentialDiagram",
-    "FixedInletGains", "FreeInletGain", "OracleSettings", "PicardSettings",
-    "RunConfig", "Scenario", "SimulationTrace", "SolverDivergenceError",
-    "StateEscapeError", "TraceComparison", "VslControlError",
+    "AdmissibilityResult", "AssumptionError", "CertificationError", "CheckResult",
+    "ConditionResult", "ConfigError", "ConvergenceError", "DensityProfile",
+    "DomainError", "ExponentialDiagram", "FixedInletGains", "FreeInletGain",
+    "OracleSettings", "PicardSettings", "RunConfig", "Scenario", "SimulationTrace",
+    "SolverDivergenceError", "StateEscapeError", "TraceComparison", "VslControlError",
     "bump_profile", "config", "fixed_inlet", "free_inlet", "load_config",
     "parse_config", "pde_oracle", "picard", "polynomial_profile", "preset",
-    "runner", "sampled_profile", "serialize_config", "speed_limits",
-    "uniform_profile", "validate_assumptions",
+    "runner", "serialize_config", "speed_limits", "uniform_profile",
+    "validate_assumptions",
 ]

@@ -27,7 +27,7 @@ from .free_inlet import FreeInletGain
 from .pde_oracle import OracleSettings
 from .picard import PicardSettings
 from .profile import (DensityProfile, Scenario, bump_profile, polynomial_profile,
-                      sampled_profile, uniform_profile)
+                      uniform_profile)
 
 LAWS = ("free_inlet", "fixed_inlet", "both")
 MODES = ("strict", "override")
@@ -228,7 +228,7 @@ def build_profile(cfg: RunConfig) -> DensityProfile:
         return uniform_profile(cfg.length, cfg.n_cells, cfg.rho_star, cfg.uniform_value)
     if not cfg.sample_values:
         raise ConfigError("sampled profile needs sample_values")
-    return sampled_profile(cfg.length, cfg.rho_star, cfg.sample_values)
+    return DensityProfile(cfg.length, cfg.sample_values, cfg.rho_star)
 
 
 def build_scenario(cfg: RunConfig) -> Scenario:

@@ -77,9 +77,9 @@ class FixedInletGains:
     above; min_concavity and max_back_slope are Q and q, in closed form.
     certified is True when every sufficient condition passed.
 
-    The record is the law: `controller` binds it to a node grid and
-    `controls` evaluates u there once, the inlet node is held at rho_star
-    (pins_inlet is True), and `law` names it in metadata.
+    The record is the law: `controller` binds it to a node grid, the
+    inlet node is held at rho_star (pins_inlet is True), and `law` names
+    it in metadata.
     """
 
     law = "fixed_inlet"
@@ -95,9 +95,6 @@ class FixedInletGains:
     max_back_slope: float
     certified: bool
     conditions: tuple[ConditionResult, ...] = field(default=())
-
-    def failed_conditions(self) -> tuple[ConditionResult, ...]:
-        return tuple(c for c in self.conditions if not c.passed)
 
     def controller(self, diagram: ExponentialDiagram, x: np.ndarray, u_tol: float = U_TOL
                    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, None]]:
@@ -137,11 +134,6 @@ class FixedInletGains:
             return np.minimum(u, 1.0, out=u), fv, None
 
         return evaluate
-
-    def controls(self, diagram: ExponentialDiagram, x: np.ndarray, rho: np.ndarray,
-                 u_tol: float = U_TOL) -> tuple[np.ndarray, np.ndarray, None]:
-        """(u, f(rho), None) at the nodes x for densities rho."""
-        return self.controller(diagram, x, u_tol)(rho)
 
 
 def calibrate(diagram: ExponentialDiagram, rho_star: float, length: float,
@@ -234,13 +226,6 @@ def admissible(gains: FixedInletGains, diagram: ExponentialDiagram,
     min_slack = float(slack[idx])
     return AdmissibilityResult(boundary_ok and min_slack >= 0.0,
                                min_slack, float(profile.x[idx]), boundary_gap)
-
-
-def control_profile(gains: FixedInletGains, diagram: ExponentialDiagram,
-                    profile: DensityProfile, u_tol: float = U_TOL) -> np.ndarray:
-    """u at every grid node."""
-    check_pairing(gains, profile)
-    return gains.controls(diagram, profile.x, profile.values, u_tol)[0]
 
 
 def simulate(scenario: Scenario, gains: FixedInletGains,

@@ -68,9 +68,9 @@ _FLOOR = float(np.finfo(float).tiny)
 class FreeInletGain:
     """Feedback gain k for a road of the given length and target density.
 
-    The record is the law: `controller` binds it to a node grid and
-    `controls` evaluates u there once, the inlet is left free (pins_inlet
-    is False), and `law` names it in metadata.
+    The record is the law: `controller` binds it to a node grid, the
+    inlet is left free (pins_inlet is False), and `law` names it in
+    metadata.
     """
 
     law = "free_inlet"
@@ -118,26 +118,14 @@ class FreeInletGain:
 
         return evaluate
 
-    def controls(self, diagram: ExponentialDiagram, x: np.ndarray, rho: np.ndarray,
-                 u_tol: float = 0.0) -> tuple[np.ndarray, np.ndarray, int]:
-        """(u, f(rho), bottleneck index) at the nodes x for densities rho."""
-        return self.controller(diagram, x, u_tol)(rho)
-
 
 def bottleneck(gain: FreeInletGain, diagram: ExponentialDiagram,
                profile: DensityProfile) -> tuple[float, float]:
     """Minimum of f(rho) M over the grid and its smallest minimizer."""
     check_pairing(gain, profile)
-    _, fv, idx = gain.controls(diagram, profile.x, profile.values)
+    _, fv, idx = gain.controller(diagram, profile.x)(profile.values)
     value = fv[idx] / (1.0 + gain.gain * profile.node_deviation_integrals()[idx])
     return float(value), float(profile.x[idx])
-
-
-def control_profile(gain: FreeInletGain, diagram: ExponentialDiagram,
-                    profile: DensityProfile) -> np.ndarray:
-    """u at every grid node."""
-    check_pairing(gain, profile)
-    return gain.controls(diagram, profile.x, profile.values)[0]
 
 
 def decay_rate_bound(gain: FreeInletGain, diagram: ExponentialDiagram,
@@ -202,7 +190,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     max_iters = 0
     max_ratio = 0.0
     max_width = 0
-    eps = 1e-12 * max(1.0, scenario.horizon)
+    eps = 1e-12 * scenario.horizon
     while t0 < scenario.horizon - eps:
         span = min(window, scenario.horizon - t0)
         for attempt in range(settings.retry_cap + 1):

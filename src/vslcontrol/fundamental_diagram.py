@@ -281,19 +281,7 @@ class CheckResult:
         return f"{self.name}: {'pass' if self.passed else 'FAIL'} ({self.detail}{loc})"
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self) -> str:
-        return "\n".join(str(c) for c in self.checks)
-
-
-def validate_assumptions(diagram: ExponentialDiagram) -> AssumptionReport:
+def validate_assumptions(diagram: ExponentialDiagram) -> tuple[CheckResult, ...]:
     """Check the structural assumptions the controllers use, exactly.
 
     Reported checks:
@@ -315,9 +303,9 @@ def validate_assumptions(diagram: ExponentialDiagram) -> AssumptionReport:
     As F(rho, 0+) = 0 < f(rho) = F(rho, 1), the first l with F = f, which
     is l_sat, lies on the rising branch.
 
-    Returns a report with one entry per check and the first violating
-    point, if any.  Nothing raises here; callers decide what a failure
-    means for them.
+    Returns one CheckResult per check, in the order above, each with the
+    first violating point, if any.  Nothing raises here; callers decide
+    what a failure means for them.
     """
     b, shape, rho_max = diagram.density_scale, diagram.shape, diagram.rho_max
     has_peak = rho_max > 1.0 / b
@@ -334,7 +322,7 @@ def validate_assumptions(diagram: ExponentialDiagram) -> AssumptionReport:
     else:
         concave = CheckResult("strict_concavity", True,
                               f"(b rho_max)^shape = {v:.6g} < 1 + shape = {1.0 + shape:.6g}")
-    return AssumptionReport((peak, concave))
+    return peak, concave
 
 
 def _outside_unit(v: np.ndarray, top: float) -> bool:

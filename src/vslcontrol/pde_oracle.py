@@ -253,11 +253,17 @@ def compare(a: SimulationTrace, b: SimulationTrace) -> TraceComparison:
 
     The second trace is linearly resampled onto the first trace's grid, so
     pass the reference (finer or semi-analytic) trace first when grids
-    differ.
+    differ.  Both grids must share their first and last node: traces of
+    different roads raise DomainError.
     """
     if a.times.size != b.times.size or np.max(np.abs(a.times - b.times)) > 1e-9 * max(
             1.0, float(a.times[-1])):
         raise DomainError("traces were recorded at different output times")
+    # np.interp clamps outside b's nodes.  linspace ends and %.17g round-trip
+    # exactly, so one road's grids share both end nodes bit for bit
+    if a.x[0] != b.x[0] or a.x[-1] != b.x[-1]:
+        raise DomainError(f"traces cover different roads: [{a.x[0]:.6g}, {a.x[-1]:.6g}]"
+                          f" and [{b.x[0]:.6g}, {b.x[-1]:.6g}]")
     # np.interp returns fp[j] itself at x = xp[j], so equal grids compare bitwise
     rb = np.array([np.interp(a.x, b.x, row) for row in b.rho])
     ub = np.array([np.interp(a.x, b.x, row) for row in b.u])

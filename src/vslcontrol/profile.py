@@ -82,10 +82,6 @@ def bump_profile(length: float, n_cells: int, rho_star: float,
     return DensityProfile(length, vals, rho_star)
 
 
-def sampled_profile(length: float, rho_star: float, values) -> DensityProfile:
-    return DensityProfile(length, np.asarray(values, dtype=float), rho_star)
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A control problem: diagram, road, target density, initial data, horizon.

@@ -395,7 +395,7 @@ def certification_lines(cfg: RunConfig, gains=None) -> list[str]:
         laws = ("free_inlet", "fixed_inlet") if cfg.law == "both" else (cfg.law,)
     d = build_diagram(cfg)
     lines = ["certification:"]
-    lines.extend(f"  diagram {c}" for c in validate_assumptions(d).checks)
+    lines.extend(f"  diagram {c}" for c in validate_assumptions(d))
     for current in laws:
         if current == "free_inlet":
             bound = 1.0 / (cfg.length * cfg.rho_star)

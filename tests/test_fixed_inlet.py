@@ -45,9 +45,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vslcontrol import (CertificationError, ConvergenceError, DomainError,
-                        ExponentialDiagram, Scenario, StateEscapeError, bump_profile,
-                        fixed_inlet, sampled_profile, uniform_profile)
+from vslcontrol import (CertificationError, ConvergenceError, DensityProfile,
+                        DomainError, ExponentialDiagram, Scenario, StateEscapeError,
+                        bump_profile, fixed_inlet, uniform_profile)
 from vslcontrol.free_inlet import PicardSettings
 from vslcontrol.quadrature import cumulative_trapezoid
 
@@ -119,7 +119,7 @@ class TestCalibrate:
 
     def test_curvature_margin_fails_as_designed(self, fixed_gains):
         assert not fixed_gains.certified
-        failed = fixed_gains.failed_conditions()
+        failed = [c for c in fixed_gains.conditions if not c.passed]
         assert [c.name for c in failed] == ["curvature_margin"]
         assert failed[0].lhs == pytest.approx(CURV_LHS, rel=1e-6)
         assert failed[0].rhs == 0.1
@@ -141,8 +141,9 @@ class TestCalibrate:
         d = ExponentialDiagram(**fields)
         gains = fixed_inlet.calibrate(d, 0.7, 1.0, 0.12, 0.1, mode="override")
         assert gains.min_concavity <= 0.0
-        assert [c.name for c in gains.failed_conditions()] == ["curvature_margin"]
-        assert gains.failed_conditions()[0].lhs <= 0.0
+        failed = [c for c in gains.conditions if not c.passed]
+        assert [c.name for c in failed] == ["curvature_margin"]
+        assert failed[0].lhs <= 0.0
         with pytest.raises(CertificationError, match="curvature_margin"):
             fixed_inlet.calibrate(d, 0.7, 1.0, 0.12, 0.1, mode="strict")
 
@@ -172,7 +173,7 @@ class TestCalibrate:
     def test_fully_certified_setup_exists(self, diagram):
         g = fixed_inlet.calibrate(diagram, 0.3, 1.0, 0.05, 1e-5, mode="strict")
         assert g.certified
-        assert not g.failed_conditions()
+        assert all(c.passed for c in g.conditions)
 
     def test_condition_str_is_reportable(self, fixed_gains):
         lines = [str(c) for c in fixed_gains.conditions]
@@ -196,7 +197,7 @@ class TestAdmissible:
     def test_inlet_off_set_point_rejected(self, fixed_gains, diagram):
         vals = np.full(51, 0.7)
         vals[0] = 0.75
-        p = sampled_profile(1.0, 0.7, vals)
+        p = DensityProfile(1.0, vals, 0.7)
         res = fixed_inlet.admissible(fixed_gains, diagram, p)
         assert not res.ok
         assert res.boundary_gap == pytest.approx(0.05, rel=1e-12)
@@ -205,7 +206,7 @@ class TestAdmissible:
         # park most of the road near rho_max where f is far below the budget
         vals = np.full(101, 1.55)
         vals[0] = 0.7
-        p = sampled_profile(1.0, 0.7, vals)
+        p = DensityProfile(1.0, vals, 0.7)
         res = fixed_inlet.admissible(fixed_gains, diagram, p)
         assert not res.ok
         assert res.min_slack < 0.0
@@ -213,28 +214,26 @@ class TestAdmissible:
 
 class TestControl:
     def test_inlet_is_exactly_one(self, fixed_gains, diagram, bump400):
-        u, fv, extra = fixed_gains.controls(diagram, bump400.x, bump400.values)
+        u, fv, extra = fixed_gains.controller(diagram, bump400.x)(bump400.values)
         assert u[0] == 1.0
         assert fv[0] == float(diagram.flow(0.7))
         assert extra is None
 
     def test_outlet_reference_value(self, fixed_gains, diagram, bump400):
-        u, _, _ = fixed_gains.controls(diagram, bump400.x, bump400.values)
+        u, _, _ = fixed_gains.controller(diagram, bump400.x)(bump400.values)
         assert bump400.x[-1] == 1.0
         assert u[-1] == pytest.approx(U_OUTLET, abs=1e-6)
-        np.testing.assert_array_equal(
-            u, fixed_inlet.control_profile(fixed_gains, diagram, bump400))
 
     def test_profile_stays_in_unit_interval(self, fixed_gains, diagram, bump400):
-        u = fixed_inlet.control_profile(fixed_gains, diagram, bump400)
+        u, _, _ = fixed_gains.controller(diagram, bump400.x)(bump400.values)
         assert np.all(u > 0.0) and np.all(u <= 1.0)
 
     def test_escape_raises(self, fixed_gains, diagram):
         vals = np.full(101, 1.55)
         vals[0] = 0.7
-        p = sampled_profile(1.0, 0.7, vals)
+        p = DensityProfile(1.0, vals, 0.7)
         with pytest.raises(StateEscapeError):
-            fixed_inlet.control_profile(fixed_gains, diagram, p)
+            fixed_gains.controller(diagram, p.x)(p.values)
 
 
 class TestSimulate:
@@ -259,7 +258,7 @@ class TestSimulate:
 
     def test_forward_invariance_along_trace(self, fixed_trace, fixed_gains, diagram):
         for j in range(fixed_trace.times.size):
-            p = sampled_profile(1.0, 0.7, fixed_trace.rho[j])
+            p = DensityProfile(1.0, fixed_trace.rho[j], 0.7)
             assert fixed_inlet.admissible(fixed_gains, diagram, p).ok
 
     def test_equilibrium_is_a_fixed_point(self, fixed_gains, diagram):
@@ -297,7 +296,7 @@ class TestSimulate:
     def test_inadmissible_start_rejected(self, fixed_gains, diagram):
         vals = np.full(101, 1.55)
         vals[0] = 0.7
-        p = sampled_profile(1.0, 0.7, vals)
+        p = DensityProfile(1.0, vals, 0.7)
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=p,
                       horizon=5.0, output_interval=1.0)
         with pytest.raises(DomainError):
@@ -474,7 +473,7 @@ class TestBlockedPicardMax:
         # them; padding every row to that width would cost 4801 x that
         bump = bump_profile(1.0, 1600, 0.7).values
         top = 0.7 + 0.6 * (bump.max() - 0.7)
-        rho0 = sampled_profile(1.0, 0.7, np.minimum(bump, top))
+        rho0 = DensityProfile(1.0, np.minimum(bump, top), 0.7)
         tr, peak, matrix_bytes = self.simulate_peak_bytes(diagram, fixed_gains, rho0)
         assert tr.metadata["picard"]["envelope_width"] >= np.sum(rho0.values == top) >= 400
         assert peak < matrix_bytes / 4, (peak, matrix_bytes)

@@ -13,7 +13,8 @@ Proves:
   6.  simulate: equilibrium stays put with u = 1 everywhere; the bump run
       obeys the exponential envelope at every output time; window and
       contraction metadata honor the safety bound; a window halved after a
-      failed Picard solve is counted in metadata["picard"]["halvings"]
+      failed Picard solve is counted in metadata["picard"]["halvings"]; a
+      horizon of 1e-13 runs its one window and keeps the envelope
   7.  domain errors: oversized Picard window, rho_star at or above the
       limit-reduction threshold, mismatched gain/profile pairing, non-finite
       Picard settings
@@ -31,10 +32,10 @@ Proves:
 import numpy as np
 import pytest
 
-from vslcontrol import (ConvergenceError, DomainError, ExponentialDiagram,
-                        FreeInletGain, PicardSettings, Scenario, StateEscapeError,
-                        bump_profile, config, free_inlet, picard,
-                        sampled_profile, uniform_profile)
+from vslcontrol import (ConvergenceError, DensityProfile, DomainError,
+                        ExponentialDiagram, FreeInletGain, PicardSettings, Scenario,
+                        StateEscapeError, bump_profile, config, free_inlet, picard,
+                        runner, uniform_profile)
 from vslcontrol.quadrature import cumulative_trapezoid
 
 C_FREE = 0.076307345383806768561  # k min f / (1 + k L (rho_max - rho_star))
@@ -56,13 +57,11 @@ class TestGain:
     def test_pairing_mismatch_rejected(self, free_gain, diagram):
         p = bump_profile(1.0, 50, 0.9)
         with pytest.raises(DomainError):
-            free_inlet.control_profile(free_gain, diagram, p)
-        with pytest.raises(DomainError):
             free_inlet.bottleneck(free_gain, diagram, p)
 
 
 def _controls(gain, diagram, profile):
-    return gain.controls(diagram, profile.x, profile.values)
+    return gain.controller(diagram, profile.x)(profile.values)
 
 
 class TestWeight:
@@ -123,7 +122,7 @@ class TestControl:
         assert u[idx] == 1.0
 
     def test_never_exceeds_one(self, free_gain, diagram, bump400):
-        u = free_inlet.control_profile(free_gain, diagram, bump400)
+        u, _, _ = _controls(free_gain, diagram, bump400)
         assert np.all(u <= 1.0)
         assert np.all(u > 0.0)
 
@@ -132,8 +131,6 @@ class TestControl:
         u, fv, _ = _controls(free_gain, diagram, bump400)
         assert fv[0] == float(diagram.flow(0.7))
         assert u[0] * fv[0] == pytest.approx(value, rel=1e-15)
-        np.testing.assert_array_equal(u, free_inlet.control_profile(free_gain, diagram,
-                                                                    bump400))
 
 
 class TestDecayRateBound:
@@ -189,8 +186,7 @@ class TestSimulate:
 
     def test_inlet_flow_is_bottleneck_bitwise(self, free_trace, free_gain, diagram):
         for j in range(free_trace.times.size):
-            from vslcontrol import sampled_profile
-            p = sampled_profile(1.0, 0.7, free_trace.rho[j])
+            p = DensityProfile(1.0, free_trace.rho[j], 0.7)
             value, _ = free_inlet.bottleneck(free_gain, diagram, p)
             assert free_trace.inlet_flow[j] == value
 
@@ -201,6 +197,15 @@ class TestSimulate:
         mask = np.abs(d0) > 1e-9
         ratios = dT[mask] / d0[mask]
         assert np.ptp(ratios) < 1e-12
+
+    def test_tiny_horizon_runs_one_window(self, free_gain, diagram):
+        # the march's end tolerance scales with the horizon, so no horizon
+        # is shorter than it
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=bump_profile(1.0, 60, 0.7), horizon=1e-13, output_interval=1e-13)
+        tr = free_inlet.simulate(sc, free_gain)
+        assert tr.metadata["picard"]["windows"] == 1
+        assert runner._decay_check(tr, tr.metadata["decay_rate_bound"]).passed
 
     def test_window_metadata(self, free_trace):
         picard = free_trace.metadata["picard"]
@@ -300,7 +305,7 @@ def _bump60(amplitude, gain):
 
 def _sampled(values, gain, horizon):
     d = ExponentialDiagram(rho_max=1.6)
-    p = sampled_profile(1.0, 0.7, values)
+    p = DensityProfile(1.0, values, 0.7)
     sc = Scenario(diagram=d, length=1.0, rho_star=0.7, rho0=p, horizon=horizon,
                   output_interval=horizon / 4)
     return sc, FreeInletGain(gain, 1.0, 0.7), PicardSettings()
@@ -313,7 +318,7 @@ def _at_peak(diagram, values):
     rho_peak = d.critical_density
     vals = values(rho_peak)
     sc = Scenario(diagram=d, length=1.0, rho_star=rho_peak,
-                  rho0=sampled_profile(1.0, rho_peak, vals), horizon=2.0, output_interval=0.5)
+                  rho0=DensityProfile(1.0, vals, rho_peak), horizon=2.0, output_interval=0.5)
     return sc, FreeInletGain(0.5, 1.0, rho_peak), PicardSettings()
 
 

@@ -19,7 +19,7 @@ Proves:
       a field gives the same bits whole, row by row and in small blocks
   7.  assumption validator verdicts on family members: rho_max 1.6 and
       shape 0.5 pass, rho_max 2.1 and 2.5 are not concave, rho_max 0.9 has
-      no peak, shape 2 has f''(0) = 0; the report holds the two exact
+      no peak, shape 2 has f''(0) = 0; the validator returns the two exact
       checks, which agree with the former 2001-point sampler on 500 seeded
       random members away from the boundaries, and f(0) = 0 < f on the
       rest of the grid for each; critical_density raises exactly where
@@ -289,9 +289,9 @@ class TestSaturatingLimit:
 
 class TestValidator:
     def test_reference_family_passes(self, diagram):
-        report = validate_assumptions(diagram)
-        assert report.passed
-        names = [c.name for c in report.checks]
+        checks = validate_assumptions(diagram)
+        assert all(c.passed for c in checks)
+        names = [c.name for c in checks]
         assert "strict_concavity" in names and "single_flow_peak" in names
 
     @pytest.mark.parametrize("fields,failed,where", [
@@ -306,18 +306,16 @@ class TestValidator:
     ], ids=["rho_max-1.6", "shape-0.5", "rho_max-2.1", "rho_max-2.5", "rho_max-0.9",
             "shape-2", "shape-2-no-peak"])
     def test_family_verdicts(self, fields, failed, where):
-        report = validate_assumptions(ExponentialDiagram(**fields))
-        checks = {c.name: c for c in report.checks}
+        checks = {c.name: c for c in validate_assumptions(ExponentialDiagram(**fields))}
         assert list(checks) == ["single_flow_peak", "strict_concavity"]
-        assert {c.name for c in report.checks if not c.passed} == failed
-        assert report.passed == (not failed)
+        assert {c.name for c in checks.values() if not c.passed} == failed
         assert checks["strict_concavity"].where == where
 
     @pytest.mark.parametrize("b", [1.0, 0.7, 1.8897])
     def test_critical_density_raises_exactly_without_a_peak(self, b):
         for rho_max in (1.0 / b, np.nextafter(1.0 / b, 0.0), np.nextafter(1.0 / b, 2.0)):
             d = ExponentialDiagram(density_scale=b, rho_max=float(rho_max))
-            if validate_assumptions(d).checks[0].passed:
+            if validate_assumptions(d)[0].passed:
                 assert d.critical_density == 1.0 / b
             else:
                 with pytest.raises(AssumptionError, match="no interior critical density"):
@@ -360,7 +358,7 @@ class TestExactConditions:
                 continue
             d = ExponentialDiagram(flow_scale=rng.uniform(0.5, 2.0), density_scale=b,
                                    shape=shape, rho_max=rho_max)
-            exact = tuple(c.passed for c in validate_assumptions(d).checks)
+            exact = tuple(c.passed for c in validate_assumptions(d))
             assert exact == sampled_verdicts(d), (b, shape, rho_max)
             flows = d.flow(np.linspace(0.0, rho_max, 2001))
             assert flows[0] == 0.0 and np.all(flows[1:] > 0.0)

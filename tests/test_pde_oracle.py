@@ -9,14 +9,15 @@ Proves:
       coarse grid under both laws
   4.  the divergence guard: a state whose deviation leaves
       ESCAPE_FACTOR * max(sup0, 0.05 * rho_max) raises SolverDivergenceError
-  5.  compare: identical traces give zero gaps, mismatched time grids are
-      rejected, different space grids are resampled
+  5.  compare: identical traces give zero gaps, mismatched time grids and
+      traces of different roads are rejected (in either order), different
+      space grids of one road are resampled
   6.  conservation bookkeeping: interior mass change matches boundary
       fluxes to discretization accuracy
   7.  records that are not laws, and laws for another road, are rejected
   8.  the lean right-hand side (law and buffers bound once, slice
       stencil, RK4 in place) gives the same bits as a plain loop over
-      gains.controls and np.gradient under RK4, for both laws at 60, 400
+      a freshly bound law and np.gradient under RK4, for both laws at 60, 400
       and 800 cells and shapes 1 and 2; the checked ExponentialDiagram.flow
       is called as often whatever the step count, so no stage goes back
       to the allocating, separately checked flow
@@ -116,6 +117,17 @@ class TestCompare:
         with pytest.raises(DomainError):
             pde_oracle.compare(a, b)
 
+    def test_different_roads_rejected(self, diagram, free_gain):
+        # resampling would clamp the road on [0, 2] onto [0, 1]
+        a = free_inlet.simulate(short_scenario(diagram, horizon=0.5), free_gain)
+        long_road = Scenario(diagram=diagram, length=2.0, rho_star=0.7,
+                             rho0=bump_profile(2.0, 80, 0.7, amplitude=0.4, width=2.0),
+                             horizon=0.5, output_interval=0.5)
+        b = free_inlet.simulate(long_road, FreeInletGain(0.3, 2.0, 0.7))
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(DomainError, match="different roads"):
+                pde_oracle.compare(first, second)
+
     def test_space_resampling(self, diagram, free_gain):
         sc_fine = short_scenario(diagram, n_cells=160, horizon=1.0)
         sc_coarse = short_scenario(diagram, n_cells=80, horizon=1.0)
@@ -153,7 +165,7 @@ class TestDispatch:
 
 
 def reference_rows(scenario, gains, n_cells, steps_per_interval):
-    """The oracle as a plain loop: gains.controls and np.gradient every RK4 stage.
+    """The oracle as a plain loop: a freshly bound law and np.gradient every RK4 stage.
 
     Output interval j takes steps_per_interval[j] equal steps.  Returns the
     state at every output time, one row each.
@@ -164,7 +176,7 @@ def reference_rows(scenario, gains, n_cells, steps_per_interval):
     rho = np.interp(x, scenario.rho0.x, scenario.rho0.values)
 
     def rhs(state):
-        u, fv, _ = gains.controls(d, x, state, pde_oracle.ORACLE_U_TOL)
+        u, fv, _ = gains.controller(d, x, pde_oracle.ORACLE_U_TOL)(state)
         out = -np.gradient(u * fv, h, edge_order=2)
         if gains.pins_inlet:
             out[0] = 0.0

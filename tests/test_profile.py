@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from vslcontrol import (DensityProfile, DomainError, Scenario, bump_profile,
-                        polynomial_profile, sampled_profile, uniform_profile)
+                        polynomial_profile, uniform_profile)
 from vslcontrol.quadrature import integral_to
 
 BUMP_INTEGRAL = 0.32  # exact: 4 * (1.44/3 - 2.4/4 + 1/5)
@@ -64,7 +64,7 @@ class TestCumulativeDeviation:
         assert np.sum(parts) == pytest.approx(full, rel=1e-12)
 
     def test_partial_cell_is_linear_interpolation_of_integrand(self):
-        p = sampled_profile(1.0, 1.0, np.array([1.0, 2.0, 1.0]))
+        p = DensityProfile(1.0, np.array([1.0, 2.0, 1.0]), 1.0)
         # between nodes 0 and 1 the deviation ramps 0 -> 1 over width 0.5
         assert deviation_to(p, 0.25) == pytest.approx(0.25 * 0.5 / 2.0, rel=1e-12)
 
@@ -81,7 +81,7 @@ class TestSupDeviation:
     def test_single_spike(self):
         vals = np.full(51, 0.7)
         vals[17] += 0.1
-        p = sampled_profile(1.0, 0.7, vals)
+        p = DensityProfile(1.0, vals, 0.7)
         assert p.sup_deviation() == pytest.approx(0.1, rel=1e-15)
 
 
@@ -102,11 +102,11 @@ class TestBuilders:
 class TestValidation:
     def test_nonpositive_values_rejected(self):
         with pytest.raises(DomainError):
-            sampled_profile(1.0, 0.5, np.array([0.5, 0.0, 0.5]))
+            DensityProfile(1.0, np.array([0.5, 0.0, 0.5]), 0.5)
 
     def test_single_node_rejected(self):
         with pytest.raises(DomainError):
-            sampled_profile(1.0, 0.5, np.array([0.5]))
+            DensityProfile(1.0, np.array([0.5]), 0.5)
 
     def test_bad_length_rejected(self):
         with pytest.raises(DomainError):
@@ -141,7 +141,7 @@ class TestScenario:
     def test_density_above_capacity_limit_rejected(self, diagram):
         vals = np.full(11, 0.7)
         vals[5] = 1.7
-        p = sampled_profile(1.0, 0.7, vals)
+        p = DensityProfile(1.0, vals, 0.7)
         with pytest.raises(DomainError):
             Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=p,
                      horizon=10.0, output_interval=1.0)

@@ -24,7 +24,8 @@ Proves:
       status line per law; a compare of a run directory with a missing,
       truncated or incomplete file, with density.csv rows out of x order,
       with control.csv on another node grid, or with control.csv,
-      flows.csv or bottleneck.csv at other times, a run into an existing
+      flows.csv or bottleneck.csv at other times, a compare of runs on
+      different roads (either order), a run into an existing
       file and a fixed-law run with sigma * horizon past log(float max)
       exit 2 with an error line and no traceback; the [project.scripts] entry
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
@@ -46,7 +47,8 @@ Proves:
       and limit grids no value takes the per-value fallback, and on the
       writer tests' specials exactly the values outside [1e-4, 1e17) do;
       importing the package does not load the formatter, the first write does
- 11.  every name in vslcontrol.__all__ resolves
+ 11.  every name in vslcontrol.__all__ resolves, and the README's "Library
+      entry points" block runs as written
 """
 
 import hashlib
@@ -505,6 +507,19 @@ class TestCli:
         err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
         assert name in err and "times" in err
 
+    @pytest.mark.parametrize("longer_first", [False, True])
+    def test_compare_different_roads(self, quick_free, run_copy, tmp_path, longer_first):
+        # the copy's nodes stretched to [0, 2]: one error line, not a clamped gap
+        trace = runner.load_trace(str(run_copy))
+        for name, header, values in (("density.csv", "t,x,density", trace.rho),
+                                     ("control.csv", "t,x,u", trace.u)):
+            runner._write_long(str(run_copy / name), header, trace.times, 2.0 * trace.x, values)
+        dirs = [quick_free[0].law("free_inlet").directory, str(run_copy)]
+        if longer_first:
+            dirs.reverse()
+        err = self.assert_error_exit(tmp_path, "compare", *dirs)
+        assert "different roads" in err and len(err.splitlines()) == 1
+
     def test_compare_metadata_without_rho_star(self, run_copy, tmp_path):
         path = run_copy / "metadata.json"
         meta = json.loads(path.read_text())
@@ -780,3 +795,10 @@ class TestFormatBlock:
 def test_every_exported_name_resolves():
     for name in vslcontrol.__all__:
         assert getattr(vslcontrol, name) is not None, name
+
+
+def test_readme_library_block_runs():
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library entry points\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
