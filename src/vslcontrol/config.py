@@ -5,14 +5,14 @@ The format is a flat key-value file with one section per module:
     [diagram]    flow_scale, density_scale, shape, vsl_sensitivity, rho_max
     [scenario]   length, rho_star, n_cells, horizon, snapshots, profile + params
     [controller] law, free_gain, sigma, gamma, mode, u-gap thresholds, note
-    [picard]     window, time_samples, tol, max_iter, safety, retry_cap
+    [picard]     time_samples, tol, max_iter
     [oracle]     enabled, n_cells, cfl_cap
     [output]     directory
 
 Parsing and serialization round-trip exactly: floats are written with repr,
 which reproduces the same float64 on re-parse.  "auto" stands for None in
-the optional keys window and uniform_value.  A key outside this layout,
-including any key under [DEFAULT], is rejected.
+the optional key uniform_value.  A key outside this layout, including any
+key under [DEFAULT], is rejected.
 """
 
 from __future__ import annotations
@@ -66,12 +66,9 @@ class RunConfig:
     fixed_u_gap_tol: float = 0.045
     note: str = ""
     # picard
-    picard_window: float | None = None
     picard_time_samples: int = 64
     picard_tol: float = 1e-10
     picard_max_iter: int = 200
-    picard_safety: float = 0.5
-    picard_retry_cap: int = 5
     # oracle
     oracle_enabled: bool = False
     oracle_n_cells: int = 400
@@ -103,7 +100,7 @@ class RunConfig:
 # the field named in _SECTION_STARTS; a key is its field's name minus the
 # section prefix, except for the two keys in _RENAMED.
 _SECTION_STARTS = {"flow_scale": "diagram", "length": "scenario", "law": "controller",
-                   "picard_window": "picard", "oracle_enabled": "oracle",
+                   "picard_time_samples": "picard", "oracle_enabled": "oracle",
                    "output_dir": "output"}
 _RENAMED = {"profile_kind": "profile", "output_dir": "directory"}
 

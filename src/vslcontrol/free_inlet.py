@@ -18,8 +18,10 @@ s being the smallest initial density.  The closed-loop solution factorizes as
 rho(t, x) = rho_star + (rho0(x) - rho_star) * exp(-k * integral_0^t P(s) ds)
 where P(t) is the bottleneck value, so simulation reduces to a scalar
 fixed-point problem for P on short time windows, solved by
-`picard.iterate` with a contraction factor kept below `safety` by the
-window length.
+`picard.iterate`.  The gain bound makes each window's update a contraction
+with certified factor coeff * window (`_contraction_coefficient`), and the
+windows have the length _SAFETY / coeff (the last may be shorter), so that
+factor is at most _SAFETY.
 
 Each update takes, at every time sample of a window, the minimum over the
 nodes of f(rho_star + s dev_i) / (1 + k s D0_i), with s = exp(-k int g) the
@@ -56,6 +58,8 @@ from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
 
+# certified contraction factor of every window
+_SAFETY = 0.5
 # relative slack on a window's bounds.  ExponentialDiagram.flow rounds to
 # within a few (shape + 2) * 745 ulps of its value wherever the value does
 # not underflow, far below _MARGIN for any shape up to 1000; _FLOOR, the
@@ -159,9 +163,8 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     single peak (critical density, capacity), can reach the least upper bound.
     Those minima are the minima over all nodes bit for bit (see the module
     docstring); metadata["picard"]["candidates_max"] is the largest
-    candidate count.  A window that fails to converge is halved and retried
-    (up to settings.retry_cap); metadata["picard"]["halvings"] counts those
-    retries.
+    candidate count.  A window that does not converge within
+    settings.max_iter raises ConvergenceError.
     """
     d = scenario.diagram
     check_pairing(gain, scenario)
@@ -169,13 +172,7 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
         raise DomainError("rho_star must lie strictly below the diagram's "
                           "limit-reduction threshold")
     coeff = _contraction_coefficient(gain, d)
-    if settings.window is None:
-        window0 = settings.safety / coeff
-    elif coeff * settings.window > settings.safety:
-        raise DomainError(f"window gives contraction factor {coeff * settings.window:.3g}"
-                          f" > safety {settings.safety}")
-    else:
-        window0 = settings.window
+    window = _SAFETY / coeff
 
     targets = scenario.output_times
     x = scenario.rho0.x
@@ -184,26 +181,15 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     rho_out[0] = scenario.rho0.values
     j = 1
     t0 = 0.0
-    window = window0
     n_windows = 0
-    halvings = 0
     max_iters = 0
     max_ratio = 0.0
     max_width = 0
     eps = 1e-12 * scenario.horizon
     while t0 < scenario.horizon - eps:
         span = min(window, scenario.horizon - t0)
-        for attempt in range(settings.retry_cap + 1):
-            try:
-                tn, g, cumg, iters, ratio, width = _solve_window(
-                    d, gain, scenario.rho_star, x, dev, span, settings)
-                break
-            except ConvergenceError:
-                if attempt == settings.retry_cap:
-                    raise
-                span *= 0.5
-                halvings += 1
-                window = min(window, span)  # keep the shrunken window from here on
+        tn, g, cumg, iters, ratio, width = _solve_window(
+            d, gain, scenario.rho_star, x, dev, span, settings)
         n_windows += 1
         max_iters = max(max_iters, iters)
         max_ratio = max(max_ratio, ratio)
@@ -231,13 +217,12 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
             "lipschitz_slope": d.max_abs_slope,
             "capacity": d.capacity,
             "critical_density": d.critical_density,
-            "window": window0,
+            "window": window,
             "picard": {
                 "windows": n_windows,
-                "halvings": halvings,
                 "max_iterations": max_iters,
                 "max_contraction_ratio": max_ratio,
-                "factor_bound": min(coeff * window0, settings.safety),
+                "factor_bound": min(coeff * window, _SAFETY),
                 "tol": settings.tol,
                 "candidates_max": max_width,
             },

@@ -333,7 +333,7 @@ def _outside_unit(v: np.ndarray, top: float) -> bool:
 
 def _bisect_all(up: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
                 max_steps: int) -> np.ndarray:
-    """Elementwise bisection midpoints after at most max_steps halvings.
+    """Elementwise bisection midpoints after at most max_steps steps.
 
     up(mid) is True where the root lies in [lo, mid].  Requires 0 <= lo <= hi,
     so lo <= mid <= hi, and the branch-free ends fmin(hi, mid / go) and

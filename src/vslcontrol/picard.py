@@ -20,33 +20,22 @@ from .errors import ConvergenceError, DomainError
 class PicardSettings:
     """Knobs of the fixed-point solvers.
 
-    window:       time-window length for the windowed solver; None sizes it
-                  from the contraction bound so the factor equals `safety`.
     time_samples: subintervals of the uniform time grid carrying the
                   fixed-point function (per window for the windowed solver,
                   per unit time for the whole-horizon solver).
     tol:          sup-norm stopping tolerance of the iteration.
     max_iter:     iteration budget before declaring non-convergence.
-    safety:       required contraction factor bound, in (0, 1).
-    retry_cap:    times a non-converging window may be halved and retried.
     """
 
-    window: float | None = None
     time_samples: int = 64
     tol: float = 1e-10
     max_iter: int = 200
-    safety: float = 0.5
-    retry_cap: int = 5
 
     def __post_init__(self):
-        if self.window is not None and not (0.0 < self.window < math.inf):
-            raise DomainError("window must be positive and finite")
         if self.time_samples < 2:
             raise DomainError("need at least 2 time samples")
-        if not (0.0 < self.safety < 1.0):
-            raise DomainError("safety must lie in (0, 1)")
-        if not (0.0 < self.tol < math.inf) or self.max_iter < 1 or self.retry_cap < 0:
-            raise DomainError("tol, max_iter and retry_cap must be positive, tol finite")
+        if not (0.0 < self.tol < math.inf) or self.max_iter < 1:
+            raise DomainError("tol and max_iter must be positive, tol finite")
 
 
 def iterate(update: Callable[[np.ndarray], np.ndarray], g0: np.ndarray,

@@ -11,13 +11,14 @@ Proves:
   5.  the certified decay rate matches the frozen reference, grows with
       the lower density bound, and saturates above rho_star
   6.  simulate: equilibrium stays put with u = 1 everywhere; the bump run
-      obeys the exponential envelope at every output time; window and
-      contraction metadata honor the safety bound; a window halved after a
-      failed Picard solve is counted in metadata["picard"]["halvings"]; a
-      horizon of 1e-13 runs its one window and keeps the envelope
-  7.  domain errors: oversized Picard window, rho_star at or above the
-      limit-reduction threshold, mismatched gain/profile pairing, non-finite
-      Picard settings
+      obeys the exponential envelope at every output time; every window has
+      the certified length, its contraction ratios stay within the certified
+      factor 0.5 and the picard block holds exactly the documented keys; a
+      horizon of 1e-13 runs its one window and keeps the envelope; a window
+      that exhausts its iteration budget raises ConvergenceError
+  7.  domain errors: rho_star at or above the limit-reduction threshold,
+      mismatched gain/profile pairing, non-finite or non-positive Picard
+      settings; PicardSettings has exactly time_samples, tol and max_iter
   8.  every window's Picard solve over its candidate nodes gives the g,
       iteration count and contraction ratio of the full (time samples x
       nodes) matrix bit for bit: on both free presets, oracle-batch-shaped
@@ -28,6 +29,8 @@ Proves:
       raises StateEscapeError; the fine-grid benchmark's bumps keep at most
       an eighth of their 1601 nodes as candidates
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ from vslcontrol.quadrature import cumulative_trapezoid
 
 C_FREE = 0.076307345383806768561  # k min f / (1 + k L (rho_max - rho_star))
 P_BUMP = 0.33204330036719243      # grid bottleneck of the 400-cell bump
-WINDOW = 1.0408667024872496       # safety 0.5 over the contraction coefficient
+WINDOW = 1.0408667024872496       # 0.5 over the contraction coefficient
 
 
 class TestGain:
@@ -213,34 +216,9 @@ class TestSimulate:
         assert picard["windows"] == int(np.ceil(30.0 / WINDOW))
         assert picard["max_contraction_ratio"] <= 0.5 + 1e-12
         assert picard["max_iterations"] <= 30
-        assert picard["halvings"] == 0
-
-    def test_halving_is_counted(self, free_scenario, free_gain, monkeypatch):
-        solve = free_inlet._solve_window
-        failures = []
-
-        def fail_once(*args):
-            if not failures:
-                failures.append(args[5])
-                raise ConvergenceError("forced")
-            return solve(*args)
-
-        monkeypatch.setattr(free_inlet, "_solve_window", fail_once)
-        tr = free_inlet.simulate(free_scenario, free_gain)
-        assert tr.metadata["picard"]["halvings"] == 1
-        assert failures == [pytest.approx(WINDOW, rel=1e-12)]
-        assert tr.metadata["picard"]["windows"] == int(np.ceil(30.0 / (WINDOW / 2)))
-
-    def test_oversized_window_rejected(self, free_scenario, free_gain):
-        with pytest.raises(DomainError):
-            free_inlet.simulate(free_scenario, free_gain,
-                                PicardSettings(window=10.0))
-
-    def test_explicit_window_matches_auto(self, free_scenario, free_gain):
-        auto = free_inlet.simulate(free_scenario, free_gain)
-        manual = free_inlet.simulate(free_scenario, free_gain,
-                                     PicardSettings(window=1.0))
-        np.testing.assert_allclose(manual.rho, auto.rho, rtol=0, atol=1e-9)
+        assert picard["factor_bound"] == 0.5
+        assert set(picard) == {"windows", "max_iterations", "max_contraction_ratio",
+                               "factor_bound", "tol", "candidates_max"}
 
     def test_set_point_above_limit_threshold_rejected(self):
         d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
@@ -253,26 +231,25 @@ class TestSimulate:
             free_inlet.simulate(sc, g)
 
     def test_tiny_iteration_budget_raises(self, free_scenario, free_gain):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="window of length"):
             free_inlet.simulate(free_scenario, free_gain,
-                                PicardSettings(max_iter=1, tol=1e-14, retry_cap=0))
+                                PicardSettings(max_iter=1, tol=1e-14))
 
 
 class TestPicardSettings:
     def test_validation(self):
         with pytest.raises(DomainError):
-            PicardSettings(window=-1.0)
-        with pytest.raises(DomainError):
             PicardSettings(time_samples=1)
         with pytest.raises(DomainError):
-            PicardSettings(safety=1.0)
-        with pytest.raises(DomainError):
             PicardSettings(tol=0.0)
+        with pytest.raises(DomainError):
+            PicardSettings(max_iter=0)
         for bad in (np.nan, np.inf):
             with pytest.raises(DomainError):
                 PicardSettings(tol=bad)
-            with pytest.raises(DomainError):
-                PicardSettings(window=bad)
+
+    def test_fields(self):
+        assert [f.name for f in fields(PicardSettings)] == ["time_samples", "tol", "max_iter"]
 
 
 def full_window(diagram, gain, rho_star, x, dev, span, settings):

@@ -25,7 +25,7 @@ Covered invariants:
   free_decay_and_flux           closed loop: u in (0, 1], inlet flow equals
                                 the bottleneck, sup deviation under the
                                 certified envelope, Picard ratios within
-                                the safety bound
+                                the certified factor 0.5
   fixed_boundary_and_decay      closed loop: exact inlet pinning, decay at
                                 sigma - gamma L, contraction ratios within
                                 gamma L / sigma, Gronwall consistency
@@ -303,7 +303,7 @@ def config_round_trip(rng, n_cases=N_CASES):
             sigma=float(rng.uniform(0.05, 0.3)),
             gamma=float(rng.uniform(0.01, 0.2)),
             mode=("strict", "override")[int(rng.integers(0, 2))],
-            picard_window=None if rng.random() < 0.5 else float(rng.uniform(0.1, 2.0)),
+            picard_time_samples=int(rng.integers(2, 200)),
             picard_tol=float(10.0 ** rng.uniform(-14, -6)),
             oracle_enabled=bool(rng.random() < 0.5),
             note="x" * int(rng.integers(0, 10)))

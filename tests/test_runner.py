@@ -5,7 +5,10 @@ Proves:
       configs, including None sentinels and tuple-valued fields; the
       serialized default config and presets keep their pinned SHA-256
   2.  unknown keys, keys under [DEFAULT], bad enum values and malformed
-      numbers raise ConfigError; the INI example in README.md parses
+      numbers raise ConfigError; the INI example in README.md parses; each
+      README sentence "The `[section]` keys are ..." names exactly that
+      section's keys; the default config as written with [picard] window,
+      safety and retry_cap raises ConfigError naming [picard] window
   3.  run() writes the documented file set; norms.csv respects the decay
       bound row by row; load_trace round-trips the arrays bit for bit;
       report.txt states the grid the trace was computed on; limits.csv of
@@ -32,8 +35,11 @@ Proves:
       runs as its own process; a preset run imports no scipy module
   8.  a non-finite float in any config key, a gain outside its window, a
       strict calibration failure, keys under [DEFAULT] and each removed
-      key ([diagram] kind, [oracle] scheme, dt, escape_factor) all exit 2
-      with an error line and leave no run directory
+      key ([diagram] kind, [oracle] scheme, dt, escape_factor, [picard]
+      window, safety, retry_cap, and the whole default config as written
+      with the last three) all exit 2 with an error line and leave no run
+      directory; a free-law window that exhausts [picard] max_iter exits 2
+      with one ConvergenceError line naming the window
   9.  every layer the benchmark's span recorder wraps is reached through
       module attributes by a run with both laws and the oracle, then compare;
       every benchmark workload passes its own check on one tiny case
@@ -99,6 +105,16 @@ def quick_fixed(tmp_path_factory):
     return runner.run(cfg, out), cfg
 
 
+def retired_picard_text() -> str:
+    """serialize_config(RunConfig()) as written while [picard] still had the
+    keys window, safety and retry_cap, checked against its former digest."""
+    text = serialize_config(RunConfig()).replace("[picard]\n", "[picard]\nwindow = auto\n")
+    text = text.replace("max_iter = 200\n", "max_iter = 200\nsafety = 0.5\nretry_cap = 5\n")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "b0ba1ad5e6c793b962d41177c9a0ba6046f84fdabe03d74fb2971fb2ada2359d")
+    return text
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets(self, name):
@@ -106,7 +122,7 @@ class TestConfigRoundTrip:
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_none_and_tuple_fields(self):
-        cfg = with_overrides(RunConfig(), picard_window=0.5, uniform_value=0.8,
+        cfg = with_overrides(RunConfig(), picard_time_samples=9, uniform_value=0.8,
                              profile_kind="polynomial",
                              poly_coeffs=(0.7, 0.0, 1.5e-3))
         assert parse_config(serialize_config(cfg)) == cfg
@@ -135,6 +151,21 @@ class TestConfigRoundTrip:
         cfg = parse_config(block)
         assert cfg.oracle_enabled and cfg.free_gain == 0.3
 
+    def test_readme_key_lists_match_layout(self):
+        # each "The `[section]` keys are `a`, `b` and `c`" sentence names
+        # exactly that section's keys, in file order
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        lists = re.findall(r"The `\[(\w+)\]` keys are\s+((?:`\w+`(?:,\s+|\s+and\s+)?)+)",
+                           readme)
+        assert {section for section, _ in lists} >= {"picard", "oracle"}
+        for section, names in lists:
+            assert re.findall(r"`(\w+)`", names) == [
+                key for s, key, _ in _LAYOUT if s == section], section
+
+    def test_retired_picard_keys_rejected(self):
+        with pytest.raises(ConfigError, match=r"^unknown config key \[picard\] window$"):
+            parse_config(retired_picard_text())
+
     def test_malformed_number_rejected(self):
         text = serialize_config(RunConfig()).replace("sigma = 0.12", "sigma = fast")
         with pytest.raises(ConfigError):
@@ -154,10 +185,10 @@ class TestConfigRoundTrip:
     # keys; these digests pin the INI text itself (the benchmark's input
     # digests are built from it).
     SERIALIZED_SHA256 = {
-        None: "b0ba1ad5e6c793b962d41177c9a0ba6046f84fdabe03d74fb2971fb2ada2359d",
-        "paper-sec5-free": "93053e6bf2c8542fecf7db9231fb08c0216e46a7c3bf0f7a5daa8f26526a62f9",
-        "paper-sec5-fixed": "e1ac642248b654cc350a1238c420d066a76fdf9e55ff232a7e563c00c9b95db0",
-        "paper-fig7": "06f9cd1547fdcc93d9894afd5bdeca7ba425fed3401e168f8344dc8ba54c42ae",
+        None: "a3594db914b12f13110390693645614bb45314efdcbc755f7c4a517993438530",
+        "paper-sec5-free": "f2cf74b7da0812a8315d383a4a4ae5d747f9f402cf23edd8c66ff1ba2b92bb1b",
+        "paper-sec5-fixed": "2444637d1da02c3eb5c1226f9f8e1affc2b27379c10239014aee4d8f2d8a4015",
+        "paper-fig7": "aaed9b39271781bbb8dd3dfb4f3fdd7f615abd847350c48b97b6a9395d2b7154",
     }
 
     @pytest.mark.parametrize("name", list(SERIALIZED_SHA256), ids=str)
@@ -405,7 +436,7 @@ class TestCli:
 
     def test_non_finite_floats_exit_two(self, tmp_path, capsys):
         floats = [(key, name) for _, key, name in _LAYOUT if "float" in _FIELD_TYPES[name]]
-        assert len(floats) == 22
+        assert len(floats) == 20
         p = tmp_path / "c.ini"
         out = tmp_path / "o"
         for key, name in floats:
@@ -432,7 +463,9 @@ class TestCli:
 
     @pytest.mark.parametrize("section,key,value", [
         ("diagram", "kind", "exponential"), ("oracle", "scheme", "central_flux_rk4"),
-        ("oracle", "dt", "auto"), ("oracle", "escape_factor", "4.0")])
+        ("oracle", "dt", "auto"), ("oracle", "escape_factor", "4.0"),
+        ("picard", "window", "auto"), ("picard", "safety", "0.5"),
+        ("picard", "retry_cap", "5")])
     def test_removed_key_writes_no_directory(self, tmp_path, capsys, section, key, value):
         p = tmp_path / "c.ini"
         text = serialize_config(with_overrides(preset("paper-sec5-free"), oracle_enabled=True))
@@ -442,6 +475,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: unknown config key [{section}] {key}"), err
         assert not out.exists()
+
+    def test_retired_picard_keys_write_no_directory(self, tmp_path, capsys):
+        p = tmp_path / "c.ini"
+        p.write_text(retired_picard_text())
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key [picard] window\n"
+        assert not out.exists()
+
+    def test_unconverged_window_exits_two(self, tmp_path, capsys):
+        p = str(tmp_path / "c.ini")
+        save_config(with_overrides(preset("paper-sec5-free"), **QUICK,
+                                   picard_max_iter=1, picard_tol=1e-14), p)
+        assert cli.main(["run", "--config", p, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: window of length \S+ did not converge in 1 iterations\n",
+                            err), err
 
     @pytest.fixture
     def run_copy(self, quick_free, tmp_path):
