@@ -207,6 +207,8 @@ class AdmissibilityResult:
     min_slack: float
     argmin_x: float
     boundary_gap: float
+    interior_slack: float  # min over x > 0: a pinned inlet's slack is 0 exactly
+    interior_x: float
 
 
 def admissible(gains: FixedInletGains, diagram: ExponentialDiagram,
@@ -214,7 +216,8 @@ def admissible(gains: FixedInletGains, diagram: ExponentialDiagram,
     """Whether the profile lies in the invariant family of the law.
 
     Checks rho(0) = rho_star (within 1e-9 * rho_max) and the flow-slack
-    inequality at every grid node; reports the worst slack and where.
+    inequality at every grid node; reports the worst slack and where, over
+    all nodes and over x > 0.
     """
     check_pairing(gains, profile)
     boundary_gap = abs(float(profile.values[0]) - gains.rho_star)
@@ -223,9 +226,11 @@ def admissible(gains: FixedInletGains, diagram: ExponentialDiagram,
                                                   profile.sup_deviation())
     slack = np.asarray(diagram.flow(profile.values), dtype=float) - lhs
     idx = int(np.argmin(slack))
+    inner = 1 + int(np.argmin(slack[1:]))
     min_slack = float(slack[idx])
     return AdmissibilityResult(boundary_ok and min_slack >= 0.0,
-                               min_slack, float(profile.x[idx]), boundary_gap)
+                               min_slack, float(profile.x[idx]), boundary_gap,
+                               float(slack[inner]), float(profile.x[inner]))
 
 
 def simulate(scenario: Scenario, gains: FixedInletGains,

@@ -27,6 +27,10 @@ F(rho, l) = u f(rho).  Both bisect through `_bisect_all`, the package's
 one bisection loop.  Where l_sat = 1, `speed_limits` starts from the
 bracket of `warmstart.bracket`, whose docstring proves that the loop from
 [0, 1] passes through it, so every limit keeps its bits.
+
+At shape 1, which every preset runs, `flow_into` and `_limited_flow` skip
+the power and the division by -shape, with the general order's bits;
+their docstrings give the reason.
 """
 
 from __future__ import annotations
@@ -93,11 +97,24 @@ class ExponentialDiagram:
         Unchecked: the caller has run density_range on r.  The one formula
         of f: flow allocates the two arrays, a bound law reuses its own.
         -v / shape is v / -shape bit for bit.
+
+        Two evaluation orders, one set of bits.  In general the exponent is
+        fl(fl(b r)^shape) / -shape, six passes with the two products.  At
+        shape 1 it is one product, fl(-b r): x^1 = x and x / -1 = -x
+        exactly, and round-to-nearest is symmetric, so fl(-b r) = -fl(b r),
+        signed zeros included.  At A = 1 the last product is r exp(.):
+        fl(1 r) = r.  So f takes three passes at shape 1 and A = 1.
         """
-        np.multiply(self.density_scale, r, out=work)
-        work **= self.shape
-        np.divide(work, -self.shape, out=work)
-        np.exp(work, out=work)
+        if self.shape == 1.0:
+            np.multiply(-self.density_scale, r, out=work)
+            np.exp(work, out=work)
+            if self.flow_scale == 1.0:
+                return np.multiply(r, work, out=out)
+        else:
+            np.multiply(self.density_scale, r, out=work)
+            work **= self.shape
+            np.divide(work, -self.shape, out=work)
+            np.exp(work, out=work)
         np.multiply(self.flow_scale, r, out=out)
         return np.multiply(out, work, out=out)
 
@@ -141,8 +158,17 @@ class ExponentialDiagram:
         return self._limited_flow(self.flow_scale * r, self.density_scale * r, l)
 
     def _limited_flow(self, ar, br, l):
-        """F(rho, l) from A rho and b rho, bit for bit: v / -shape is (-v) / shape."""
-        s = 1.0 + self.vsl_sensitivity * (1.0 - l)
+        """F(rho, l) from A rho and b rho, bit for bit: v / -shape is (-v) / shape.
+
+        At shape 1 the exponent is br / -s, with -s = fl(-1 - a t) =
+        -fl(1 + a t): round-to-nearest is symmetric, and (br / s)^1 / -1 is
+        br / -s exactly.  That skips the power and a division, seven passes
+        instead of nine, with the same bits.
+        """
+        a = self.vsl_sensitivity
+        if self.shape == 1.0:
+            return ar * l * np.exp(br / (-1.0 - a * (1.0 - l)))
+        s = 1.0 + a * (1.0 - l)
         return ar * l * np.exp((br / s) ** self.shape / -self.shape)
 
     @cached_property

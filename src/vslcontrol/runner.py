@@ -205,18 +205,21 @@ def _fixed_checks(cfg: RunConfig, scenario: Scenario, gains: fixed_inlet.FixedIn
 
     checks.append(_decay_check(trace, gains.decay_rate))
 
+    # the margin skips what ties by construction: the initial profile, which
+    # simulate admitted, and the pinned inlet, whose slack is 0 exactly
     worst = np.inf
     where = None
     ok = True
     for j in range(trace.times.size):
         prof = DensityProfile(gains.length, trace.rho[j], gains.rho_star)
         adm = fixed_inlet.admissible(gains, d, prof)
-        if adm.min_slack < worst:
-            worst, where = adm.min_slack, f"t = {trace.times[j]:.6g}, x = {adm.argmin_x:.6g}"
+        if trace.times[j] > 0.0 and adm.interior_slack < worst:
+            worst = adm.interior_slack
+            where = f"t = {trace.times[j]:.6g}, x = {adm.interior_x:.6g}"
         ok = ok and adm.ok
     checks.append(CheckResult(
         "forward_invariance", ok,
-        f"profiles stay admissible; worst slack {worst:.3e}", where))
+        f"profiles stay admissible; worst slack over t > 0, x > 0: {worst:.3e}", where))
 
     checks.append(_u_gap_check(trace, cfg.fixed_u_gap_tol))
     return tuple(checks)
@@ -238,9 +241,19 @@ def _decay_check(trace: SimulationTrace, rate: float) -> CheckResult:
             "decay_bound", False,
             f"sup deviation {trace.sup_deviation[j]:.9g} exceeds bound {bound[j]:.9g}",
             f"t = {trace.times[j]:.6g}")
-    margin = float(np.min(bound - trace.sup_deviation))
+    # at t = 0 the bound is the deviation itself, a tie by construction
+    later = trace.times > 0.0
+    if not np.any(later):
+        return CheckResult("decay_bound", True,
+                           f"exp(-{rate:.6g} t) bound holds (no snapshot after t = 0)")
+    sup, top = trace.sup_deviation[later], bound[later]
+    margin = float(np.min(top - sup))
+    # where the bound underflows to 0 the check above forces sup = 0
+    ratio = np.divide(sup, top, out=np.zeros_like(sup), where=top > 0.0)
+    j = int(np.argmax(ratio))
     return CheckResult("decay_bound", True,
-                       f"exp(-{rate:.6g} t) bound holds (min margin {margin:.3e})")
+                       f"exp(-{rate:.6g} t) bound holds; over t > 0 min margin {margin:.3e}, "
+                       f"sup/bound at most {ratio[j]:.3g}", f"t = {trace.times[later][j]:.6g}")
 
 
 def _u_gap_check(trace: SimulationTrace, tol: float) -> CheckResult:

@@ -73,7 +73,10 @@ def bracket(diagram: ExponentialDiagram, ar: np.ndarray, br: np.ndarray,
     within u (10 + W (4 + 9 / shape)) of F wherever its result is normal.
     eps = 2^-47 (1 + W (1 + 1/shape)) is 6.4 times that or more, which
     also covers the rounding of the tests below.  The cell needs
-    eps <= 2^-42, which keeps W / shape < 31, so exp(z) is normal.
+    eps <= 2^-42, which keeps W / shape < 31, so exp(z) is normal.  At
+    shape 1, w = b rho / s and z = -w come from one division, as
+    b rho / -s, and no pow runs, so the 4-ulp pow assumption is not used
+    there; the bound above still holds.
 
     Proven region.  From the guess l of `newton_limit`, A = l (1 - 2^-41)
     and B = min(l (1 + 2^-41), 1).  The cell is kept only if A >= 2^-40,

@@ -15,8 +15,9 @@ Proves:
       a diagram that fails strict_concavity (rho_max 2.5, shape 2) has
       min_concavity <= 0, so its curvature margin fails in either mode
   3.  admissibility: equilibrium and the reference bump pass with the
-      binding slack at the inlet; a profile off the set point at x = 0 is
-      rejected via the boundary gap
+      binding slack at the inlet, and the bump's slack over x > 0 is
+      positive; a profile off the set point at x = 0 is rejected via the
+      boundary gap
   4.  controls: u(0) = 1 bitwise, the frozen u(0, 1) value, escape errors
       outside the certified band
   5.  simulate: inlet density pinned, inlet control exactly 1, sup decay
@@ -197,6 +198,7 @@ class TestAdmissible:
         assert res.ok
         assert res.argmin_x == 0.0  # inlet slack is exactly zero
         assert res.boundary_gap == 0.0
+        assert res.interior_x > 0.0 and res.interior_slack > 0.0
 
     def test_inlet_off_set_point_rejected(self, fixed_gains, diagram):
         vals = np.full(51, 0.7)

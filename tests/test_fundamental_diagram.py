@@ -63,6 +63,14 @@ Proves:
       0, for a in {0.3, 1, 2} and shape in {0.5, 1, 2, 3}; a wrong first
       guess sends every cell back to [0, hi]; a process loads warmstart
       on its first speed_limits call with a > 0, not before
+ 18.  at shape 1, flow and _limited_flow give the general formula's bits,
+      (b r)^1 / -1 taken literally, compared as int64 so -0.0 != 0.0: for
+      (A, b) in {(1, 1), (2.5, 0.37), (1, 3)}, a in {0, 0.3, 1, 2},
+      densities +-0, a subnormal, 1e-300, rho_max and random ones, and
+      limits 2^-40, 1e-9, 1 - ulp, 1 and random ones; counted by ufunc
+      calls, flow_into takes 3 passes at shape 1 and A = 1, 4 at A != 1
+      and 6 at shape 2, and _limited_flow 7 without np.power at shape 1
+      and 9 with it at shape 2.5
 """
 
 import os
@@ -824,3 +832,77 @@ class TestSlopeBound:
             assert d.slope_bound(lo, hi) == peak
             short += self.sampled(d, lo, hi) < peak
         assert short == 2000
+
+
+class UfuncLog(np.ndarray):
+    """An array that records the name of every ufunc applied to it."""
+
+    log: list[str] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        UfuncLog.log.append(ufunc.__name__)
+        plain = lambda v: v.view(np.ndarray) if isinstance(v, UfuncLog) else v  # noqa: E731
+        if out is not None:
+            kwargs["out"] = tuple(plain(o) for o in out)
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        return out[0] if out is not None else result.view(UfuncLog)
+
+
+class TestShapeOneKernels:
+    """flow_into and _limited_flow at shape 1: the general formula's bits, fewer passes."""
+
+    SCALES = [(1.0, 1.0), (2.5, 0.37), (1.0, 3.0)]
+
+    @staticmethod
+    def densities(rho_max):
+        rng = np.random.default_rng(19)
+        return np.concatenate([[0.0, -0.0, 5e-324, 1e-300, rho_max],
+                               rng.uniform(0.0, rho_max, 2000)])
+
+    @staticmethod
+    def bits(v):
+        return np.asarray(v, dtype=float).view(np.int64)  # -0.0 and 0.0 differ here
+
+    @pytest.mark.parametrize("A,b", SCALES)
+    def test_flow_equals_the_six_pass_formula(self, A, b):
+        d = ExponentialDiagram(flow_scale=A, density_scale=b, rho_max=1.6)
+        r = self.densities(d.rho_max)
+        want = (A * r) * np.exp((b * r) ** 1.0 / -1.0)
+        np.testing.assert_array_equal(self.bits(d.flow(r)), self.bits(want))
+        assert [self.bits(d.flow(v)) for v in r[:5]] == list(self.bits(want[:5]))
+
+    @pytest.mark.parametrize("A,b", SCALES)
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0, 2.0])
+    def test_limited_flow_equals_the_nine_pass_formula(self, A, b, a):
+        d = ExponentialDiagram(flow_scale=A, density_scale=b, vsl_sensitivity=a, rho_max=1.6)
+        r = self.densities(d.rho_max)[:, None]
+        rng = np.random.default_rng(23)
+        l = np.concatenate([[2.0 ** -40, 1e-9, np.nextafter(1.0, 0.0), 1.0],
+                            rng.uniform(0.0, 1.0, 60)])
+        ar, br = A * r, b * r
+        s = 1.0 + a * (1.0 - l)
+        want = ar * l * np.exp((br / s) ** 1.0 / -1.0)
+        np.testing.assert_array_equal(self.bits(d._limited_flow(ar, br, l)), self.bits(want))
+
+    @pytest.mark.parametrize("A,shape,calls", [(1.0, 1.0, 3), (2.5, 1.0, 4), (1.0, 2.0, 6),
+                                               (2.5, 2.0, 6)])
+    def test_flow_into_passes(self, A, shape, calls):
+        # timing-free: each ufunc call is one pass over the array
+        d = ExponentialDiagram(flow_scale=A, shape=shape, rho_max=1.6)
+        r = np.random.default_rng(29).uniform(0.0, 1.6, 64)
+        args = [v.view(UfuncLog) for v in (r, np.empty_like(r), np.empty_like(r))]
+        UfuncLog.log = []
+        got = d.flow_into(*args)
+        assert len(UfuncLog.log) == calls, UfuncLog.log
+        assert got is args[1]
+        np.testing.assert_array_equal(self.bits(got), self.bits(d.flow(r)))
+
+    @pytest.mark.parametrize("shape,calls", [(1.0, 7), (2.5, 9)])
+    def test_limited_flow_passes(self, shape, calls):
+        d = ExponentialDiagram(shape=shape, vsl_sensitivity=1.0, rho_max=1.6)
+        rng = np.random.default_rng(31)
+        r, l = rng.uniform(0.0, 1.6, 64), rng.uniform(0.0, 1.0, 64)
+        UfuncLog.log = []
+        d._limited_flow(*(v.view(UfuncLog) for v in (r, r, l)))
+        assert len(UfuncLog.log) == calls, UfuncLog.log
+        assert ("power" in UfuncLog.log) == (shape != 1.0)

@@ -12,7 +12,9 @@ Proves:
   3.  run() writes the documented file set; norms.csv respects the decay
       bound row by row; load_trace round-trips the arrays bit for bit;
       report.txt states the grid the trace was computed on; limits.csv of
-      a run whose densities pass delta (a = 1) keeps its pinned SHA-256
+      a run whose densities pass delta (a = 1) keeps its pinned SHA-256;
+      the decay margin skips the tie at t = 0, and reads a ratio of 0
+      where the bound is 0
   4.  two runs of the same config produce byte-identical files
   5.  compare_runs of a directory against itself is exactly zero
   6.  certify() reports the failing curvature margin without raising;
@@ -65,6 +67,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -227,6 +230,19 @@ class TestRunDirectory:
             assert res.exit_code == 0
             for law in res.laws:
                 assert law.passed, [c.name for c in law.checks if not c.passed]
+
+    @pytest.mark.parametrize("times,sup,want", [
+        ([0.0, 1.0, 2.0], [1.0, 0.5, 0.9],
+         "over t > 0 min margin 1.000e-01, sup/bound at most 0.9 at t = 2)"),
+        ([0.0], [1.0], "(no snapshot after t = 0))"),
+        # zero initial deviation: the bound is 0, so every ratio reads 0
+        ([0.0, 1.0], [0.0, 0.0], "over t > 0 min margin 0.000e+00, sup/bound at most 0 at t = 1)"),
+    ])
+    def test_decay_margin_skips_the_tie_at_t0(self, times, sup, want):
+        trace = SimpleNamespace(times=np.array(times), sup_deviation=np.array(sup))
+        with np.errstate(all="raise"):
+            check = runner._decay_check(trace, 0.0)
+        assert check.passed and str(check).endswith(want), str(check)
 
     def test_norms_bound_row_by_row(self, quick_free):
         res, _ = quick_free
