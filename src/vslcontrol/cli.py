@@ -7,8 +7,9 @@
 
 `run` exits 0 on success, 1 if a runtime invariant check failed, 2 on
 configuration, usage or file-system errors (an error line, no traceback).
-`certify` always exits 0 when the config parses; failed conditions are part
-of its report, not an error.
+`certify` exits 0 when the config parses and its road, set point and
+diagram lie in the domain, 2 otherwise; failed conditions are part of its
+report, not an error.
 """
 
 from __future__ import annotations

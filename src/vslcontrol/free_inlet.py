@@ -85,12 +85,16 @@ class FreeInletGain:
     rho_star: float
 
     def __post_init__(self):
-        if self.length <= 0.0 or self.rho_star <= 0.0:
+        bound = self.gain_bound(self.length, self.rho_star)
+        if not (0.0 < self.gain < bound):
+            raise DomainError(f"gain must lie in (0, {bound:.6g}) = (0, 1/(length*rho_star))")
+
+    @staticmethod
+    def gain_bound(length: float, rho_star: float) -> float:
+        """1/(length rho_star), the gain window's top; length, rho_star > 0."""
+        if length <= 0.0 or rho_star <= 0.0:
             raise DomainError("length and rho_star must be positive")
-        if not (0.0 < self.gain < 1.0 / (self.length * self.rho_star)):
-            raise DomainError(
-                f"gain must lie in (0, {1.0 / (self.length * self.rho_star):.6g}) "
-                f"= (0, 1/(length*rho_star))")
+        return 1.0 / (length * rho_star)
 
     def controller(self, diagram: ExponentialDiagram, x: np.ndarray, u_tol: float = 0.0
                    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, int]]:

@@ -60,7 +60,7 @@ class ExponentialDiagram:
     density_scale:   b > 0
     shape:           exponent > 0
     vsl_sensitivity: a >= 0 (a = 0 makes the limited flow exactly l * f(rho))
-    rho_max:         jam density > 0
+    rho_max:         jam density > 0, with (b rho_max)^shape a finite float
 
     Derived constants (critical density, capacity, the limit-reduction
     threshold, the slope bound, the concavity floor) are computed lazily,
@@ -84,6 +84,13 @@ class ExponentialDiagram:
             raise DomainError("vsl_sensitivity must be nonnegative")
         if self.rho_max <= 0:
             raise DomainError("rho_max must be positive")
+        # v = (b rho)^shape enters every formula; its top must be a float
+        try:
+            top = (self.density_scale * self.rho_max) ** self.shape
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise DomainError("(density_scale * rho_max)^shape must be a finite float")
 
     # f(rho) = A rho exp(-(b rho)^shape / shape)
     def flow(self, rho):

@@ -21,12 +21,11 @@ operation for operation, to -np.gradient(q, h, edge_order=2).  RK4 combines
 the stages in place with the operations of the textbook formula, so every
 bit is that of the plain loop.
 
-The time step is sized per output interval from the grid state alone:
-the state's density range at the start of the interval, widened by a fixed
-margin into a speed band, bounds the wave speed max|f'| that sets the CFL
-step.  A state that leaves its speed band during the interval sends the
-interval back to its start with a band rebuilt around the drift seen,
-extrapolated over the whole interval, so no step runs above the CFL cap.
+The time step is sized from the grid state alone: the density range of
+the state a step starts from bounds the wave speed max|f'| that sets its
+CFL step, and a size is reused only while the state stays inside the
+range it was sized for, so no step runs above the CFL cap and none is
+discarded.
 
 This module trades accuracy for independence: nothing here reuses the
 closed-form structure of the laws beyond the feedback formulas themselves.
@@ -44,10 +43,6 @@ from .profile import Scenario, check_pairing
 from .trace import SimulationTrace, law_trace
 
 ORACLE_U_TOL = 1e-3  # discretization wiggle allowance on u <= 1
-# the speed band of an output interval is the state's range [lo, hi] widened
-# on each side by BAND_REL * (hi - lo) + BAND_ABS * rho_max
-BAND_REL = 0.1
-BAND_ABS = 1e-3
 # a run diverges once its sup-norm deviation from rho_star exceeds
 # ESCAPE_FACTOR * max(initial sup deviation, 0.05 * rho_max)
 ESCAPE_FACTOR = 4.0
@@ -57,9 +52,8 @@ ESCAPE_FACTOR = 4.0
 class OracleSettings:
     """Grid resolution and CFL cap of the oracle.
 
-    Each output interval's step is cfl_cap * h / s, shrunk to divide the
-    interval exactly, where s is max|f'| over the state's own density band
-    (see integrate).
+    A step is at most cfl_cap * h / s, where s is max|f'| over the density
+    range of the state it starts from (see integrate).
     """
 
     n_cells: int = 400
@@ -85,27 +79,22 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     is linearly resampled onto the oracle grid.  The state, stage and
     k1..k4 buffers are bound once per run.
 
-    Each output interval gets its own uniform step.  The state's range
-    [lo, hi] at the start of the interval, widened by
-    BAND_REL * (hi - lo) + BAND_ABS * rho_max on each side, is its speed
-    band; s is max|f'| over the band clipped to [0, rho_max], in closed
-    form (ExponentialDiagram.slope_bound), and the interval takes the
-    fewest equal steps with dt * s / h <= cfl_cap.  After every step one
-    min/max pass gives the state's range, which must stay inside the speed
-    band.  If it leaves the band after m of n steps, the interval is run
-    again from its start with [lo, hi] widened to the range seen, its
-    drift from the start extrapolated by n / m.
+    The time left in an output interval is split into the fewest equal
+    steps with dt * s / h <= cfl_cap, s being max|f'| over the range
+    [lo, hi] of the current state clipped to [0, rho_max]
+    (ExponentialDiagram.slope_bound, in closed form), and those steps run
+    while the state stays inside [lo, hi].  A step whose result leaves
+    [lo, hi] stands and the time left is sized again from its state, so
+    every step starts inside the range its dt was sized for and none is
+    discarded.
 
     After each output interval the state must be finite and its sup-norm
     deviation from rho_star within the escape band (see ESCAPE_FACTOR),
     or SolverDivergenceError is raised; both checks read the range of the
-    step's min/max pass.  metadata records "steps", every
-    step taken, those of discarded attempts included;
-    "steps_per_interval", the steps of each interval's kept attempt;
-    "redone_intervals", the number of discarded attempts; "cfl", the
-    largest realised CFL number dt * s / h; and the mass-balance residual
-    |integral (rho_T - rho_0) dx - integral (inlet - outlet) dt|, both by
-    trapezoids over the snapshots.
+    step's min/max pass.  metadata records "steps", the steps taken;
+    "cfl", the largest realised CFL number dt * s / h; and the
+    mass-balance residual |integral (rho_T - rho_0) dx - integral (inlet -
+    outlet) dt|, both by trapezoids over the snapshots.
     """
     if not callable(getattr(gains, "controller", None)):
         raise DomainError(f"unsupported gains record {type(gains).__name__}")
@@ -117,17 +106,6 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     rho = np.interp(x, scenario.rho0.x, scenario.rho0.values)
     targets = scenario.output_times
     interval = float(targets[1] - targets[0])
-
-    def plan(lo: float, hi: float) -> tuple[float, float, int, float]:
-        """Speed band limits, step count and speed bound s for an interval
-        whose states span [lo, hi]."""
-        margin = BAND_REL * (hi - lo) + BAND_ABS * d.rho_max
-        below, above = lo - margin, hi + margin
-        s = d.slope_bound(max(below, 0.0), min(above, d.rho_max))
-        n_steps = max(1, math.ceil(interval * s / (settings.cfl_cap * h)))
-        if interval / n_steps * s / h > settings.cfl_cap:
-            n_steps += 1  # the quotient above rounded down onto an integer
-        return below, above, n_steps, s
 
     sup0 = scenario.rho0.sup_deviation()
     escape = ESCAPE_FACTOR * max(sup0, 0.05 * d.rho_max)
@@ -172,36 +150,31 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
         np.add(state, np.multiply(dt / 6.0, k1, out=k1), out=state)
 
     rho_out = np.empty((targets.size, x.size))
-    rho_out[0] = rho
-    steps_per_interval = []
+    rho_out[0] = state[:] = rho
     taken = 0
-    redone = 0
     cfl = 0.0
     # the range of the latest state: one min/max pass after every step
-    # serves the band check and, at an interval's end, the finite and
+    # serves the range check and, at an interval's end, the finite and
     # escape checks
     seen_lo, seen_hi = rho.item(rho.argmin()), rho.item(rho.argmax())
     for j in range(1, targets.size):
-        lo0, hi0 = lo, hi = seen_lo, seen_hi
-        while True:
-            below, above, n_steps, s = plan(lo, hi)
-            dt = interval / n_steps
-            state[:] = rho_out[j - 1]
-            for m in range(1, n_steps + 1):
+        n_left, dt = 1, interval  # the time left: n_left steps of dt
+        while n_left:
+            lo, hi = seen_lo, seen_hi
+            s = d.slope_bound(max(lo, 0.0), min(hi, d.rho_max))
+            time_left = n_left * dt
+            n_left = max(1, math.ceil(time_left * s / (settings.cfl_cap * h)))
+            if time_left / n_left * s / h > settings.cfl_cap:
+                n_left += 1  # the quotient above rounded down onto an integer
+            dt = time_left / n_left
+            cfl = max(cfl, dt * s / h)
+            while n_left:
                 rk4_step(dt)
                 taken += 1
+                n_left -= 1
                 seen_lo, seen_hi = state.item(state.argmin()), state.item(state.argmax())
-                if seen_lo < below or seen_hi > above:
+                if seen_lo < lo or seen_hi > hi:
                     break
-            else:
-                break
-            # the attempt left its band after m of n_steps steps: extrapolate
-            # the drift seen over the whole interval
-            lo = min(lo, lo0 + (seen_lo - lo0) * n_steps / m)
-            hi = max(hi, hi0 + (seen_hi - hi0) * n_steps / m)
-            redone += 1
-        steps_per_interval.append(n_steps)
-        cfl = max(cfl, dt * s / h)
         # argmin and argmax point at a NaN if there is one, and at any infinity
         if not (math.isfinite(seen_lo) and math.isfinite(seen_hi)):
             raise SolverDivergenceError(
@@ -221,8 +194,6 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
             "rho_star": scenario.rho_star,
             "n_cells": n,
             "steps": taken,
-            "steps_per_interval": steps_per_interval,
-            "redone_intervals": redone,
             "cfl": cfl,
         })
     trace.metadata["mass_balance_residual"] = float(abs(

@@ -411,7 +411,7 @@ def certification_lines(cfg: RunConfig, gains=None) -> list[str]:
     lines.extend(f"  diagram {c}" for c in validate_assumptions(d))
     for current in laws:
         if current == "free_inlet":
-            bound = 1.0 / (cfg.length * cfg.rho_star)
+            bound = free_inlet.FreeInletGain.gain_bound(cfg.length, cfg.rho_star)
             ok = 0.0 < cfg.free_gain < bound
             lines.append(
                 f"  free_inlet gain_bound: 0 < {cfg.free_gain:.9g} < {bound:.9g}"

@@ -33,8 +33,9 @@ Proves:
  11.  the density check accepts and rejects exactly what the elementwise
       comparisons do at the +-tol edges, for 0-d, 1-d, 2-d and empty input,
       and rejects NaN
- 12.  non-finite constructor fields, and A, b, shape or rho_max <= 0 or
-      a < 0, are rejected with DomainError
+ 12.  non-finite constructor fields, A, b, shape or rho_max <= 0, a < 0,
+      and a (b rho_max)^shape that is not a finite float (the power or the
+      product overflows) are rejected with DomainError
  13.  saturating_limit and speed_limits stop their bisection at its fixed
       point with the result of the full fixed-count loops, and controls
       down to 1e-300 run the 100-step cap with the same bits as the loop
@@ -801,6 +802,15 @@ class TestNonFiniteFields:
     def test_nonpositive(self, field, bad):
         with pytest.raises(DomainError):
             ExponentialDiagram(**{field: bad})
+
+    @pytest.mark.parametrize("kwargs", [{"shape": 1600.0, "rho_max": 1.6},
+                                        {"density_scale": 1e300, "rho_max": 1e300}])
+    def test_top_power_overflows(self, kwargs):
+        # 1.6^1600 raises OverflowError; 1e300 * 1e300 is inf without one
+        with pytest.raises(DomainError, match="must be a finite float"):
+            ExponentialDiagram(**kwargs)
+        # 1.6^1500 = e^705 is a float, and delta, which raised before, reads it
+        assert ExponentialDiagram(shape=1500.0, vsl_sensitivity=1.0, rho_max=1.6).delta < 1.6
 
 
 class TestSlopeBound:

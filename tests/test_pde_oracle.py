@@ -23,15 +23,21 @@ Proves:
       to the allocating, separately checked flow
   9.  a bound law still runs its domain and escape checks on every call;
       the fixed law's checks skip a NaN flow as np.fmin does
-  10. the automatic step is sized from the state's own density band: on
-      criterion 07's free-law run the realised CFL stays under the cap with
-      at most a fifth of the steps the global bound takes, and a state that
-      leaves its band has its interval run again, step for step as the
-      plain loop with the kept per-interval steps; a steady drift is
-      extrapolated over the interval, so it is redone a few times only
+  10. each step is sized from the density range of the state it starts
+      from: on criterion 07's free-law run the realised CFL stays under the
+      cap in no more steps than the former widened speed band took; a
+      state whose range grows every step (a ramp law) matches the plain
+      loop's own sizing step for step, with nothing discarded; where the
+      range only contracts, slope_bound runs once per output interval; a
+      cap one ulp below the CFL number of n steps takes n + 1
+  11. the keys README lists for <law>/oracle/metadata.json are exactly
+      those an oracle trace adds to law, oracle, rho_star and n_cells
 """
 
+import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +108,16 @@ class TestShortRuns:
         assert tr.metadata["n_cells"] == 40
         assert tr.metadata["steps"] >= 1
 
+    def test_readme_lists_the_metadata_keys(self, diagram, free_gain):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (entry,) = re.findall(r"^<law>/oracle/ .*?metadata\.json adds (.*?)\n```",
+                              readme, flags=re.S | re.M)
+        listed = re.findall(r"\w+", re.sub(r"\([^)]*\)", "", entry).replace(" and ", ","))
+        tr = pde_oracle.integrate(short_scenario(diagram, horizon=0.5), free_gain,
+                                  OracleSettings(n_cells=40))
+        assert listed == [key for key in tr.metadata
+                          if key not in ("law", "oracle", "rho_star", "n_cells")]
+
 
 class TestCompare:
     def test_identity_is_zero(self, diagram, free_gain):
@@ -164,11 +180,14 @@ class TestDispatch:
             pde_oracle.integrate(sc, wrong, OracleSettings(n_cells=40))
 
 
-def reference_rows(scenario, gains, n_cells, steps_per_interval):
+def reference_rows(scenario, gains, n_cells, cfl_cap=0.4):
     """The oracle as a plain loop: a freshly bound law and np.gradient every RK4 stage.
 
-    Output interval j takes steps_per_interval[j] equal steps.  Returns the
-    state at every output time, one row each.
+    The loop sizes its own steps from its own state: the time left in an
+    output interval is split into the fewest equal steps with
+    dt * s / h <= cfl_cap, s the slope bound over the state's range, and
+    sized again whenever a step's result leaves that range.  Returns the
+    state at every output time, one row each, and the steps taken.
     """
     d = scenario.diagram
     x = np.linspace(0.0, scenario.length, n_cells + 1)
@@ -183,17 +202,29 @@ def reference_rows(scenario, gains, n_cells, steps_per_interval):
         return out
 
     interval = float(scenario.output_times[1] - scenario.output_times[0])
-    rows = [rho]
-    for n_steps in steps_per_interval:
-        dt = interval / n_steps
-        for _ in range(n_steps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rows, taken = [rho], 0
+    for _ in range(scenario.output_times.size - 1):
+        n_left, dt = 1, interval
+        while n_left:
+            lo, hi = np.min(rho), np.max(rho)
+            s = d.slope_bound(max(lo, 0.0), min(hi, d.rho_max))
+            time_left = n_left * dt
+            n_left = 1
+            while time_left / n_left * s / h > cfl_cap:
+                n_left += 1
+            dt = time_left / n_left
+            while n_left:
+                k1 = rhs(rho)
+                k2 = rhs(rho + 0.5 * dt * k1)
+                k3 = rhs(rho + 0.5 * dt * k2)
+                k4 = rhs(rho + dt * k3)
+                rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                taken += 1
+                n_left -= 1
+                if np.min(rho) < lo or np.max(rho) > hi:
+                    break
         rows.append(rho)
-    return np.array(rows)
+    return np.array(rows), taken
 
 
 class TestLeanPath:
@@ -208,9 +239,10 @@ class TestLeanPath:
         sc = Scenario(diagram=d, length=1.0, rho_star=0.7, rho0=p,
                       horizon=1.0, output_interval=0.5)
         tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=n_cells))
-        ref = reference_rows(sc, gains, n_cells, tr.metadata["steps_per_interval"])
+        ref, taken = reference_rows(sc, gains, n_cells)
         assert np.array_equal(tr.rho[-1], ref[-1])
         assert np.array_equal(tr.rho, ref)
+        assert tr.metadata["steps"] == taken
 
     @pytest.mark.parametrize("law", ["free", "fixed"])
     def test_checked_flow_calls_do_not_grow_with_the_steps(self, diagram, free_gain,
@@ -301,7 +333,7 @@ class RampLaw:
     """A stub law with u = 1 - slope * x and a pinned inlet.
 
     The flow falls along the road, so a uniform state piles up and its
-    density range grows: the state is bound to leave its starting band.
+    density range grows: each step's result leaves the range it started in.
     """
 
     law = "ramp"
@@ -319,7 +351,7 @@ class RampLaw:
         return lambda rho: self.controls(diagram, x, rho, u_tol)
 
 
-class TestBandStep:
+class TestStepSize:
     @pytest.fixture(scope="class")
     def criterion_07_free(self):
         cfg = with_overrides(preset("paper-sec5-free"), n_cells=400, oracle_n_cells=400,
@@ -331,43 +363,70 @@ class TestBandStep:
     def test_realised_cfl_within_cap(self, criterion_07_free):
         settings, tr = criterion_07_free
         assert 0.0 < tr.metadata["cfl"] <= settings.cfl_cap
-        assert tr.metadata["redone_intervals"] == 0
 
     def test_steps_far_below_global_bound(self, criterion_07_free):
-        # the global bound max|f'| = 1 over [0, rho_max] takes 15000 steps here
+        # the global bound max|f'| = 1 over [0, rho_max] takes 15000 steps
+        # here, and the state's range widened into a speed band took 2437
         _, tr = criterion_07_free
-        assert tr.metadata["steps"] == sum(tr.metadata["steps_per_interval"])
-        assert tr.metadata["steps"] <= 15000 // 5
+        assert tr.metadata["steps"] <= 2437
 
-    def test_band_escape_reruns_the_interval(self, diagram):
-        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
-                      rho0=uniform_profile(1.0, 60, 0.7), horizon=1.0, output_interval=0.5)
-        law = RampLaw(0.05)
-        settings = OracleSettings(n_cells=60)
-        tr = pde_oracle.integrate(sc, law, settings)
-        meta = tr.metadata
-        assert meta["redone_intervals"] >= 1
-        assert meta["steps"] > sum(meta["steps_per_interval"])
-        assert meta["cfl"] <= settings.cfl_cap
-        assert tr.rho.max() > 0.7 + pde_oracle.BAND_ABS * diagram.rho_max
-        ref = reference_rows(sc, law, 60, meta["steps_per_interval"])
-        assert np.array_equal(tr.rho, ref)
+    @pytest.mark.parametrize("slope", [0.5, 0.05])
+    def test_growing_range_is_sized_again(self, diagram, slope, monkeypatch):
+        # the ramp piles density up, so a step's result leaves the range
+        # it was sized for: the time left is sized again from the new
+        # state, and the step stands
+        calls = []
+        slope_bound = ExponentialDiagram.slope_bound
 
-    @pytest.mark.parametrize("slope,max_redone", [(0.5, 4), (0.05, 2)])
-    def test_drift_is_extrapolated_over_the_interval(self, diagram, slope, max_redone):
-        # rebuilding the band around the range seen alone redid 15 and 5
-        # intervals here, taking 114 and 54 steps to keep 25 and 24
+        def counted(self, lo, hi):
+            calls.append((lo, hi))
+            return slope_bound(self, lo, hi)
+
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
                       rho0=uniform_profile(1.0, 60, 0.7), horizon=1.0, output_interval=0.5)
         law = RampLaw(slope)
+        ref, taken = reference_rows(sc, law, 60)
+        monkeypatch.setattr(ExponentialDiagram, "slope_bound", counted)
         settings = OracleSettings(n_cells=60)
         tr = pde_oracle.integrate(sc, law, settings)
-        meta = tr.metadata
-        assert 1 <= meta["redone_intervals"] <= max_redone
-        assert meta["steps"] <= 2 * sum(meta["steps_per_interval"]) + 10
-        assert meta["cfl"] <= settings.cfl_cap
-        ref = reference_rows(sc, law, 60, meta["steps_per_interval"])
         assert np.array_equal(tr.rho, ref)
+        assert tr.metadata["steps"] == taken
+        assert tr.metadata["cfl"] <= settings.cfl_cap
+        assert len(calls) > 2  # sized again within an interval
+        assert tr.rho.max() > calls[0][1]
+
+    def test_cap_one_ulp_below_a_step_count(self, diagram, free_gain):
+        # the cap sits one ulp below the CFL number of 11 equal steps, and
+        # interval * s / (cap * h) rounds down onto 11: the oracle takes 12
+        s, h = diagram.slope_bound(0.7, 0.7), 1.0 / 60
+        cap = float(np.nextafter(0.25 / 11 * s / h, 0.0))
+        assert math.ceil(0.25 * s / (cap * h)) == 11
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=uniform_profile(1.0, 60, 0.7), horizon=0.25, output_interval=0.25)
+        tr = pde_oracle.integrate(sc, free_gain, OracleSettings(n_cells=60, cfl_cap=cap))
+        assert tr.metadata["steps"] == 12
+        assert tr.metadata["cfl"] <= cap
+
+    def test_contracting_range_is_sized_once_per_interval(self, monkeypatch):
+        # the fixed law pins the inlet at rho_star and the bump decays, so
+        # the range only contracts: one slope_bound call per output
+        # interval, however many steps the interval takes
+        calls = []
+        slope_bound = ExponentialDiagram.slope_bound
+
+        def counted(self, lo, hi):
+            calls.append(1)
+            return slope_bound(self, lo, hi)
+
+        cfg = with_overrides(preset("paper-sec5-fixed"), n_cells=400, oracle_n_cells=400,
+                             oracle_cfl_cap=0.8, oracle_enabled=True)
+        sc = build_scenario(cfg)
+        gains = fixed_inlet.calibrate(sc.diagram, cfg.rho_star, cfg.length, cfg.sigma,
+                                      cfg.gamma, cfg.mode)
+        monkeypatch.setattr(ExponentialDiagram, "slope_bound", counted)
+        tr = pde_oracle.integrate(sc, gains, build_oracle_settings(cfg))
+        assert tr.times.size - 1 == len(calls) == 40
+        assert tr.metadata["steps"] > 100 * len(calls)
 
 
 class TestDivergenceGuard:

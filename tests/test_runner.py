@@ -17,7 +17,10 @@ Proves:
       where the bound is 0
   4.  two runs of the same config produce byte-identical files
   5.  compare_runs of a directory against itself is exactly zero
-  6.  certify() reports the failing curvature margin without raising;
+  6.  certify() reports the failing curvature margin without raising; a
+      zero road or set point (free law or both) and a diagram whose
+      (b rho_max)^shape overflows exit 2 with one error line, and run
+      leaves no directory for the latter;
       certify and report.txt both carry the diagram's exact single_flow_peak
       and strict_concavity verdicts: pass on the presets, a non-concave
       free run (rho_max 2.5) reports strict_concavity FAIL and exits 0, a
@@ -347,6 +350,26 @@ class TestCertify:
         text = runner.certify(preset("paper-sec5-free"))
         assert "gain" in text
         assert "1.42857" in text  # 1/(L rho_star)
+
+    @pytest.mark.parametrize("law", ["free_inlet", "both"])
+    @pytest.mark.parametrize("key", ["rho_star", "length"])
+    def test_zero_road_or_set_point_exits_two(self, key, law, tmp_path, capsys):
+        # the gain window 1/(L rho_star) does not exist: an error line, no traceback
+        p = str(tmp_path / "c.ini")
+        save_config(with_overrides(preset("paper-sec5-free"), law=law, **{key: 0.0}), p)
+        assert cli.main(["certify", "--config", p]) == 2
+        assert capsys.readouterr().err == "error: length and rho_star must be positive\n"
+
+    def test_steep_diagram_exits_two(self, tmp_path, capsys):
+        # (b rho_max)^shape = 1.6^1600 overflows a float
+        p = str(tmp_path / "c.ini")
+        save_config(with_overrides(preset("paper-sec5-free"), shape=1600.0), p)
+        out = tmp_path / "o"
+        for command in (["certify", "--config", p], ["run", "--config", p, "--out", str(out)]):
+            assert cli.main(command) == 2
+            assert capsys.readouterr().err == (
+                "error: (density_scale * rho_max)^shape must be a finite float\n")
+        assert not out.exists()
 
 
 class TestDiagramConditions:
