@@ -6,7 +6,8 @@
     vslcontrol compare results/free_inlet results/free_inlet/oracle
 
 `run` exits 0 on success, 1 if a runtime invariant check failed, 2 on
-configuration, usage or file-system errors (an error line, no traceback).
+configuration, usage, solver or file-system errors (an error line, no
+traceback); only a failed write leaves a partial run directory behind.
 `certify` exits 0 when the config parses and its road, set point and
 diagram lie in the domain, 2 otherwise; failed conditions are part of its
 report, not an error.

@@ -126,7 +126,7 @@ def _format_value(value) -> str:
         return repr(value)
     if isinstance(value, tuple):
         return ",".join(repr(float(v)) for v in value)
-    return str(value)
+    return str(value).replace("\n", "\n  ")  # a note's later lines continue it
 
 
 def _parse_value(field_name: str, raw: str):

@@ -25,7 +25,8 @@ whole time rows, about _WRITE_BLOCK values each, written as one buffer;
 limits.csv gets control.csv's bytes when the limits equal the controls bit
 for bit (vsl_sensitivity = 0).  The other CSV files are column tables
 written by `_write_columns` through the same formatter.
-The run exits nonzero if any runtime invariant check fails.
+The run writes nothing until every law is solved and checked, and it exits
+nonzero if any runtime invariant check fails.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .config import (RunConfig, build_diagram, build_free_gain,
 from .errors import VslControlError
 from .fundamental_diagram import (HEAP_BLOCK, CheckResult, ExponentialDiagram,
                                   speed_limits, validate_assumptions)
-from .picard import PicardSettings
 from .profile import DensityProfile, Scenario
 from .quadrature import cumulative_trapezoid
 from .trace import SimulationTrace
@@ -83,10 +83,11 @@ class RunResult:
 
 
 def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
-    """Execute the configured law(s), write all artifacts, check invariants.
+    """Solve and check the configured law(s), then write all artifacts.
 
-    The scenario, every law's gains and the solver settings are built
-    before anything is written, so a refused config leaves no directory.
+    The scenario, gains and settings, then each law's simulate, checks and
+    oracle integrate and compare all return before the first write, so a
+    run that raises leaves no directory; failed checks still write it all.
     """
     base = out_dir if out_dir is not None else cfg.output_dir
     scenario = build_scenario(cfg)
@@ -94,11 +95,38 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     gains = {law: _build_gains(cfg, scenario, law) for law in laws}
     picard = build_picard(cfg)
     oracle = build_oracle_settings(cfg) if cfg.oracle_enabled else None
+    solved = []
+    for law in laws:
+        free = law == "free_inlet"
+        trace = (free_inlet if free else fixed_inlet).simulate(scenario, gains[law], picard)
+        checks = (_free_checks if free else _fixed_checks)(cfg, scenario, gains[law], trace)
+        otrace = comp = None
+        if oracle is not None:
+            otrace = pde_oracle.integrate(scenario, gains[law], oracle)
+            comp = pde_oracle.compare(trace, otrace)
+        solved.append((law, trace, checks, otrace, comp))
+
     os.makedirs(base, exist_ok=True)
     save_config(cfg, os.path.join(base, "config.ini"))
-    return RunResult(directory=base, laws=tuple(
-        _run_law(cfg, scenario, law, gains[law], picard, oracle, os.path.join(base, law))
-        for law in laws))
+    results = []
+    for law, trace, checks, otrace, comp in solved:
+        law_dir = os.path.join(base, law)
+        os.makedirs(law_dir, exist_ok=True)
+        rate = float(trace.metadata["decay_rate_bound"])
+        _write_trace(law_dir, scenario.diagram, trace, rate)
+        if otrace is not None:
+            odir = os.path.join(law_dir, "oracle")
+            os.makedirs(odir, exist_ok=True)
+            _write_trace(odir, scenario.diagram, otrace, rate)
+            _write_metadata(odir, otrace, ())
+            _write_columns(os.path.join(odir, "gaps.csv"), "t,density_gap,control_gap",
+                           comp.times, comp.density_gaps, comp.control_gaps)
+        gap = None if comp is None else comp.max_density_gap
+        _write_metadata(law_dir, trace, checks)
+        _write_report(law_dir, cfg, gains[law], trace, checks, gap)
+        results.append(LawResult(law=law, trace=trace, checks=checks,
+                                 directory=law_dir, oracle_gap=gap))
+    return RunResult(directory=base, laws=tuple(results))
 
 
 def _build_gains(cfg: RunConfig, scenario: Scenario, law: str):
@@ -106,37 +134,6 @@ def _build_gains(cfg: RunConfig, scenario: Scenario, law: str):
         return build_free_gain(cfg)
     return fixed_inlet.calibrate(scenario.diagram, cfg.rho_star, cfg.length,
                                  cfg.sigma, cfg.gamma, cfg.mode)
-
-
-def _run_law(cfg: RunConfig, scenario: Scenario, law: str, gains,
-             picard: PicardSettings, oracle: pde_oracle.OracleSettings | None,
-             law_dir: str) -> LawResult:
-    os.makedirs(law_dir, exist_ok=True)
-    d = scenario.diagram
-    if law == "free_inlet":
-        trace = free_inlet.simulate(scenario, gains, picard)
-        checks = _free_checks(cfg, scenario, gains, trace)
-    else:
-        trace = fixed_inlet.simulate(scenario, gains, picard)
-        checks = _fixed_checks(cfg, scenario, gains, trace)
-
-    _write_trace(law_dir, d, trace)
-    oracle_gap = None
-    if oracle is not None:
-        otrace = pde_oracle.integrate(scenario, gains, oracle)
-        odir = os.path.join(law_dir, "oracle")
-        os.makedirs(odir, exist_ok=True)
-        _write_trace(odir, d, otrace)
-        _write_metadata(odir, otrace, ())
-        comp = pde_oracle.compare(trace, otrace)
-        _write_columns(os.path.join(odir, "gaps.csv"), "t,density_gap,control_gap",
-                       comp.times, comp.density_gaps, comp.control_gaps)
-        oracle_gap = comp.max_density_gap
-
-    _write_metadata(law_dir, trace, checks)
-    _write_report(law_dir, cfg, gains, trace, checks, oracle_gap)
-    return LawResult(law=law, trace=trace, checks=checks,
-                     directory=law_dir, oracle_gap=oracle_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +177,7 @@ def _free_checks(cfg: RunConfig, scenario: Scenario, gain: free_inlet.FreeInletG
         f"rho stays in [{floor:.6g}, rho_max]; saw [{lo:.6g}, {hi:.6g}]"))
 
     if abs(dev0[0]) == 0.0:
-        pin = float(np.max(np.abs(trace.rho[:, 0] - trace.rho_star)))
-        checks.append(CheckResult(
-            "inlet_density_pinned", pin <= 1e-12,
-            f"rho(t,0) stays at rho_star (max gap {pin:.3e})"))
+        checks.append(_inlet_pin_check(trace))
 
     checks.append(_u_gap_check(trace, cfg.free_u_gap_tol))
     return tuple(checks)
@@ -198,11 +192,7 @@ def _fixed_checks(cfg: RunConfig, scenario: Scenario, gains: fixed_inlet.FixedIn
     checks.append(CheckResult(
         "inlet_control_exact", exact, "u(t,0) equals 1 exactly at every snapshot"))
 
-    pin = float(np.max(np.abs(trace.rho[:, 0] - trace.rho_star)))
-    checks.append(CheckResult(
-        "inlet_density_pinned", pin <= 1e-12,
-        f"rho(t,0) stays at rho_star (max gap {pin:.3e})"))
-
+    checks.append(_inlet_pin_check(trace))
     checks.append(_decay_check(trace, gains.decay_rate))
 
     # the margin skips what ties by construction: the initial profile, which
@@ -230,6 +220,12 @@ def _unit_interval_check(trace: SimulationTrace) -> CheckResult:
     hi = float(np.max(trace.u))
     return CheckResult("control_in_unit_interval", lo > 0.0 and hi <= 1.0,
                        f"u in ({lo:.6g}, {hi:.6g}]")
+
+
+def _inlet_pin_check(trace: SimulationTrace) -> CheckResult:
+    pin = float(np.max(np.abs(trace.rho[:, 0] - trace.rho_star)))
+    return CheckResult("inlet_density_pinned", pin <= 1e-12,
+                       f"rho(t,0) stays at rho_star (max gap {pin:.3e})")
 
 
 def _decay_check(trace: SimulationTrace, rate: float) -> CheckResult:
@@ -310,7 +306,9 @@ def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
             fh.write(csvformat.join_lines(*(cells[:, j] for j in range(block.shape[1]))))
 
 
-def _write_trace(out: str, diagram: ExponentialDiagram, trace: SimulationTrace) -> None:
+def _write_trace(out: str, diagram: ExponentialDiagram, trace: SimulationTrace,
+                 rate: float) -> None:
+    """The trace's CSV files; norms.csv bounds S(t) by exp(-rate t) S(0)."""
     _write_long(os.path.join(out, "density.csv"), "t,x,density",
                 trace.times, trace.x, trace.rho)
     limits = speed_limits(diagram, trace.rho, trace.u)
@@ -323,7 +321,6 @@ def _write_trace(out: str, diagram: ExponentialDiagram, trace: SimulationTrace) 
     if not same:
         _write_long(*limits_file, trace.times, trace.x, limits)
 
-    rate = float(trace.metadata.get("decay_rate_bound", 0.0))
     bound = np.exp(-rate * trace.times) * trace.sup_deviation[0]
     _write_columns(os.path.join(out, "norms.csv"), "t,sup_deviation,bound",
                    trace.times, trace.sup_deviation, bound)

@@ -36,7 +36,8 @@ Covered invariants:
                                 oracle's recorded mass-balance residual
                                 equals the one computed here
   config_round_trip             serialize/parse is the identity on random
-                                configurations
+                                configurations, notes of several lines
+                                included
 """
 
 import numpy as np
@@ -306,7 +307,8 @@ def config_round_trip(rng, n_cases=N_CASES):
             picard_time_samples=int(rng.integers(2, 200)),
             picard_tol=float(10.0 ** rng.uniform(-14, -6)),
             oracle_enabled=bool(rng.random() < 0.5),
-            note="x" * int(rng.integers(0, 10)))
+            note="\n".join("x" * int(rng.integers(1, 10))
+                            for _ in range(int(rng.integers(0, 4)))))
         assert parse_config(serialize_config(cfg)) == cfg
     return n_cases
 

@@ -2,8 +2,9 @@
 
 Proves:
   1.  serialize/parse is the identity on every preset and on overridden
-      configs, including None sentinels and tuple-valued fields; the
-      serialized default config and presets keep their pinned SHA-256
+      configs, including None sentinels, tuple-valued fields and notes of
+      several lines, whose written config.ini re-runs; the serialized
+      default config and presets keep their pinned SHA-256
   2.  unknown keys, keys under [DEFAULT], bad enum values and malformed
       numbers raise ConfigError; the INI example in README.md parses; each
       README sentence "The `[section]` keys are ..." names exactly that
@@ -14,7 +15,9 @@ Proves:
       report.txt states the grid the trace was computed on; limits.csv of
       a run whose densities pass delta (a = 1) keeps its pinned SHA-256;
       the decay margin skips the tie at t = 0, and reads a ratio of 0
-      where the bound is 0
+      where the bound is 0; the oracle's norms.csv bound decays at the
+      law's certified rate; the files a run writes, oracle included, are
+      the entries of README's "Run directory layout"
   4.  two runs of the same config produce byte-identical files
   5.  compare_runs of a directory against itself is exactly zero
   6.  certify() reports the failing curvature margin without raising; a
@@ -43,8 +46,9 @@ Proves:
       key ([diagram] kind, [oracle] scheme, dt, escape_factor, [picard]
       window, safety, retry_cap, and the whole default config as written
       with the last three) all exit 2 with an error line and leave no run
-      directory; a free-law window that exhausts [picard] max_iter exits 2
-      with one ConvergenceError line naming the window
+      directory; so do a second law whose start is inadmissible and an
+      oracle that raises; a free-law window that exhausts [picard] max_iter
+      exits 2 with one ConvergenceError line naming the window
   9.  every layer the benchmark's span recorder wraps is reached through
       module attributes by a run with both laws and the oracle, then compare;
       every benchmark workload passes its own check on one tiny case
@@ -77,10 +81,11 @@ import pytest
 
 import vslcontrol
 from conftest import load_benchmark_module
-from vslcontrol import cli, csvformat, fixed_inlet, free_inlet, runner
+from vslcontrol import cli, csvformat, fixed_inlet, free_inlet, pde_oracle, runner
 from vslcontrol.config import (_FIELD_TYPES, _LAYOUT, ConfigError, PRESETS, RunConfig,
                                build_picard, build_scenario, load_config, parse_config,
                                preset, save_config, serialize_config, with_overrides)
+from vslcontrol.errors import SolverDivergenceError
 from vslcontrol.fundamental_diagram import speed_limits
 
 # short horizons need a looser terminal u-gap than the presets' long-run targets
@@ -132,6 +137,24 @@ class TestConfigRoundTrip:
                              profile_kind="polynomial",
                              poly_coeffs=(0.7, 0.0, 1.5e-3))
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("note", ["first line\nsecond line", "a\n\nb [c]\nd = e"])
+    def test_multi_line_note(self, note):
+        # each later line is written indented, as a continuation of the key
+        cfg = with_overrides(preset("paper-sec5-free"), note=note)
+        text = serialize_config(cfg)
+        assert "note = " + note.replace("\n", "\n  ") + "\n" in text
+        assert parse_config(text) == cfg
+
+    def test_multi_line_note_config_ini_reruns(self, tmp_path, capsys):
+        p = tmp_path / "c.ini"
+        text = serialize_config(with_overrides(preset("paper-sec5-free"), **QUICK, note=""))
+        p.write_text(text.replace("note = \n", "note = first line\n  second line\n"))
+        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "a")]) == 0
+        written = tmp_path / "a" / "config.ini"
+        assert load_config(str(written)).note == "first line\nsecond line"
+        assert cli.main(["run", "--config", str(written), "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_file_round_trip(self, tmp_path):
         cfg = preset("paper-fig7")
@@ -252,6 +275,40 @@ class TestRunDirectory:
         path = os.path.join(res.law("free_inlet").directory, "norms.csv")
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.all(rows[:, 1] <= rows[:, 2] + 1e-12)
+
+    def test_oracle_norms_bound_uses_the_law_rate(self, tmp_path):
+        cfg = with_overrides(preset("paper-sec5-free"), oracle_enabled=True,
+                             horizon=3.0, snapshots=5)
+        law_dir = runner.run(cfg, str(tmp_path)).law("free_inlet").directory
+        with open(os.path.join(law_dir, "metadata.json")) as fh:
+            rate = json.load(fh)["decay_rate_bound"]
+        rows = np.loadtxt(os.path.join(law_dir, "oracle", "norms.csv"),
+                          delimiter=",", skiprows=1)
+        times, sup, bound = rows.T
+        assert rate > 0.0 and times.size == 5
+        np.testing.assert_array_equal(bound, np.exp(-rate * times) * sup[0])
+        assert np.all(bound[1:] < sup[0])
+
+    def test_readme_layout_matches_the_files(self, quick_fixed, tmp_path):
+        # README's "Run directory layout" block lists what a run writes:
+        # each entry's path up to its first blank, `<law>` for the law
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Run directory layout\n\n```\n", 1)[1].split("```", 1)[0]
+        listed = {line.split()[0] for line in block.splitlines() if line[:1].strip()}
+        assert {"config.ini", "<law>/oracle/"} <= listed
+        law_files = {e.removeprefix("<law>/") for e in listed if e.startswith("<law>/")}
+        oracle_files = law_files - {"report.txt", "oracle/"} | {"gaps.csv"}
+        cfg = with_overrides(preset("paper-sec5-free"), **QUICK,
+                             oracle_enabled=True, oracle_n_cells=60)
+        free = runner.run(cfg, str(tmp_path))
+        for res, skip in ((free, set()), (quick_fixed[0], {"bottleneck.csv"})):
+            (law,) = res.laws
+            assert set(os.listdir(res.directory)) == {"config.ini", law.law}
+            written = {n + "/" if os.path.isdir(os.path.join(law.directory, n)) else n
+                       for n in os.listdir(law.directory)}
+            assert written == law_files - skip, law.law
+            oracle = set(os.listdir(os.path.join(law.directory, "oracle")))
+            assert oracle == oracle_files - skip, law.law
 
     def test_load_trace_round_trips_bitwise(self, quick_free):
         res, _ = quick_free
@@ -499,6 +556,29 @@ class TestCli:
             assert cli.main(["run", *source, "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith("error:")
             assert not out.exists(), source
+
+    def test_inadmissible_second_law_writes_no_directory(self, tmp_path, capsys):
+        # the free law solves; the fixed law's start is refused after it
+        p = str(tmp_path / "c.ini")
+        save_config(with_overrides(preset("paper-sec5-free"), **QUICK, law="both",
+                                   mode="override", bump_amplitude=6.0), p)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial profile is not admissible")
+        assert err.count("error:") == 1 and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_oracle_failure_writes_no_directory(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise SolverDivergenceError("oracle diverged")
+        monkeypatch.setattr(pde_oracle, "integrate", diverge)
+        p = str(tmp_path / "c.ini")
+        save_config(with_overrides(preset("paper-sec5-free"), **QUICK, oracle_enabled=True), p)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", p, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: oracle diverged\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,key,value", [
         ("diagram", "kind", "exponential"), ("oracle", "scheme", "central_flux_rk4"),
