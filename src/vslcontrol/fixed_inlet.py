@@ -321,16 +321,17 @@ def _sup_path(gains: FixedInletGains, x: np.ndarray, dev0: np.ndarray, sup0: flo
     on the lines that can come within rounding of the envelope there (see
     _Envelope), so it equals the max over all n lines bit for bit.  That
     costs O(n) once and O(n + n_t (log n + w)) per iteration, w the widest
-    row's candidate count, against O(n_t n) for the whole matrix.
+    row's candidate count, against O(n_t n) for the whole matrix.  The time
+    steps and every buffer are made once per solve, not once per update.
     """
-    grow = np.exp(gains.sigma * tn)
-    shrink = np.exp(-gains.sigma * tn)
-    peak = np.empty(tn.size)
+    dt, grow, shrink = np.diff(tn), np.exp(gains.sigma * tn), np.exp(-gains.sigma * tn)
+    grow_g, gJ, peak = np.empty(tn.size), np.empty(tn.size), np.empty(tn.size)
     envelope = _Envelope(x, dev0)
     counts = {"envelope_lines": 0, "envelope_width": 0}
 
     def update(g: np.ndarray) -> np.ndarray:
-        gJ = gains.gamma * cumulative_trapezoid(tn, grow * g)
+        running_trapezoid(dt, np.multiply(grow, g, out=grow_g), out=gJ)
+        np.multiply(gains.gamma, gJ, out=gJ)
         lines, start, width = envelope.candidates(gJ)
         counts["envelope_lines"] = max(counts["envelope_lines"], lines.size)
         counts["envelope_width"] = max(counts["envelope_width"], int(width.max()))

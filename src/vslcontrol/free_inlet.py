@@ -41,6 +41,11 @@ update.  Every operation but the flow rounds monotonically in s, the
 bounds carry a relative margin far above the flow's rounding error, and
 min is exact, so the row minima, the iterates and every output are the
 same bits as a scan of all nodes.
+
+A march takes the node steps once, each window length (the certified one
+and the last, shorter one) its time grid and shrink-range ends once, each
+window its deviation integrals, candidates and update buffers, and each
+update writes into those buffers and returns a new row-minimum array.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .errors import ConvergenceError, DomainError, StateEscapeError
 from .fundamental_diagram import ExponentialDiagram
 from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
-from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
+from .quadrature import integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
 
 # certified contraction factor of every window
@@ -167,8 +172,9 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     single peak (critical density, capacity), can reach the least upper bound.
     Those minima are the minima over all nodes bit for bit (see the module
     docstring); metadata["picard"]["candidates_max"] is the largest
-    candidate count.  A window that does not converge within
-    settings.max_iter raises ConvergenceError.
+    candidate count.  The node steps are taken once and each window
+    length's `_window_grid` is built once.  A window that does not converge
+    within settings.max_iter raises ConvergenceError.
     """
     d = scenario.diagram
     check_pairing(gain, scenario)
@@ -180,20 +186,20 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
 
     targets = scenario.output_times
     x = scenario.rho0.x
+    dx = np.diff(x)
     dev = scenario.rho0.values - scenario.rho_star
     rho_out = np.empty((targets.size, x.size))
     rho_out[0] = scenario.rho0.values
-    j = 1
-    t0 = 0.0
-    n_windows = 0
-    max_iters = 0
+    j, t0, grids = 1, 0.0, {}
+    n_windows = max_iters = max_width = 0
     max_ratio = 0.0
-    max_width = 0
     eps = 1e-12 * scenario.horizon
     while t0 < scenario.horizon - eps:
         span = min(window, scenario.horizon - t0)
+        if span not in grids:
+            grids[span] = _window_grid(gain.gain, d.capacity, span, settings.time_samples)
         tn, g, cumg, iters, ratio, width = _solve_window(
-            d, gain, scenario.rho_star, x, dev, span, settings)
+            d, gain, scenario.rho_star, dx, dev, grids[span], settings)
         n_windows += 1
         max_iters = max(max_iters, iters)
         max_ratio = max(max_ratio, ratio)
@@ -233,50 +239,60 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
         })
 
 
+def _window_grid(k: float, f_peak: float, span: float, samples: int) -> tuple:
+    """(span, tn, dt, s_lo, ends, k ends) of a window of length span, whatever its start."""
+    tn = np.linspace(0.0, span, samples + 1)
+    s_lo = math.exp(-k * span * f_peak) * (1.0 - _MARGIN)
+    ends = np.array([[1.0], [s_lo]])
+    return span, tn, np.diff(tn), s_lo, ends, k * ends
+
+
 def _solve_window(diagram: ExponentialDiagram, gain: FreeInletGain, rho_star: float,
-                  x: np.ndarray, dev: np.ndarray, span: float,
-                  settings: PicardSettings):
+                  dx: np.ndarray, dev: np.ndarray, grid: tuple, settings: PicardSettings):
     """Fixed point of g(t) = P(rho[t]) on one window, by Picard iteration.
 
     rho[t] = rho_star + dev * exp(-k * integral_0^t g), so every iterate
-    only needs the window-start deviation integrals.  Returns the time
-    grid, g, its running integral, the iteration count, the worst ratio of
-    successive updates and the candidate count.
+    only needs the window-start deviation integrals (on the node steps dx).
+    Returns the time grid, g, its running integral, the iteration count,
+    the worst ratio of successive updates and the candidate count.
 
     The candidates come from the ends s = 1 and s = s_lo of the shrink
     range (s_lo less a relative _MARGIN), both evaluated through
     diagram.flow, so every density the window can produce is domain-checked.
-    Each update checks that its shrink factors stay in [s_lo, 1] and raises
-    StateEscapeError otherwise: the bounds hold only there.
+    Each update, into buffers bound once per window, domain-checks its
+    densities as flow does and checks that its shrink factors stay in
+    [s_lo, 1], raising StateEscapeError otherwise: the bounds hold only there.
     """
     k = gain.gain
-    tn = np.linspace(0.0, span, settings.time_samples + 1)
-    dt = np.diff(tn)
-    D0 = cumulative_trapezoid(x, dev)
-    rho_peak, f_peak = diagram.critical_density, diagram.capacity
-    s_lo = math.exp(-k * span * f_peak) * (1.0 - _MARGIN)
+    span, tn, dt, s_lo, ends, k_ends = grid
+    D0 = running_trapezoid(dx, dev)
     # row 0 (s = 1) is the window start, the same bits as the update's first row
-    ends = np.array([[1.0], [s_lo]])
     rho_ends = rho_star + ends * dev
-    fv = np.asarray(diagram.flow(rho_ends), dtype=float)
-    denom = 1.0 + k * ends * D0
-    past = rho_ends - rho_peak
-    top = np.where(past[0] * past[1] <= 0.0, f_peak, fv.max(axis=0))
-    bound = (top / denom.min(axis=0)).min() * (1.0 + _MARGIN) + _FLOOR
-    cols = np.flatnonzero(fv.min(axis=0) / denom.max(axis=0) <= bound)
+    fv = diagram.flow(rho_ends)
+    denom = 1.0 + k_ends * D0
+    past = rho_ends - diagram.critical_density
+    top = np.where(past[0] * past[1] <= 0.0, diagram.capacity, np.maximum(fv[0], fv[1]))
+    bound = (top / np.minimum(denom[0], denom[1])).min() * (1.0 + _MARGIN) + _FLOOR
+    cols = np.flatnonzero(np.minimum(fv[0], fv[1]) / np.maximum(denom[0], denom[1]) <= bound)
     dev_c, D0_c = dev[cols], D0[cols]
+    shrink, k_shrink = np.empty(tn.size), np.empty((tn.size, 1))
+    sh = shrink[:, None]
+    rho, weighted, den = (np.empty((tn.size, cols.size)) for _ in range(3))
 
     def update(g: np.ndarray) -> np.ndarray:
-        shrink = np.exp(-k * running_trapezoid(dt, g))
-        if not (shrink.min() >= s_lo and shrink.max() <= 1.0):
+        running_trapezoid(dt, g, out=shrink)
+        np.exp(np.multiply(-k, shrink, out=shrink), out=shrink)
+        if not (np.minimum.reduce(shrink) >= s_lo and np.maximum.reduce(shrink) <= 1.0):
             raise StateEscapeError(
                 f"bottleneck iterate left [0, peak flow]: shrink factor outside "
                 f"[{s_lo:.6g}, 1] on a window of length {span:.6g}")
-        sh = shrink[:, None]
-        weighted = np.asarray(diagram.flow(rho_star + sh * dev_c), dtype=float) / (
-            1.0 + k * sh * D0_c)
-        return weighted.min(axis=1)
+        np.add(rho_star, np.multiply(sh, dev_c, out=rho), out=rho)
+        diagram.density_range(rho)
+        diagram.flow_into(rho, weighted, den)  # den is flow's scratch, then 1 + k s D0
+        np.multiply(k, sh, out=k_shrink)
+        np.add(1.0, np.multiply(k_shrink, D0_c, out=den), out=den)
+        return np.minimum.reduce(np.divide(weighted, den, out=weighted), axis=1)
 
-    g0 = np.full(tn.size, float(np.min(fv[0] / denom[0])))
+    g0 = np.full(tn.size, (fv[0] / denom[0]).min())
     g, iters, worst_ratio = iterate(update, g0, settings, f"window of length {span:.6g}")
     return tn, g, running_trapezoid(dt, g), iters, worst_ratio, cols.size

@@ -46,14 +46,17 @@ def iterate(update: Callable[[np.ndarray], np.ndarray], g0: np.ndarray,
     sup norm.  The worst ratio is the largest quotient of successive update
     sizes while the earlier one exceeds 1e3 * tol (an observed contraction
     factor, blind to round-off near the fixed point).  Raises
-    ConvergenceError naming `what` after settings.max_iter updates.
+    ConvergenceError naming `what` after settings.max_iter updates, and
+    ValueError if an update returns memory it was passed (a zero step).
     """
     g = g0
     prev_diff = worst_ratio = 0.0
     ratio_floor = 1e3 * settings.tol
     for it in range(settings.max_iter):
         g_new = update(g)
-        diff = float(np.max(np.abs(g_new - g)))
+        if np.may_share_memory(g_new, g):
+            raise ValueError(f"{what}: the update returned memory it was passed")
+        diff = float(np.abs(g_new - g).max())
         if prev_diff > ratio_floor:
             worst_ratio = max(worst_ratio, diff / prev_diff)
         if diff <= settings.tol:

@@ -27,7 +27,9 @@ Proves:
   6.  domain errors: gamma L >= sigma, inadmissible start, bad mode,
       non-finite sigma, gamma or length in either calibration mode, and
       sigma * horizon past log(float max), refused before the Picard solve;
-      an exhausted iteration budget raises ConvergenceError
+      an exhausted iteration budget raises ConvergenceError; simulate calls
+      np.diff as often at tolerance 1e-13 as at 1e-3, though it iterates at
+      least twice as often
   7.  the Picard max over the upper envelope's candidate lines gives the
       g, iteration count, contraction ratio, rho and u of the full (time
       samples x nodes) matrix bit for bit: in gather runs of 2807
@@ -329,6 +331,22 @@ class TestSimulate:
         # reported sup equals the max over the stored grid row
         got = np.max(np.abs(fixed_trace.rho - 0.7), axis=1)
         np.testing.assert_array_equal(fixed_trace.sup_deviation, got)
+
+    def test_diff_calls_do_not_grow_with_iterations(self, fixed_gains, diagram, monkeypatch):
+        # timing-free guard: _sup_path takes the time steps once per solve,
+        # not once per Picard update
+        diff = np.diff
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=bump_profile(1.0, 60, 0.7),
+                      horizon=10.0, output_interval=0.5)
+        seen = []
+        for tol in (1e-3, 1e-13):
+            calls = []
+            monkeypatch.setattr(np, "diff", lambda *a, **kw: calls.append(1) or diff(*a, **kw))
+            tr = fixed_inlet.simulate(sc, fixed_gains, PicardSettings(tol=tol))
+            seen.append((tr.metadata["picard"]["max_iterations"], len(calls)))
+        (few, few_calls), (many, many_calls) = seen
+        assert many >= 2 * few
+        assert many_calls == few_calls
 
 
 def _profile_deviations(n_cells):

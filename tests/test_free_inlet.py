@@ -24,12 +24,17 @@ Proves:
       nodes) matrix bit for bit: on both free presets, oracle-batch-shaped
       60-cell bumps, deviations of both signs, a 3-node grid, equilibrium
       and, with rho_star at the peak, family members that are not concave
-      (rho_max 2.1, 2.5) or flat at 0 (shape 2); an iterate past the peak
-      flow the bounds assume
+      (rho_max 2.1, 2.5) or flat at 0 (shape 2), a horizon under one window
+      and a march whose last window is shorter, so both window grids are
+      checked; an iterate past the peak flow the bounds assume
       raises StateEscapeError; the fine-grid benchmark's bumps keep at most
       an eighth of their 1601 nodes as candidates
+  9.  per simulate, ExponentialDiagram.flow runs at most windows + 2 times
+      and np.linspace at most 4 times, at 3 and at 29 windows; on 1601
+      nodes the tracemalloc peak of 31 windows is within 1 % of 8 windows'
 """
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -39,7 +44,7 @@ from vslcontrol import (ConvergenceError, DensityProfile, DomainError,
                         ExponentialDiagram, FreeInletGain, PicardSettings, Scenario,
                         StateEscapeError, bump_profile, config, free_inlet, picard,
                         runner, uniform_profile)
-from vslcontrol.quadrature import cumulative_trapezoid
+from vslcontrol.quadrature import cumulative_trapezoid, running_trapezoid
 
 C_FREE = 0.076307345383806768561  # k min f / (1 + k L (rho_max - rho_star))
 P_BUMP = 0.33204330036719243      # grid bottleneck of the 400-cell bump
@@ -252,14 +257,16 @@ class TestPicardSettings:
         assert [f.name for f in fields(PicardSettings)] == ["time_samples", "tol", "max_iter"]
 
 
-def full_window(diagram, gain, rho_star, x, dev, span, settings):
+def full_window(diagram, gain, rho_star, dx, dev, grid, settings):
     """The window solve over every node, one (time samples x nodes) matrix an update.
 
-    Returns g, the iteration count and the worst contraction ratio.
+    Takes _solve_window's arguments, but only the span from grid: it builds
+    its own time grid.  Returns tn, g, the iteration count and the worst
+    contraction ratio.
     """
     k = gain.gain
-    tn = np.linspace(0.0, span, settings.time_samples + 1)
-    D0 = cumulative_trapezoid(x, dev)
+    tn = np.linspace(0.0, grid[0], settings.time_samples + 1)
+    D0 = running_trapezoid(dx, dev)
     weighted0 = np.asarray(diagram.flow(rho_star + dev), dtype=float) / (1.0 + k * D0)
 
     def update(g):
@@ -268,8 +275,8 @@ def full_window(diagram, gain, rho_star, x, dev, span, settings):
             1.0 + k * sh * D0)
         return weighted.min(axis=1)
 
-    return picard.iterate(update, np.full(tn.size, float(np.min(weighted0))), settings,
-                          "reference window")
+    return (tn, *picard.iterate(update, np.full(tn.size, float(np.min(weighted0))), settings,
+                                "reference window"))
 
 
 def _bump60(amplitude, gain):
@@ -321,6 +328,10 @@ WINDOW_CASES = {
     "shape2-two-signed": lambda: _at_peak(
         dict(shape=2.0, rho_max=1.6),
         lambda r: r + 0.4 * np.sin(3.0 * np.pi * np.linspace(0.0, 1.0, 41))),
+    # WINDOW = 1.04 at gain 0.3: one window shorter than WINDOW, and two
+    # certified windows followed by a shorter last one
+    "under-one-window": lambda: _sampled(0.7 + 0.5 * np.sin(3.0 * np.pi * _X100), 0.3, 0.5),
+    "short-last-window": lambda: _sampled(0.7 + 0.5 * np.sin(3.0 * np.pi * _X100), 0.3, 2.5),
 }
 
 
@@ -329,20 +340,28 @@ class TestCandidateWindow:
     def test_equals_full_matrix(self, case, monkeypatch):
         scenario, gain, settings = WINDOW_CASES[case]()
         solve = free_inlet._solve_window
-        widths = []
+        widths, spans = [], []
 
         def checked(*args):
             out = solve(*args)
-            g, iters, ratio = full_window(*args)
+            tn, g, iters, ratio = full_window(*args)
+            assert np.array_equal(out[0], tn)
             assert np.array_equal(out[1], g)
             assert (out[3], out[4]) == (iters, ratio)
             widths.append(out[5])
+            spans.append(float(tn[-1]))
             return out
 
         monkeypatch.setattr(free_inlet, "_solve_window", checked)
         tr = free_inlet.simulate(scenario, gain, settings)
         n = scenario.rho0.x.size
         assert len(widths) == tr.metadata["picard"]["windows"]
+        window = tr.metadata["window"]
+        assert spans[:-1] == [window] * (len(spans) - 1) and spans[-1] <= window
+        if case == "under-one-window":
+            assert spans == [0.5]
+        elif case == "short-last-window":
+            assert len(spans) == 3 and spans[-1] < window
         assert tr.metadata["picard"]["candidates_max"] == max(widths) <= n
         if case.endswith("equilibrium"):
             assert min(widths) == n  # every node ties, so every node stays
@@ -367,6 +386,61 @@ class TestCandidateWindow:
                       horizon=60.0, output_interval=1.0)
         tr = free_inlet.simulate(sc, FreeInletGain(0.3, 1.0, 0.7))
         assert tr.metadata["picard"]["candidates_max"] <= 1601 // 8
+
+
+def _fine_bump_run(horizon):
+    d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+    return Scenario(diagram=d, length=1.0, rho_star=0.7,
+                    rho0=bump_profile(1.0, 1600, 0.7, amplitude=3.5, width=1.17),
+                    horizon=horizon, output_interval=horizon / 4), FreeInletGain(0.3, 1.0, 0.7)
+
+
+class TestMarchOverhead:
+    """Timing-free guards: what a march builds once, it does not build per window."""
+
+    @pytest.mark.parametrize("horizon", [2.5, 30.0])
+    def test_calls_per_simulate(self, free_gain, diagram, monkeypatch, horizon):
+        calls = {"flow": 0, "linspace": 0, "updates": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        iterate = free_inlet.iterate
+
+        def counting_iterate(update, *args):
+            return iterate(counted("updates", update), *args)
+
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=bump_profile(1.0, 60, 0.7), horizon=horizon, output_interval=0.5)
+        monkeypatch.setattr(ExponentialDiagram, "flow", counted("flow", ExponentialDiagram.flow))
+        monkeypatch.setattr(np, "linspace", counted("linspace", np.linspace))
+        monkeypatch.setattr(free_inlet, "iterate", counting_iterate)
+        windows = free_inlet.simulate(sc, free_gain).metadata["picard"]["windows"]
+        assert windows == int(np.ceil(horizon / WINDOW))
+        assert calls["updates"] >= 2 * windows
+        # one flow call a window, for its shrink-range ends; the updates
+        # reuse the window's buffers through density_range and flow_into
+        assert calls["flow"] <= windows + 2
+        # one time grid per window length (at most two), not one per window
+        assert calls["linspace"] <= 4
+
+    def test_memory_does_not_grow_with_windows(self):
+        peaks = []
+        for horizon in (8.0, 32.0):
+            sc, gain = _fine_bump_run(horizon)
+            free_inlet.simulate(sc, gain)
+            tracemalloc.start()
+            tr = free_inlet.simulate(sc, gain)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert tr.metadata["picard"]["windows"] == int(np.ceil(horizon / WINDOW))
+        # one window's update buffers are 65 x 67 x 3 floats (105 kB); a
+        # time grid and its ends take about 1.2 kB, so 1 % (4 kB of a 400 kB
+        # peak) leaves no room for either to pile up over 23 more windows
+        assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,9 @@ Proves:
       count, the fixed point and a worst contraction ratio of exactly 0.5
   2.  an exhausted iteration budget raises ConvergenceError naming the
       solve
+  3.  an update that writes into its input and returns it, or returns the
+      buffer it returned before, raises ValueError instead of reading as a
+      zero step and stopping after one update
 """
 
 import numpy as np
@@ -33,3 +36,25 @@ def test_exhausted_budget_names_the_solve():
     with pytest.raises(ConvergenceError,
                        match=r"^affine map did not converge in 2 iterations$"):
         iterate(halve_and_add_one, np.zeros(1), PicardSettings(max_iter=2), "affine map")
+
+
+def test_aliased_update_raises():
+    calls = []
+
+    def in_place(g):
+        calls.append(1)
+        g *= 0.5
+        g += 1.0
+        return g
+
+    with pytest.raises(ValueError, match="^affine map: the update returned memory it was passed$"):
+        iterate(in_place, np.zeros(3), PicardSettings(), "affine map")
+    assert len(calls) == 1
+
+    out = np.empty(3)
+
+    def one_buffer(g):
+        return np.add(0.5 * g, 1.0, out=out)
+
+    with pytest.raises(ValueError, match="returned memory it was passed"):
+        iterate(one_buffer, np.zeros(3), PicardSettings(), "affine map")
