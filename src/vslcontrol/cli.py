@@ -6,8 +6,8 @@
     vslcontrol compare results/free_inlet results/free_inlet/oracle
 
 `run` exits 0 on success, 1 if a runtime invariant check failed, 2 on
-configuration, usage, solver or file-system errors (an error line, no
-traceback); only a failed write leaves a partial run directory behind.
+configuration, usage, solver, memory or file-system errors (an error line,
+no traceback); a failed write leaves a law directory without metadata.json.
 `certify` exits 0 when the config parses and its road, set point and
 diagram lie in the domain, 2 otherwise; failed conditions are part of its
 report, not an error.
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
         print(f"max density gap: {comp.max_density_gap!r}")
         print(f"max control gap: {comp.max_control_gap!r}")
         return 0
-    except (VslControlError, OSError) as exc:
+    except (VslControlError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,11 +5,11 @@ Output layout (per run directory):
     config.ini                resolved configuration, re-runnable
     <law>/density.csv         long format: t,x,density
     <law>/control.csv         long format: t,x,u
-    <law>/limits.csv          long format: t,x,l (physical speed-limit ratio)
+    <law>/limits.csv          long format: t,x,l where l != u (vsl_sensitivity > 0)
     <law>/norms.csv           t,sup_deviation,bound
     <law>/flows.csv           t,inlet,outlet
     <law>/bottleneck.csv      t,x_star               (free-inlet law only)
-    <law>/metadata.json       trace metadata + invariant outcomes
+    <law>/metadata.json       trace metadata + invariant outcomes; written last
     <law>/report.txt          certification, constants, invariant summary
     <law>/oracle/…            oracle trace + gaps.csv  (when enabled)
 
@@ -21,19 +21,18 @@ digits come from exact vectorised arithmetic, and every other value (0,
 -0.0, subnormal, smaller or larger, nan, inf) goes through FMT % v one at a
 time.  Either way the bytes are those of FMT % v.  The long-format files
 format the x column and the times once per file and the grid in blocks of
-whole time rows, about _WRITE_BLOCK values each, written as one buffer;
-limits.csv gets control.csv's bytes when the limits equal the controls bit
-for bit (vsl_sensitivity = 0).  The other CSV files are column tables
-written by `_write_columns` through the same formatter.
-The run writes nothing until every law is solved and checked, and it exits
-nonzero if any runtime invariant check fails.
+whole time rows, about _WRITE_BLOCK values each, written as one buffer.
+The other CSV files are column tables written by `_write_columns` through
+the same formatter.  The run writes nothing until every law is solved and
+checked, then replaces the law directories an earlier run left, and it
+exits nonzero if any runtime invariant check fails.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
+import shutil
 import warnings
 from dataclasses import dataclass
 
@@ -88,6 +87,7 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     The scenario, gains and settings, then each law's simulate, checks and
     oracle integrate and compare all return before the first write, so a
     run that raises leaves no directory; failed checks still write it all.
+    A file or symlink in place of a law directory makes os.mkdir fail.
     """
     base = out_dir if out_dir is not None else cfg.output_dir
     scenario = build_scenario(cfg)
@@ -107,23 +107,26 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
         solved.append((law, trace, checks, otrace, comp))
 
     os.makedirs(base, exist_ok=True)
+    for stale in (os.path.join(base, law) for law in ("free_inlet", "fixed_inlet")):
+        if os.path.isdir(stale) and not os.path.islink(stale):
+            shutil.rmtree(stale)
     save_config(cfg, os.path.join(base, "config.ini"))
     results = []
     for law, trace, checks, otrace, comp in solved:
         law_dir = os.path.join(base, law)
-        os.makedirs(law_dir, exist_ok=True)
+        os.mkdir(law_dir)
         rate = float(trace.metadata["decay_rate_bound"])
         _write_trace(law_dir, scenario.diagram, trace, rate)
         if otrace is not None:
             odir = os.path.join(law_dir, "oracle")
-            os.makedirs(odir, exist_ok=True)
+            os.mkdir(odir)
             _write_trace(odir, scenario.diagram, otrace, rate)
-            _write_metadata(odir, otrace, ())
             _write_columns(os.path.join(odir, "gaps.csv"), "t,density_gap,control_gap",
                            comp.times, comp.density_gaps, comp.control_gaps)
+            _write_metadata(odir, otrace, ())
         gap = None if comp is None else comp.max_density_gap
-        _write_metadata(law_dir, trace, checks)
         _write_report(law_dir, cfg, gains[law], trace, checks, gap)
+        _write_metadata(law_dir, trace, checks)
         results.append(LawResult(law=law, trace=trace, checks=checks,
                                  directory=law_dir, oracle_gap=gap))
     return RunResult(directory=base, laws=tuple(results))
@@ -270,27 +273,20 @@ _WRITE_BLOCK = HEAP_BLOCK // 2
 
 
 def _write_long(path: str, header: str, times: np.ndarray, x: np.ndarray,
-                grid: np.ndarray, twin: tuple[str, str] | None = None) -> None:
-    """One CSV row t,x,value per grid entry, t-major; `twin`, a (path,
-    header) pair, names a second file that gets the same rows under its
-    own header."""
+                grid: np.ndarray) -> None:
+    """One CSV row t,x,value per grid entry, t-major."""
     # x and t are formatted once per file; the grid in blocks of whole
     # time rows, about _WRITE_BLOCK values each, written as one buffer
     from . import csvformat  # loaded on the first write, see csvformat
     xs, ts = csvformat.format_block(x), csvformat.format_block(times)
     rows = max(1, _WRITE_BLOCK // max(x.size, 1))
-    targets = [(path, header)] + ([twin] if twin else [])
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(p, "wb")) for p, _ in targets]
-        for fh, (_, head) in zip(files, targets):
-            fh.write(head.encode("utf-8") + b"\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
         for s in range(0, times.size, rows):
             block = grid[s:s + rows]
             vs = csvformat.format_block(block)
-            buf = csvformat.join_lines(ts[s:s + rows, None], xs,
-                                       vs.reshape(block.shape + vs.shape[-1:]))
-            for fh in files:
-                fh.write(buf)
+            fh.write(csvformat.join_lines(ts[s:s + rows, None], xs,
+                                          vs.reshape(block.shape + vs.shape[-1:])))
 
 
 def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
@@ -308,18 +304,15 @@ def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
 
 def _write_trace(out: str, diagram: ExponentialDiagram, trace: SimulationTrace,
                  rate: float) -> None:
-    """The trace's CSV files; norms.csv bounds S(t) by exp(-rate t) S(0)."""
+    """The trace's CSV files; norms.csv bounds S(t) by exp(-rate t) S(0).  At
+    vsl_sensitivity = 0 the limits are the controls bit for bit, and
+    limits.csv is written only where they differ."""
     _write_long(os.path.join(out, "density.csv"), "t,x,density",
                 trace.times, trace.x, trace.rho)
+    _write_long(os.path.join(out, "control.csv"), "t,x,u", trace.times, trace.x, trace.u)
     limits = speed_limits(diagram, trace.rho, trace.u)
-    limits_file = (os.path.join(out, "limits.csv"), "t,x,l")
-    # with vsl_sensitivity = 0 the limit is the control itself, bit for
-    # bit, and limits.csv takes control.csv's formatted rows
-    same = np.array_equal(limits.view(np.int64), trace.u.view(np.int64))
-    _write_long(os.path.join(out, "control.csv"), "t,x,u",
-                trace.times, trace.x, trace.u, limits_file if same else None)
-    if not same:
-        _write_long(*limits_file, trace.times, trace.x, limits)
+    if not np.array_equal(limits.view(np.int64), trace.u.view(np.int64)):
+        _write_long(os.path.join(out, "limits.csv"), "t,x,l", trace.times, trace.x, limits)
 
     bound = np.exp(-rate * trace.times) * trace.sup_deviation[0]
     _write_columns(os.path.join(out, "norms.csv"), "t,sup_deviation,bound",

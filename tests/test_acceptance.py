@@ -40,6 +40,7 @@ import subprocess
 import sys
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ def test_preset_reports_show_positive_margins(free_run, fixed_run, fig7_run):
     number = r"([-+0-9.e]+|inf|nan)"
     for res, cfg, *_ in (free_run, fixed_run, fig7_run):
         law = res.law(cfg.law)
-        text = open(os.path.join(law.directory, "report.txt")).read()
+        text = Path(law.directory, "report.txt").read_text()
         decay = re.search(rf"decay_bound: pass \(.* over t > 0 min margin {number}, "
                           rf"sup/bound at most {number} at t = {number}\)", text)
         assert decay, text
