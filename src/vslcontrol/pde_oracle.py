@@ -5,27 +5,32 @@ Cross-checks the semi-analytic simulators by integrating
     rho_t + d/dx [ u(rho) f(rho) ] = 0
 
 with the feedback u recomputed from the current grid state at every stage,
-by one scheme: a second-order central flux difference driven by classic
-RK4.  Both closed loops have classical solutions, with no shocks, so no
-shock-robust first-order fallback is kept.  A law that pins its inlet (the
+by one scheme: a second-order central flux difference driven by the
+three-stage strong-stability-preserving RK3 of Shu and Osher.  Both closed
+loops have classical solutions, with no shocks, so no shock-robust
+first-order fallback is kept.  The law's trapezoid D and the stencil make
+the scheme O(h^2) whatever the integrator, and at the CFL steps used the
+time error of RK3 sits far below that space error, so a fourth RK4 stage
+would buy accuracy no check can see.  A law that pins its inlet (the
 fixed-inlet law holds rho(t, 0) = rho_star) has its inlet node frozen; the
 free-inlet law sets the inlet flow through u itself and needs no boundary
 pin.
 
 The law is bound to the oracle grid once per run (gains.controller), and
 the run binds its buffers once: the state, a stage state, the flux and
-k1..k4.  A right-hand side pays only for what changes with the state: one
+k1..k3.  A right-hand side pays only for what changes with the state: one
 evaluation of the law, whose one min/max pass over the stage state serves
 its domain check (and the fixed law's sup norm), and a slice stencil equal,
-operation for operation, to -np.gradient(q, h, edge_order=2).  RK4 combines
-the stages in place with the operations of the textbook formula, so every
-bit is that of the plain loop.
+operation for operation, to -np.gradient(q, h, edge_order=2).  A step
+combines its three stages in place with the operations of one written
+formula, so every bit is that of the plain loop.
 
 The time step is sized from the grid state alone: the density range of
 the state a step starts from bounds the wave speed max|f'| that sets its
 CFL step, and a size is reused only while the state stays inside the
 range it was sized for, so no step runs above the CFL cap and none is
-discarded.
+discarded.  A run whose step count at the diagram's largest wave speed
+exceeds MAX_STEPS is refused before its first step.
 
 This module trades accuracy for independence: nothing here reuses the
 closed-form structure of the laws beyond the feedback formulas themselves.
@@ -46,6 +51,8 @@ ORACLE_U_TOL = 1e-3  # discretization wiggle allowance on u <= 1
 # a run diverges once its sup-norm deviation from rho_star exceeds
 # ESCAPE_FACTOR * max(initial sup deviation, 0.05 * rho_max)
 ESCAPE_FACTOR = 4.0
+# the most steps a run may take at the diagram's largest wave speed
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,8 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     range of u on each call, from one min/max pass over the stage state.
     The inlet node is frozen when gains.pins_inlet.  The initial profile
     is linearly resampled onto the oracle grid.  The state, stage and
-    k1..k4 buffers are bound once per run.
+    k1..k3 buffers are bound once per run, and each step is one SSP-RK3
+    step: three evaluations of the law.
 
     The time left in an output interval is split into the fewest equal
     steps with dt * s / h <= cfl_cap, s being max|f'| over the range
@@ -86,7 +94,10 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     while the state stays inside [lo, hi].  A step whose result leaves
     [lo, hi] stands and the time left is sized again from its state, so
     every step starts inside the range its dt was sized for and none is
-    discarded.
+    discarded.  Before the first step, the steps the run would take at
+    the diagram's largest wave speed, max_abs_slope, which bounds every
+    range's slope_bound, must not exceed MAX_STEPS, or DomainError is
+    raised.
 
     After each output interval the state must be finite and its sup-norm
     deviation from rho_star within the escape band (see ESCAPE_FACTOR),
@@ -101,11 +112,18 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     check_pairing(gains, scenario)
     d = scenario.diagram
     n = settings.n_cells
-    x = np.linspace(0.0, scenario.length, n + 1)
     h = scenario.length / n
-    rho = np.interp(x, scenario.rho0.x, scenario.rho0.values)
     targets = scenario.output_times
     interval = float(targets[1] - targets[0])
+    # kept a float: a count that overflows to inf is refused, not rounded
+    worst = (targets.size - 1) * interval * d.max_abs_slope / (settings.cfl_cap * h)
+    if not worst <= MAX_STEPS:
+        raise DomainError(
+            f"the oracle would take about {worst:.3g} steps at the diagram's largest "
+            f"wave speed, over the budget of {MAX_STEPS} (MAX_STEPS); "
+            "raise [oracle] cfl_cap or lower n_cells")
+    x = np.linspace(0.0, scenario.length, n + 1)
+    rho = np.interp(x, scenario.rho0.x, scenario.rho0.values)
 
     sup0 = scenario.rho0.sup_deviation()
     escape = ESCAPE_FACTOR * max(sup0, 0.05 * d.rho_max)
@@ -118,11 +136,11 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     inlet_c = (1.5 / h, -2.0 / h, 0.5 / h)
     outlet_c = (-0.5 / h, 2.0 / h, -1.5 / h)
     # the run's buffers, and the views the stencil reads and writes: the
-    # state, a stage state, the flux q and k1..k4
+    # state, a stage state, the flux q and k1..k3
     state, stage, q = np.empty(x.size), np.empty(x.size), np.empty(x.size)
-    k1, k2, k3, k4 = np.empty((4, x.size))
+    k1, k2, k3 = np.empty((3, x.size))
     q_left, q_right, q_head, q_tail = q[:-2], q[2:], q[:3], q[-3:]
-    inner = [k[1:-1] for k in (k1, k2, k3, k4)]
+    inner = [k[1:-1] for k in (k1, k2, k3)]
 
     def rhs(at: np.ndarray, out: np.ndarray, interior: np.ndarray) -> None:
         u, fv, _ = law(at)
@@ -136,17 +154,15 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
         q0, q1, q2 = q_tail.tolist()
         out[-1] = outlet_c[0] * q0 + outlet_c[1] * q1 + outlet_c[2] * q2
 
-    def rk4_step(dt: float) -> None:
-        """One RK4 step of the state, in place, with the operations of
-        state + (dt/6) (k1 + 2 k2 + 2 k3 + k4) and its stage states."""
-        half_dt = 0.5 * dt
+    def ssp_rk3_step(dt: float) -> None:
+        """One SSP-RK3 step of the state, in place, with the operations of
+        state + (dt/6) (k1 + k2 + 4 k3) and its stage states state + dt k1
+        and state + (dt/4) (k1 + k2); k1 + k2 is formed once."""
         rhs(state, k1, inner[0])
-        rhs(np.add(state, np.multiply(half_dt, k1, out=stage), out=stage), k2, inner[1])
-        rhs(np.add(state, np.multiply(half_dt, k2, out=stage), out=stage), k3, inner[2])
-        rhs(np.add(state, np.multiply(dt, k3, out=stage), out=stage), k4, inner[3])
-        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
+        rhs(np.add(state, np.multiply(dt, k1, out=stage), out=stage), k2, inner[1])
+        np.add(k1, k2, out=k1)
+        rhs(np.add(state, np.multiply(dt / 4.0, k1, out=stage), out=stage), k3, inner[2])
+        np.add(k1, np.multiply(4.0, k3, out=k3), out=k1)
         np.add(state, np.multiply(dt / 6.0, k1, out=k1), out=state)
 
     rho_out = np.empty((targets.size, x.size))
@@ -169,7 +185,7 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
             dt = time_left / n_left
             cfl = max(cfl, dt * s / h)
             while n_left:
-                rk4_step(dt)
+                ssp_rk3_step(dt)
                 taken += 1
                 n_left -= 1
                 seen_lo, seen_hi = state.item(state.argmin()), state.item(state.argmax())

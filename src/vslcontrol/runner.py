@@ -30,6 +30,7 @@ exits nonzero if any runtime invariant check fails.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -87,7 +88,8 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     The scenario, gains and settings, then each law's simulate, checks and
     oracle integrate and compare all return before the first write, so a
     run that raises leaves no directory; failed checks still write it all.
-    A file or symlink in place of a law directory makes os.mkdir fail.
+    A file or symlink in place of a law directory fails the run with
+    FileExistsError before config.ini is written or any directory removed.
     """
     base = out_dir if out_dir is not None else cfg.output_dir
     scenario = build_scenario(cfg)
@@ -106,6 +108,11 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
             comp = pde_oracle.compare(trace, otrace)
         solved.append((law, trace, checks, otrace, comp))
 
+    # a file or symlink where a law directory goes would make os.mkdir
+    # fail: refuse it before anything in --out changes
+    for path in (os.path.join(base, law) for law in laws):
+        if os.path.islink(path) or (os.path.lexists(path) and not os.path.isdir(path)):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
     os.makedirs(base, exist_ok=True)
     for stale in (os.path.join(base, law) for law in ("free_inlet", "fixed_inlet")):
         if os.path.isdir(stale) and not os.path.islink(stale):

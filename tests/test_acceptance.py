@@ -24,6 +24,10 @@ information).  Criteria:
   11  the randomized property battery passes with >= 200 cases per
       property, Picard contraction factors within their bounds
 
+Criterion 07's 400-cell oracle runs, and fig7's, also bound the oracle's
+time error: halving oracle_cfl_cap moves the densities by under 5 % of the
+400-cell gap to the closed form.
+
 The preset runs also pin the determinism contract: their density.csv,
 control.csv and norms.csv hash to the SHA-256 digests the benchmark checks
 (PRESET_SHA256 in benchmarks/workloads.py), and each report.txt shows a
@@ -88,9 +92,10 @@ def fig7_run(tmp_path_factory):
     return res, cfg
 
 
-def _semi_and_oracle_gap(cfg, n_cells: int) -> float:
+def _semi_and_oracle(cfg, n_cells: int, cfl_cap: float = 0.8):
+    """The semi-analytic trace and the oracle trace of cfg at n_cells cells."""
     c2 = with_overrides(cfg, n_cells=n_cells, oracle_n_cells=n_cells,
-                        oracle_cfl_cap=0.8, oracle_enabled=True)
+                        oracle_cfl_cap=cfl_cap, oracle_enabled=True)
     sc = build_scenario(c2)
     if c2.law == "free_inlet":
         gains = build_free_gain(c2)
@@ -99,15 +104,15 @@ def _semi_and_oracle_gap(cfg, n_cells: int) -> float:
         gains = fixed_inlet.calibrate(sc.diagram, c2.rho_star, c2.length,
                                       c2.sigma, c2.gamma, c2.mode)
         semi = fixed_inlet.simulate(sc, gains, build_picard(c2))
-    otr = pde_oracle.integrate(sc, gains, build_oracle_settings(c2))
-    return pde_oracle.compare(semi, otr).max_density_gap
+    return semi, pde_oracle.integrate(sc, gains, build_oracle_settings(c2))
 
 
 @pytest.fixture(scope="module")
-def oracle_gaps(free_run, fixed_run):
+def oracle_runs(free_run, fixed_run):
+    """Criterion 07's (semi-analytic, oracle) trace pairs by preset and cells."""
     out = {}
     for label, (_, cfg, _) in (("free", free_run), ("fixed", fixed_run)):
-        out[label] = {n: _semi_and_oracle_gap(cfg, n) for n in (400, 800)}
+        out[label] = {n: _semi_and_oracle(cfg, n) for n in (400, 800)}
     return out
 
 
@@ -179,15 +184,30 @@ def test_criterion_06_forward_invariance(fixed_run):
                      f"min slack {min(slacks):.3e}")
 
 
-def test_criterion_07_oracle_equivalence(oracle_gaps):
+def test_criterion_07_oracle_equivalence(oracle_runs):
     lines = []
     ok = True
     for label in ("free", "fixed"):
-        g400, g800 = oracle_gaps[label][400], oracle_gaps[label][800]
+        g400, g800 = (pde_oracle.compare(*oracle_runs[label][n]).max_density_gap
+                      for n in (400, 800))
         ratio = g400 / g800
         ok = ok and g400 <= 5e-4 and ratio >= 3.5
         lines.append(f"{label}: gap(400) = {g400:.2e}, shrink x{ratio:.2f}")
     _report(7, ok, "; ".join(lines))
+
+
+def test_oracle_time_error_is_below_its_space_error(free_run, fixed_run, fig7_run,
+                                                    oracle_runs):
+    # halving cfl_cap halves every step, so the oracle's densities move by
+    # its time error alone: well under its 400-cell gap to the closed form
+    cases = {"free": (free_run[1], oracle_runs["free"][400]),
+             "fixed": (fixed_run[1], oracle_runs["fixed"][400]),
+             "fig7": (fig7_run[1], _semi_and_oracle(fig7_run[1], 400))}
+    for label, (cfg, (semi, coarse)) in cases.items():
+        _, fine = _semi_and_oracle(cfg, 400, cfl_cap=0.4)
+        gap = pde_oracle.compare(semi, coarse).max_density_gap
+        moved = float(np.max(np.abs(fine.rho - coarse.rho)))
+        assert moved < 0.05 * gap, f"{label}: moved {moved:.3g}, gap {gap:.3g}"
 
 
 def test_criterion_08_terminal_control_gap(free_run, fixed_run):

@@ -16,11 +16,13 @@ Proves:
       fluxes to discretization accuracy
   7.  records that are not laws, and laws for another road, are rejected
   8.  the lean right-hand side (law and buffers bound once, slice
-      stencil, RK4 in place) gives the same bits as a plain loop over
-      a freshly bound law and np.gradient under RK4, for both laws at 60, 400
-      and 800 cells and shapes 1 and 2; the checked ExponentialDiagram.flow
-      is called as often whatever the step count, so no stage goes back
-      to the allocating, separately checked flow
+      stencil, SSP-RK3 in place) gives the same bits as a plain loop over
+      a freshly bound law and np.gradient under the same SSP-RK3 formula,
+      for both laws at 60, 400 and 800 cells and shapes 1 and 2; the
+      checked ExponentialDiagram.flow is called as often whatever the step
+      count, so no stage goes back to the allocating, separately checked
+      flow; a run evaluates the bound law exactly three times per step,
+      plus once per snapshot for the trace
   9.  a bound law still runs its domain and escape checks on every call;
       the fixed law's checks skip a NaN flow as np.fmin does
   10. each step is sized from the density range of the state it starts
@@ -32,6 +34,8 @@ Proves:
       cap one ulp below the CFL number of n steps takes n + 1
   11. the keys README lists for <law>/oracle/metadata.json are exactly
       those an oracle trace adds to law, oracle, rho_star and n_cells
+  12. a run whose step count at the diagram's largest wave speed exceeds
+      MAX_STEPS is refused with DomainError before the law is evaluated
 """
 
 import math
@@ -181,7 +185,8 @@ class TestDispatch:
 
 
 def reference_rows(scenario, gains, n_cells, cfl_cap=0.4):
-    """The oracle as a plain loop: a freshly bound law and np.gradient every RK4 stage.
+    """The oracle as a plain loop: a freshly bound law and np.gradient every stage
+    of the SSP-RK3 step rho + (dt/6) (k1 + k2 + 4 k3).
 
     The loop sizes its own steps from its own state: the time left in an
     output interval is split into the fewest equal steps with
@@ -215,10 +220,9 @@ def reference_rows(scenario, gains, n_cells, cfl_cap=0.4):
             dt = time_left / n_left
             while n_left:
                 k1 = rhs(rho)
-                k2 = rhs(rho + 0.5 * dt * k1)
-                k3 = rhs(rho + 0.5 * dt * k2)
-                k4 = rhs(rho + dt * k3)
-                rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k2 = rhs(rho + dt * k1)
+                k3 = rhs(rho + (dt / 4.0) * (k1 + k2))
+                rho = rho + (dt / 6.0) * (k1 + k2 + 4.0 * k3)
                 taken += 1
                 n_left -= 1
                 if np.min(rho) < lo or np.max(rho) > hi:
@@ -269,6 +273,30 @@ class TestLeanPath:
             steps.append(tr.metadata["steps"])
         assert steps[1] > steps[0] >= 20
         assert counts[0] == counts[1] <= 2
+
+    @pytest.mark.parametrize("law", ["free", "fixed"])
+    def test_three_law_evaluations_per_step(self, diagram, free_gain, fixed_gains, law,
+                                            monkeypatch):
+        # every law bound through gains.controller counts its evaluations:
+        # three per SSP-RK3 step, and law_trace's one per snapshot
+        gains = free_gain if law == "free" else fixed_gains
+        calls = []
+        controller = type(gains).controller
+
+        def counted(self, *args):
+            evaluate = controller(self, *args)
+
+            def counting(rho):
+                calls.append(1)
+                return evaluate(rho)
+            return counting
+
+        monkeypatch.setattr(type(gains), "controller", counted)
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=bump_profile(1.0, 400, 0.7), horizon=0.2, output_interval=0.1)
+        tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=400))
+        assert tr.metadata["steps"] >= 20
+        assert len(calls) == 3 * tr.metadata["steps"] + tr.times.size
 
 
 class TestChecksEveryCall:
@@ -386,6 +414,7 @@ class TestStepSize:
                       rho0=uniform_profile(1.0, 60, 0.7), horizon=1.0, output_interval=0.5)
         law = RampLaw(slope)
         ref, taken = reference_rows(sc, law, 60)
+        diagram.max_abs_slope  # the step budget's slope, cached on the diagram
         monkeypatch.setattr(ExponentialDiagram, "slope_bound", counted)
         settings = OracleSettings(n_cells=60)
         tr = pde_oracle.integrate(sc, law, settings)
@@ -423,10 +452,24 @@ class TestStepSize:
         sc = build_scenario(cfg)
         gains = fixed_inlet.calibrate(sc.diagram, cfg.rho_star, cfg.length, cfg.sigma,
                                       cfg.gamma, cfg.mode)
+        sc.diagram.max_abs_slope  # the step budget's slope, cached on the diagram
         monkeypatch.setattr(ExponentialDiagram, "slope_bound", counted)
         tr = pde_oracle.integrate(sc, gains, build_oracle_settings(cfg))
         assert tr.times.size - 1 == len(calls) == 40
         assert tr.metadata["steps"] > 100 * len(calls)
+
+
+class TestStepBudget:
+    def test_over_budget_is_refused_before_the_first_step(self, monkeypatch):
+        # cfl_cap = 1e-9 on sec5-free: 40 intervals of 0.75 at max|f'| = 1
+        # and h = 1/400 make 1.2e13 steps
+        cfg = with_overrides(preset("paper-sec5-free"), oracle_enabled=True,
+                             oracle_cfl_cap=1e-9)
+        gains = build_free_gain(cfg)
+        monkeypatch.setattr(type(gains), "controller",
+                            lambda *args: pytest.fail("the law was bound"))
+        with pytest.raises(DomainError, match=r"about 1\.2e\+13 steps .* budget of 10000000"):
+            pde_oracle.integrate(build_scenario(cfg), gains, build_oracle_settings(cfg))
 
 
 class TestDivergenceGuard:

@@ -24,7 +24,9 @@ Proves:
       oracle directory or a second law that the new run does not write is
       gone, other files stay; a refused run (exit 2) leaves every file of
       an existing run byte-identical; a file or symlink in place of a law
-      directory exits 2 and nothing outside --out moves
+      directory exits 2 and nothing outside --out moves; in place of an
+      earlier run's law directory it exits 2 and every file of that run,
+      config.ini included, stays byte-identical
   4.  two runs of the same config produce byte-identical files
   5.  compare_runs of a directory against itself is exactly zero
   6.  certify() reports the failing curvature margin without raising; a
@@ -44,8 +46,9 @@ Proves:
       with control.csv on another node grid, or with control.csv,
       flows.csv or bottleneck.csv at other times, a compare of runs on
       different roads (either order), a compare of a law directory without
-      metadata.json, a run into an existing file, a MemoryError in a solve
-      and a fixed-law run with sigma * horizon past log(float max)
+      metadata.json, a run into an existing file, a MemoryError in a solve,
+      a fixed-law run with sigma * horizon past log(float max) and an
+      oracle over its step budget (in well under a second, no --out)
       exit 2 with an error line and no traceback; the [project.scripts] entry
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
       runs as its own process; a preset run imports no scipy module
@@ -87,6 +90,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -473,6 +477,24 @@ class TestExistingOut:
             assert (out / "free_inlet").read_text() == "not a directory\n"
         else:
             assert (out / "free_inlet").is_symlink()
+
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_law_path_that_is_not_a_directory_changes_nothing(self, tmp_path, capsys, kind):
+        # an earlier run's free_inlet/ moved aside, a file or a symlink to it
+        # in its place: the refused run writes no config.ini, removes nothing
+        out = tmp_path / "o"
+        assert cli.main(["run", "--preset", "paper-sec5-free", "--out", str(out)]) == 0
+        (out / "free_inlet").rename(out / "moved")
+        if kind == "file":
+            (out / "free_inlet").write_text("not a directory\n")
+        else:
+            (out / "free_inlet").symlink_to(out / "moved", target_is_directory=True)
+        before = self.files(out)
+        capsys.readouterr()
+        assert cli.main(["run", "--preset", "paper-fig7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 17] File exists") and "free_inlet" in err, err
+        assert self.files(out) == before
 
 
 class TestMeasuredWrongAnswers:
@@ -861,6 +883,20 @@ class TestCli:
         err = self.assert_error_exit(tmp_path, "run", "--config", str(path),
                                      "--out", str(tmp_path / "o"))
         assert "sigma * horizon = 720 exceeds" in err
+
+    def test_oracle_over_its_step_budget(self, tmp_path, capsys):
+        # cfl_cap = 1e-9 asks for about 1.2e13 oracle steps: refused before
+        # the first, so the run takes about as long as the free-law solve
+        cfg = with_overrides(preset("paper-sec5-free"), oracle_enabled=True,
+                             oracle_cfl_cap=1e-9)
+        path, out = tmp_path / "c.ini", tmp_path / "o"
+        save_config(cfg, str(path))
+        start = time.perf_counter()
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: the oracle would take about 1.2e+13 steps"), err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_run_imports_no_scipy(self, tmp_path):
         # numpy is the one runtime dependency; a full preset run in its own
