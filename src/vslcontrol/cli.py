@@ -9,8 +9,8 @@
 configuration, usage, solver, memory or file-system errors (an error line,
 no traceback); a failed write leaves a law directory without metadata.json.
 `certify` exits 0 when the config parses and its road, set point and
-diagram lie in the domain, 2 otherwise; failed conditions are part of its
-report, not an error.
+diagram lie in the domain, 2 otherwise; it reports failed conditions
+whatever [controller] mode says, so only `run` takes --strict/--override.
 """
 
 from __future__ import annotations
@@ -28,20 +28,10 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
     src.add_argument("--config", metavar="PATH", help="INI configuration file")
     src.add_argument("--preset", metavar="NAME",
                      help="bundled preset (paper-sec5-free, paper-sec5-fixed, paper-fig7)")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true",
-                      help="require every gain condition to hold")
-    mode.add_argument("--override", action="store_true",
-                      help="proceed with uncertified gains (checks still run)")
 
 
-def _resolve_config(args: argparse.Namespace):
-    cfg = load_config(args.config) if args.config else preset(args.preset)
-    if args.strict:
-        cfg = with_overrides(cfg, mode="strict")
-    elif args.override:
-        cfg = with_overrides(cfg, mode="override")
-    return cfg
+def _load(args: argparse.Namespace):
+    return load_config(args.config) if args.config else preset(args.preset)
 
 
 def main(argv=None) -> int:
@@ -53,6 +43,11 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="simulate the configured law(s) and write traces")
     _add_config_options(run_p)
+    mode = run_p.add_mutually_exclusive_group()
+    mode.add_argument("--strict", action="store_true",
+                      help="require every gain condition to hold")
+    mode.add_argument("--override", action="store_true",
+                      help="proceed with uncertified gains (checks still run)")
     run_p.add_argument("--out", metavar="DIR",
                        help="output directory (overrides [output] directory)")
 
@@ -66,7 +61,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            result = runner.run(_resolve_config(args), args.out)
+            cfg = _load(args)
+            if args.strict or args.override:
+                cfg = with_overrides(cfg, mode="strict" if args.strict else "override")
+            result = runner.run(cfg, args.out)
             for lr in result.laws:
                 state = "ok" if lr.passed else "INVARIANT VIOLATION"
                 print(f"{lr.law}: {state} ({lr.directory})")
@@ -75,7 +73,7 @@ def main(argv=None) -> int:
                         print(f"  {check}")
             return result.exit_code
         if args.command == "certify":
-            print(runner.certify(_resolve_config(args)), end="")
+            print(runner.certify(_load(args)), end="")
             return 0
         comp = runner.compare_runs(args.dir_a, args.dir_b)
         print(f"max density gap: {comp.max_density_gap!r}")

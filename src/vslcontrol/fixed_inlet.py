@@ -102,9 +102,9 @@ class FixedInletGains:
 
         u is exactly 1 at x = 0 on admissible data.  Every evaluation runs
         the diagram's domain check and raises StateEscapeError when the flow
-        vanishes or u leaves (0, 1 + u_tol]; u is clipped to 1.  u and
-        f(rho) live in buffers bound here: they are valid until the next
-        call of evaluate.
+        is not positive or u leaves (0, 1 + u_tol], a NaN counting as both;
+        u is clipped to 1.  u and f(rho) live in buffers bound here: they
+        are valid until the next call of evaluate.
         """
         budget = _flow_budget(self, diagram, x)
         rho_star, dx, ceiling = self.rho_star, np.diff(x), 1.0 + u_tol
@@ -118,16 +118,11 @@ class FixedInletGains:
             np.subtract(rho, rho_star, out=work)
             budget(running_trapezoid(dx, work, out=u), sup, out=u, scratch=work)
             diagram.flow_into(rho, fv, work)
-            # fmin/fmax skip NaN exactly as the elementwise comparisons do.
-            # f is NaN only at a negative density under a fractional shape,
-            # so on a nonnegative state argmin/argmax, a third of the cost,
-            # find the same extremes
-            least, most = (np.fmin.reduce, np.fmax.reduce) if lo < 0.0 else (_least, _most)
-            if least(fv) <= 0.0:
+            if not _least(fv) > 0.0:
                 raise StateEscapeError("flow vanished; control undefined")
             np.divide(u, fv, out=u)
-            if least(u) <= 0.0 or most(u) > ceiling:
-                bad = (u <= 0.0) | (u > ceiling)
+            if not (_least(u) > 0.0 and _most(u) <= ceiling):
+                bad = ~((u > 0.0) & (u <= ceiling))
                 i = int(np.argmax(np.where(bad, np.abs(u - 0.5), -1.0)))
                 raise StateEscapeError(
                     f"control {u[i]:.6g} left (0, 1] at x = {x[i]:.6g}; profile not admissible")

@@ -108,9 +108,9 @@ class FreeInletGain:
         The bottleneck index is the smallest minimizer of f(rho) M, where
         u equals 1 exactly.  u never exceeds 1 by construction, so u_tol is
         accepted only to share the fixed law's signature.  Every evaluation
-        runs the diagram's domain check and the positivity check.  u and
-        f(rho) live in buffers bound here: they are valid until the next
-        call of evaluate.
+        runs the diagram's domain check and the positivity check, which a
+        NaN fails.  u and f(rho) live in buffers bound here: they are valid
+        until the next call of evaluate.
         """
         k, rho_star, dx = self.gain, self.rho_star, np.diff(x)
         u, fv, work = np.empty(x.size), np.empty(x.size), np.empty(x.size)
@@ -125,7 +125,7 @@ class FreeInletGain:
             weighted = np.divide(fv, u, out=u)
             idx = int(weighted.argmin())
             value = float(weighted[idx])
-            if value <= 0.0:
+            if not value > 0.0:
                 raise StateEscapeError("weighted flow lost positivity")
             return np.divide(value, weighted, out=u), fv, idx
 

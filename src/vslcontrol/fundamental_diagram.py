@@ -71,7 +71,7 @@ class ExponentialDiagram:
     density_scale: float = 1.0
     shape: float = 1.0
     vsl_sensitivity: float = 0.0
-    rho_max: float = 1.0
+    rho_max: float = 1.6
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.flow_scale, self.density_scale, self.shape,

@@ -43,8 +43,6 @@ def integral_to(x: np.ndarray, y: np.ndarray, cum: np.ndarray, xq: float) -> flo
     if xq <= x[0]:
         return 0.0
     i = int(np.searchsorted(x, xq) - 1)
-    if i >= len(x) - 1:
-        return float(cum[-1])
     w = (xq - x[i]) / (x[i + 1] - x[i])
     yq = y[i] + w * (y[i + 1] - y[i])
     return float(cum[i] + 0.5 * (y[i] + yq) * (xq - x[i]))

@@ -331,19 +331,13 @@ def _write_trace(out: str, diagram: ExponentialDiagram, trace: SimulationTrace,
                        trace.times, trace.bottleneck_x)
 
 
-def _json_default(value):
-    if isinstance(value, (np.generic, np.ndarray)):
-        return value.tolist()  # the matching Python scalar, or nested lists
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 def _write_metadata(out: str, trace: SimulationTrace,
                     checks: tuple[CheckResult, ...]) -> None:
     payload = dict(trace.metadata)
     payload["invariant_checks"] = {c.name: bool(c.passed) for c in checks}
     with open(os.path.join(out, "metadata.json"), "w", encoding="utf-8",
               newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

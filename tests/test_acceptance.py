@@ -26,7 +26,8 @@ information).  Criteria:
 
 Criterion 07's 400-cell oracle runs, and fig7's, also bound the oracle's
 time error: halving oracle_cfl_cap moves the densities by under 5 % of the
-400-cell gap to the closed form.
+400-cell gap to the closed form.  The same three runs conserve mass to
+rounding: their mass_balance_residual is at most 1e-12.
 
 The preset runs also pin the determinism contract: their density.csv,
 control.csv and norms.csv hash to the SHA-256 digests the benchmark checks
@@ -108,11 +109,13 @@ def _semi_and_oracle(cfg, n_cells: int, cfl_cap: float = 0.8):
 
 
 @pytest.fixture(scope="module")
-def oracle_runs(free_run, fixed_run):
-    """Criterion 07's (semi-analytic, oracle) trace pairs by preset and cells."""
+def oracle_runs(free_run, fixed_run, fig7_run):
+    """Criterion 07's (semi-analytic, oracle) trace pairs by preset and cells,
+    and fig7's at 400 cells."""
     out = {}
     for label, (_, cfg, _) in (("free", free_run), ("fixed", fixed_run)):
         out[label] = {n: _semi_and_oracle(cfg, n) for n in (400, 800)}
+    out["fig7"] = {400: _semi_and_oracle(fig7_run[1], 400)}
     return out
 
 
@@ -202,12 +205,21 @@ def test_oracle_time_error_is_below_its_space_error(free_run, fixed_run, fig7_ru
     # its time error alone: well under its 400-cell gap to the closed form
     cases = {"free": (free_run[1], oracle_runs["free"][400]),
              "fixed": (fixed_run[1], oracle_runs["fixed"][400]),
-             "fig7": (fig7_run[1], _semi_and_oracle(fig7_run[1], 400))}
+             "fig7": (fig7_run[1], oracle_runs["fig7"][400])}
     for label, (cfg, (semi, coarse)) in cases.items():
         _, fine = _semi_and_oracle(cfg, 400, cfl_cap=0.4)
         gap = pde_oracle.compare(semi, coarse).max_density_gap
         moved = float(np.max(np.abs(fine.rho - coarse.rho)))
         assert moved < 0.05 * gap, f"{label}: moved {moved:.3g}, gap {gap:.3g}"
+
+
+def test_oracle_conserves_mass_to_rounding(oracle_runs):
+    # the stages' boundary balances account for every step's change of
+    # the trapezoid mass, so only rounding is left over
+    for label in ("free", "fixed", "fig7"):
+        _, tr = oracle_runs[label][400]
+        residual = tr.metadata["mass_balance_residual"]
+        assert residual <= 1e-12, f"{label}: residual {residual:.3g}"
 
 
 def test_criterion_08_terminal_control_gap(free_run, fixed_run):

@@ -23,7 +23,8 @@ Proves:
       checks, which agree with the former 2001-point sampler on 500 seeded
       random members away from the boundaries, and f(0) = 0 < f on the
       rest of the grid for each; critical_density raises exactly where
-      single_flow_peak fails, on either side of rho_max = 1/b
+      single_flow_peak fails, on either side of rho_max = 1/b; the
+      default ExponentialDiagram() passes both and is RunConfig's diagram
   8.  domain errors: negative density, density above rho_max, bad limit,
       NaN limit; speed_limits rejects bad or NaN densities and NaN
       controls on both the a = 0 and the a > 0 path
@@ -85,6 +86,7 @@ import pytest
 from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram, speed_limits,
                         validate_assumptions)
 from vslcontrol import fundamental_diagram, warmstart
+from vslcontrol.config import RunConfig
 from vslcontrol.fundamental_diagram import DENSITY_TOL_REL, _bisect_all
 
 from conftest import grid_extreme
@@ -302,6 +304,15 @@ class TestValidator:
         assert all(c.passed for c in checks)
         names = [c.name for c in checks]
         assert "strict_concavity" in names and "single_flow_peak" in names
+
+    def test_default_diagram_runs_both_laws(self):
+        # the defaults are RunConfig's diagram, which has an interior peak
+        d = ExponentialDiagram()
+        assert all(c.passed for c in validate_assumptions(d))
+        assert d.critical_density == 1.0
+        names = ("flow_scale", "density_scale", "shape", "vsl_sensitivity", "rho_max")
+        cfg = RunConfig()
+        assert [getattr(d, n) for n in names] == [getattr(cfg, n) for n in names]
 
     @pytest.mark.parametrize("fields,failed,where", [
         (dict(rho_max=1.6), set(), None),

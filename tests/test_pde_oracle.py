@@ -24,7 +24,7 @@ Proves:
       flow; a run evaluates the bound law exactly three times per step,
       plus once per snapshot for the trace
   9.  a bound law still runs its domain and escape checks on every call;
-      the fixed law's checks skip a NaN flow as np.fmin does
+      both laws refuse a NaN flow with StateEscapeError
   10. each step is sized from the density range of the state it starts
       from: on criterion 07's free-law run the realised CFL stays under the
       cap in no more steps than the former widened speed band took; a
@@ -316,23 +316,23 @@ class TestChecksEveryCall:
                 evaluate(row)
         np.testing.assert_array_equal(evaluate(good)[1], fv)
 
-    def test_fixed_law_skips_a_nan_flow(self):
+    @pytest.mark.parametrize("law,message", [("free", "weighted flow lost positivity"),
+                                             ("fixed", "flow vanished")])
+    def test_nan_flow_is_refused(self, law, message):
         # under shape 0.5, f is NaN at a density just below 0, inside the
-        # domain's tolerance: the flow and control checks skip it, as
-        # np.fmin and the elementwise comparisons do, and still see a zero
+        # domain's tolerance: argmin points at the NaN, which fails the
+        # positivity check, wherever it sits
         d = ExponentialDiagram(shape=0.5, rho_max=1.6)
-        gains = fixed_inlet.calibrate(d, 0.7, 1.0, 0.12, 0.1, mode="override")
+        gains = (FreeInletGain(0.3, 1.0, 0.7) if law == "free" else
+                 fixed_inlet.calibrate(d, 0.7, 1.0, 0.12, 0.1, mode="override"))
         x = np.linspace(0.0, 1.0, 61)
         evaluate = gains.controller(d, x, pde_oracle.ORACLE_U_TOL)
-        row = np.full(x.size, 0.7)
-        row[10] = -1e-12
-        with np.errstate(invalid="ignore"):
-            u, fv, _ = evaluate(row)
-            assert np.isnan(fv[10]) and np.isnan(u[10])
-            rest = np.delete(u, 10)
-            assert np.all((rest > 0.0) & (rest <= 1.0))
-            row[20] = 0.0
-            with pytest.raises(StateEscapeError, match="flow vanished"):
+        assert np.all(evaluate(np.full(x.size, 0.7))[0] == 1.0)
+        for node in (0, 10, 60):
+            row = np.full(x.size, 0.7)
+            row[node] = -1e-12
+            with np.errstate(invalid="ignore"), pytest.raises(StateEscapeError,
+                                                              match=message):
                 evaluate(row)
 
     def test_fixed_law_escape_message(self, diagram, fixed_gains):

@@ -32,9 +32,10 @@ Covered invariants:
   sup_norm_axioms               the deviation norm is absolutely
                                 homogeneous and subadditive
   oracle_agreement              independent finite-volume runs track the
-                                closed forms and conserve mass; the
-                                oracle's recorded mass-balance residual
-                                equals the one computed here
+                                closed forms and conserve mass over the
+                                snapshots; the oracle's recorded
+                                mass-balance residual, from its stages,
+                                is at most 1e-12
   config_round_trip             serialize/parse is the identity on random
                                 configurations, notes of several lines
                                 included
@@ -280,7 +281,8 @@ def oracle_agreement(rng, n_cases=N_CASES):
         dm = np.trapezoid(num.rho[-1] - num.rho[0], num.x)
         net = np.trapezoid(num.inlet_flow - num.outlet_flow, num.times)
         assert dm == pytest.approx(net, abs=2e-3)
-        assert num.metadata["mass_balance_residual"] == abs(dm - net)
+        # the oracle's own balance sums its stages' boundary flows exactly
+        assert num.metadata["mass_balance_residual"] <= 1e-12
     return n_cases
 
 

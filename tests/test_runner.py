@@ -41,7 +41,8 @@ Proves:
       written from the run's own gains (one calibration per run), equals
       certify's output
   7.  the CLI returns 0 on clean runs, 2 on usage errors, and prints one
-      status line per law; a compare of a run directory with a missing,
+      status line per law; --strict and --override exclude each other on
+      run, and certify takes neither; a compare of a run directory with a missing,
       truncated or incomplete file, with density.csv rows out of x order,
       with control.csv on another node grid, or with control.csv,
       flows.csv or bottleneck.csv at other times, a compare of runs on
@@ -49,7 +50,8 @@ Proves:
       metadata.json, a run into an existing file, a MemoryError in a solve,
       a fixed-law run with sigma * horizon past log(float max) and an
       oracle over its step budget (in well under a second, no --out)
-      exit 2 with an error line and no traceback; the [project.scripts] entry
+      exit 2 with one error line and no exception out of cli.main; the
+      [project.scripts] entry
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
       runs as its own process; a preset run imports no scipy module
   8.  a non-finite float in any config key, a gain outside its window, a
@@ -112,13 +114,6 @@ from vslcontrol.fundamental_diagram import speed_limits
 QUICK = dict(n_cells=60, horizon=3.0, snapshots=7,
              free_u_gap_tol=0.2, fixed_u_gap_tol=0.2)
 SRC = Path(vslcontrol.__file__).resolve().parents[1]
-
-
-def cli_process(*args: str, cwd) -> subprocess.CompletedProcess:
-    """`python -m vslcontrol.cli ARGS` in a fresh process on this checkout."""
-    return subprocess.run([sys.executable, "-m", "vslcontrol.cli", *args],
-                          capture_output=True, text=True, cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
 @pytest.fixture(scope="module")
@@ -680,9 +675,16 @@ class TestCli:
 
     def test_strict_override_flags_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["certify", "--preset", "paper-sec5-fixed",
-                      "--strict", "--override"])
+            cli.main(["run", "--preset", "paper-sec5-fixed", "--strict", "--override"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--strict", "--override"])
+    def test_certify_takes_no_mode_flag(self, flag, capsys):
+        # certify reports every condition whatever the mode
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "--preset", "paper-sec5-fixed", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_non_finite_floats_exit_two(self, tmp_path, capsys):
         floats = [(key, name) for _, key, name in _LAYOUT if "float" in _FIELD_TYPES[name]]
@@ -774,29 +776,30 @@ class TestCli:
         return dst
 
     @staticmethod
-    def assert_error_exit(cwd, *args):
-        proc = cli_process(*args, cwd=cwd)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error:"), proc.stderr
-        assert "Traceback" not in proc.stderr, proc.stderr
-        return proc.stderr
+    def assert_error_exit(capsys, *args):
+        """cli.main(args) returns 2 and prints one error line, which it returns;
+        an exception that escapes main fails the test."""
+        assert cli.main(list(args)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        return err
 
-    def test_compare_without_density_file(self, run_copy, tmp_path):
+    def test_compare_without_density_file(self, run_copy, capsys):
         (run_copy / "density.csv").unlink()
-        err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
+        err = self.assert_error_exit(capsys, "compare", str(run_copy), str(run_copy))
         assert "density.csv" in err
 
     @pytest.mark.parametrize("keep", ["mid_row", "header_only"])
-    def test_compare_truncated_csv(self, run_copy, tmp_path, keep):
+    def test_compare_truncated_csv(self, run_copy, keep, capsys):
         path = run_copy / "control.csv"
         data = path.read_bytes()
         end = data.index(b"\n") + 1 if keep == "header_only" else \
             data.rindex(b"\n", 0, len(data) // 2) + 5
         path.write_bytes(data[:end])
-        err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
+        err = self.assert_error_exit(capsys, "compare", str(run_copy), str(run_copy))
         assert "control.csv" in err
 
-    def test_compare_density_row_out_of_x_order(self, quick_free, run_copy, tmp_path):
+    def test_compare_density_row_out_of_x_order(self, quick_free, run_copy, capsys):
         # two nodes of the first time row swapped: read by sorted x, each of
         # the two values would pair with the other's node
         path = run_copy / "density.csv"
@@ -804,20 +807,20 @@ class TestCli:
         lines[2], lines[3] = lines[3], lines[2]
         path.write_bytes(b"".join(lines))
         original = quick_free[0].law("free_inlet").directory
-        err = self.assert_error_exit(tmp_path, "compare", original, str(run_copy))
+        err = self.assert_error_exit(capsys, "compare", original, str(run_copy))
         assert "density.csv" in err and "node grid" in err
 
-    def test_compare_control_on_another_grid(self, quick_free, run_copy, tmp_path):
+    def test_compare_control_on_another_grid(self, quick_free, run_copy, capsys):
         trace = runner.load_trace(str(run_copy))
         runner._write_long(str(run_copy / "control.csv"), "t,x,u",
                            trace.times, 2.0 * trace.x, trace.u)
         original = quick_free[0].law("free_inlet").directory
-        err = self.assert_error_exit(tmp_path, "compare", original, str(run_copy))
+        err = self.assert_error_exit(capsys, "compare", original, str(run_copy))
         assert "control.csv" in err and "node grid" in err
 
     @pytest.mark.parametrize("name,columns", [("control.csv", None), ("flows.csv", 3),
                                               ("bottleneck.csv", 2)])
-    def test_compare_file_at_other_times(self, run_copy, tmp_path, name, columns):
+    def test_compare_file_at_other_times(self, run_copy, name, columns, capsys):
         path = run_copy / name
         if columns is None:
             trace = runner.load_trace(str(run_copy))
@@ -827,11 +830,11 @@ class TestCli:
             table = runner._read_table(str(path), columns)
             table[:, 0] += 1.0
             runner._write_columns(str(path), header, *table.T)
-        err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
+        err = self.assert_error_exit(capsys, "compare", str(run_copy), str(run_copy))
         assert name in err and "times" in err
 
     @pytest.mark.parametrize("longer_first", [False, True])
-    def test_compare_different_roads(self, quick_free, run_copy, tmp_path, longer_first):
+    def test_compare_different_roads(self, quick_free, run_copy, longer_first, capsys):
         # the copy's nodes stretched to [0, 2]: one error line, not a clamped gap
         trace = runner.load_trace(str(run_copy))
         for name, header, values in (("density.csv", "t,x,density", trace.rho),
@@ -840,21 +843,21 @@ class TestCli:
         dirs = [quick_free[0].law("free_inlet").directory, str(run_copy)]
         if longer_first:
             dirs.reverse()
-        err = self.assert_error_exit(tmp_path, "compare", *dirs)
+        err = self.assert_error_exit(capsys, "compare", *dirs)
         assert "different roads" in err and len(err.splitlines()) == 1
 
-    def test_compare_metadata_without_rho_star(self, run_copy, tmp_path):
+    def test_compare_metadata_without_rho_star(self, run_copy, capsys):
         path = run_copy / "metadata.json"
         meta = json.loads(path.read_text())
         del meta["rho_star"]
         path.write_text(json.dumps(meta))
-        err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
+        err = self.assert_error_exit(capsys, "compare", str(run_copy), str(run_copy))
         assert "metadata.json" in err and "rho_star" in err
 
-    def test_compare_without_metadata(self, run_copy, tmp_path):
+    def test_compare_without_metadata(self, run_copy, capsys):
         # metadata.json is written last: a law directory without it is unfinished
         (run_copy / "metadata.json").unlink()
-        err = self.assert_error_exit(tmp_path, "compare", str(run_copy), str(run_copy))
+        err = self.assert_error_exit(capsys, "compare", str(run_copy), str(run_copy))
         assert "metadata.json" in err
 
     def test_memory_error_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -867,20 +870,21 @@ class TestCli:
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
         assert not out.exists()
 
-    def test_run_into_existing_file(self, tmp_path):
+    def test_run_into_existing_file(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("not a directory\n")
-        self.assert_error_exit(tmp_path, "run", "--preset", "paper-sec5-free",
-                               "--out", str(target))
+        err = self.assert_error_exit(capsys, "run", "--preset", "paper-sec5-free",
+                                     "--out", str(target))
+        assert str(target) in err
         assert target.read_text() == "not a directory\n"
 
-    def test_fixed_run_past_the_exp_limit(self, tmp_path):
+    def test_fixed_run_past_the_exp_limit(self, tmp_path, capsys):
         # sigma * horizon = 720 > log(float max): refused before the Picard solve
         cfg = with_overrides(RunConfig(), law="fixed_inlet", mode="override", n_cells=20,
                              horizon=6000.0, snapshots=3, picard_time_samples=2)
         path = tmp_path / "c.ini"
         save_config(cfg, str(path))
-        err = self.assert_error_exit(tmp_path, "run", "--config", str(path),
+        err = self.assert_error_exit(capsys, "run", "--config", str(path),
                                      "--out", str(tmp_path / "o"))
         assert "sigma * horizon = 720 exceeds" in err
 
