@@ -94,6 +94,9 @@ class RunConfig:
             values = value if isinstance(value, tuple) else () if value is None else (value,)
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"{f.name} must be finite")
+        for name in ("free_u_gap_tol", "fixed_u_gap_tol"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 # The INI surface follows RunConfig's field order.  Each section opens at
@@ -129,27 +132,22 @@ def _format_value(value) -> str:
     return str(value).replace("\n", "\n  ")  # a note's later lines continue it
 
 
-def _parse_value(field_name: str, raw: str):
-    kind = _FIELD_TYPES[field_name]
-    raw = raw.strip()
-    try:
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "float | None":
-            return None if raw.lower() in ("auto", "none", "") else float(raw)
-        if kind == "tuple[float, ...]":
-            return tuple(float(p) for p in raw.split(",") if p.strip() != "")
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value {raw!r} for key {field_name}") from exc
+def _parse_value(kind: str, raw: str):
+    if kind == "bool":
+        if raw.lower() in ("true", "yes", "1", "on"):
+            return True
+        if raw.lower() in ("false", "no", "0", "off"):
+            return False
+        raise ValueError(raw)
+    if kind == "int":
+        return int(raw)
+    if kind == "float":
+        return float(raw)
+    if kind == "float | None":
+        return None if raw.lower() in ("auto", "none", "") else float(raw)
+    if kind == "tuple[float, ...]":
+        return tuple(float(p) for p in raw.split(",") if p.strip() != "")
+    return raw
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -184,7 +182,11 @@ def parse_config(text: str) -> RunConfig:
             field_name = known.get((section, key))
             if field_name is None:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            values[field_name] = _parse_value(field_name, raw)
+            raw = raw.strip()
+            try:
+                values[field_name] = _parse_value(_FIELD_TYPES[field_name], raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value {raw!r} for key [{section}] {key}") from exc
     try:
         return RunConfig(**values)
     except TypeError as exc:

@@ -22,7 +22,9 @@ information).  Criteria:
   10  certification text reports the curvature margin failure (~5e-5)
       with the other margins passing; not an error path
   11  the randomized property battery passes with >= 200 cases per
-      property, Picard contraction factors within their bounds
+      property, Picard contraction factors within their bounds; it reads
+      each property's one run per session (run_property in
+      test_properties.py) rather than running the battery again
 
 Criterion 07's 400-cell oracle runs, and fig7's, also bound the oracle's
 time error: halving oracle_cfl_cap moves the densities by under 5 % of the
@@ -44,7 +46,6 @@ import re
 import subprocess
 import sys
 import time
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_features__ as _cpu_features
 
 from conftest import load_benchmark_module
-from test_properties import N_CASES, PROPERTY_CHECKS
+from test_properties import N_CASES, PROPERTY_CHECKS, run_property
 from vslcontrol import DensityProfile, fixed_inlet, free_inlet, pde_oracle, runner
 from vslcontrol.config import (build_free_gain, build_oracle_settings,
                                build_picard, build_scenario, preset,
@@ -263,9 +264,7 @@ def test_criterion_11_property_battery(fixed_run):
     picard = fixed_run[0].law("fixed_inlet").trace.metadata["picard"]
     assert picard["factor_bound"] == pytest.approx(0.8333333333333334, rel=1e-12)
     assert picard["max_contraction_ratio"] <= picard["factor_bound"]
-    counts = {}
-    for name, fn in sorted(PROPERTY_CHECKS.items()):
-        counts[name] = fn(np.random.default_rng(zlib.crc32(name.encode()) + 1))
+    counts = {name: run_property(name) for name in PROPERTY_CHECKS}
     ok = all(n >= N_CASES for n in counts.values())
     _report(11, ok, f"{len(counts)} properties x >= {min(counts.values())} "
                     f"cases; fixed-law contraction ratio "

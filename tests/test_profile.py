@@ -12,9 +12,12 @@ Proves:
       coefficients; uniform defaults to the set point
   5.  validation errors: nonpositive values, bad length, too few nodes,
       non-finite length or set point
-  6.  scenario wiring: output times include endpoints, mismatched
-      profiles rejected, densities above rho_max rejected, non-finite
-      horizon, interval, length or set point rejected
+  6.  scenario wiring: output times include endpoints and split a
+      horizon the interval does not divide into equal steps; mismatched
+      profiles rejected, densities above rho_max rejected, a set point at
+      or above rho_max rejected, a non-positive horizon, an interval
+      beyond the horizon, and a non-finite horizon, interval, length or
+      set point rejected
 """
 
 import numpy as np
@@ -121,22 +124,36 @@ class TestValidation:
 
 
 class TestScenario:
-    def test_output_times_cover_horizon(self, free_scenario):
+    def test_output_times_cover_horizon(self, free_scenario, diagram):
         t = free_scenario.output_times
         assert t[0] == 0.0 and t[-1] == 30.0 and t.size == 41
+        # an interval that does not divide the horizon: the fewest equal
+        # steps no longer than it
+        p = bump_profile(1.0, 20, 0.7)
+        s = Scenario(diagram=diagram, length=1.0, rho_star=0.7, rho0=p,
+                     horizon=2.0, output_interval=0.7)
+        assert s.output_times == pytest.approx([0.0, 2.0 / 3.0, 4.0 / 3.0, 2.0], abs=1e-15)
 
     def test_mismatched_set_point_rejected(self, diagram, bump400):
         with pytest.raises(DomainError):
             Scenario(diagram=diagram, length=1.0, rho_star=0.8, rho0=bump400,
                      horizon=10.0, output_interval=1.0)
 
-    def test_non_finite_inputs_rejected(self, diagram, bump400):
+    def test_bad_inputs_rejected(self, diagram, bump400):
         good = dict(diagram=diagram, length=1.0, rho_star=0.7, rho0=bump400,
                     horizon=10.0, output_interval=1.0)
-        for key in ("length", "rho_star", "horizon", "output_interval"):
-            for bad in (np.nan, np.inf):
-                with pytest.raises(DomainError):
-                    Scenario(**{**good, key: bad})
+        cases = [({key: bad}, "must be finite")
+                 for key in ("length", "rho_star", "horizon", "output_interval")
+                 for bad in (np.nan, np.inf)]
+        cases += [({"horizon": 0.0}, "horizon must be positive"),
+                  ({"horizon": -1.0}, "horizon must be positive"),
+                  ({"output_interval": 10.5}, r"output_interval must lie in \(0, horizon\]"),
+                  ({"rho0": bump_profile(2.0, 400, 0.7)}, "profile length differs")]
+        cases += [({"rho_star": r, "rho0": uniform_profile(1.0, 10, r)},
+                   r"rho_star must lie in \(0, rho_max\)") for r in (1.6, 1.7)]
+        for overrides, message in cases:
+            with pytest.raises(DomainError, match=message):
+                Scenario(**{**good, **overrides})
 
     def test_density_above_capacity_limit_rejected(self, diagram):
         vals = np.full(11, 0.7)

@@ -2,7 +2,9 @@
 
 Every property lives in a module-level function taking a seeded generator
 and returning the number of cases it ran; PROPERTY_CHECKS maps names to
-those functions so the acceptance suite can re-run the whole battery.
+those functions.  run_property runs each one once per session on the seed
+crc32(name), and both test_property and acceptance criterion 11 read that
+one result.
 
 Covered invariants:
   quadrature_affine_exactness   cumulative deviation (node integrals plus
@@ -40,6 +42,9 @@ Covered invariants:
                                 configurations, notes of several lines
                                 included
 """
+
+import functools
+import zlib
 
 import numpy as np
 import pytest
@@ -329,8 +334,18 @@ PROPERTY_CHECKS = {
 }
 
 
+@functools.cache
+def run_property(name):
+    """Run one property on its fixed seed; the session's one run of it.
+
+    test_property and acceptance criterion 11 both read this result, so
+    the battery runs once per session.  A raising property is not cached,
+    so it fails both readers.
+    """
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    return PROPERTY_CHECKS[name](rng)
+
+
 @pytest.mark.parametrize("name", sorted(PROPERTY_CHECKS))
 def test_property(name):
-    import zlib
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    assert PROPERTY_CHECKS[name](rng) >= N_CASES
+    assert run_property(name) >= N_CASES

@@ -5,8 +5,10 @@ Proves:
       configs, including None sentinels, tuple-valued fields and notes of
       several lines, whose written config.ini re-runs; the serialized
       default config and presets keep their pinned SHA-256
-  2.  unknown keys, keys under [DEFAULT], bad enum values and malformed
-      numbers raise ConfigError; the INI example in README.md parses; each
+  2.  unknown keys, keys under [DEFAULT], bad enum values, malformed
+      numbers (the error names their [section] key) and a negative
+      terminal-gap tolerance raise ConfigError, while a zero tolerance is
+      valid; the INI example in README.md parses; each
       README sentence "The `[section]` keys are ..." names exactly that
       section's keys; the default config as written with [picard] window,
       safety and retry_cap raises ConfigError naming [picard] window
@@ -43,8 +45,9 @@ Proves:
   7.  the CLI returns 0 on clean runs, 2 on usage errors, and prints one
       status line per law; --strict and --override exclude each other on
       run, and certify takes neither; a compare of a run directory with a missing,
-      truncated or incomplete file, with density.csv rows out of x order,
-      with control.csv on another node grid, or with control.csv,
+      truncated or incomplete file, with density.csv one row short or with
+      its rows out of x order or out of time order, with flows.csv cut to
+      two columns, with control.csv on another node grid, or with control.csv,
       flows.csv or bottleneck.csv at other times, a compare of runs on
       different roads (either order), a compare of a law directory without
       metadata.json, a run into an existing file, a MemoryError in a solve,
@@ -55,13 +58,17 @@ Proves:
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
       runs as its own process; a preset run imports no scipy module
   8.  a non-finite float in any config key, a gain outside its window, a
-      strict calibration failure, keys under [DEFAULT] and each removed
-      key ([diagram] kind, [oracle] scheme, dt, escape_factor, [picard]
-      window, safety, retry_cap, and the whole default config as written
-      with the last three) all exit 2 with an error line and leave no run
-      directory; so do a second law whose start is inadmissible and an
-      oracle that raises; a free-law window that exhausts [picard] max_iter
-      exits 2 with one ConvergenceError line naming the window
+      strict calibration failure, a missing --config file, a bad mode, one
+      snapshot, one cell, a polynomial or sampled profile without its
+      values, a negative terminal-gap tolerance of either law, a malformed
+      [oracle] n_cells or enabled (named as such), keys under [DEFAULT]
+      and each removed key ([diagram] kind, [oracle] scheme, dt,
+      escape_factor, [picard] window, safety, retry_cap, and the whole
+      default config as written with the last three) all exit 2 with an
+      error line that names the cause and leave no run directory; so do
+      a second law whose start is inadmissible and an oracle that raises;
+      a free-law window that exhausts [picard] max_iter exits 2 with one
+      ConvergenceError line naming the window
   9.  every layer the benchmark's span recorder wraps is reached through
       module attributes by a run with both laws and the oracle, then compare;
       every benchmark workload passes its own check on one tiny case
@@ -129,6 +136,14 @@ def quick_fixed(tmp_path_factory):
                          oracle_enabled=True, oracle_n_cells=60)
     out = str(tmp_path_factory.mktemp("fixed"))
     return runner.run(cfg, out), cfg
+
+
+def with_ini_value(text: str, section: str, key: str, value: str) -> str:
+    """text with the value of [section] key replaced by the raw string value."""
+    head, sep, rest = text.partition(f"[{section}]\n")
+    rest, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", rest, count=1)
+    assert sep and n == 1, (section, key)
+    return head + sep + rest
 
 
 def retired_picard_text() -> str:
@@ -212,8 +227,14 @@ class TestConfigRoundTrip:
 
     def test_malformed_number_rejected(self):
         text = serialize_config(RunConfig()).replace("sigma = 0.12", "sigma = fast")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^bad value 'fast' for key \[controller\] sigma$"):
             parse_config(text)
+
+    def test_gap_tolerances_start_at_zero(self):
+        RunConfig(free_u_gap_tol=0.0, fixed_u_gap_tol=0.0)
+        for name in ("free_u_gap_tol", "fixed_u_gap_tol"):
+            with pytest.raises(ConfigError, match=rf"^{name} must be >= 0$"):
+                RunConfig(**{name: -1e-300})
 
     def test_bad_enum_rejected(self):
         with pytest.raises(ConfigError):
@@ -702,15 +723,34 @@ class TestCli:
                 assert not out.exists()
 
     def test_refused_config_writes_no_directory(self, tmp_path, capsys):
-        p = str(tmp_path / "c.ini")
-        save_config(with_overrides(preset("paper-sec5-free"), free_gain=2.0), p)
+        sources = [(["--preset", "paper-sec5-fixed", "--strict"], "curvature_margin"),
+                   (["--config", str(tmp_path / "missing.ini")], "cannot read config")]
         defaults = tmp_path / "defaults.ini"
         defaults.write_text("[DEFAULT]\nlaw = fixed_inlet\nhorizon = 5.0\n")
-        for source in (["--config", p], ["--preset", "paper-sec5-fixed", "--strict"],
-                       ["--config", str(defaults)]):
-            out = tmp_path / "o"
-            assert cli.main(["run", *source, "--out", str(out)]) == 2
-            assert capsys.readouterr().err.startswith("error:")
+        sources.append((["--config", str(defaults)], "[DEFAULT]"))
+        # (preset, [section] key = value, what the error line names)
+        edits = [("paper-sec5-free", "controller", "free_gain", "2.0", "gain"),
+                 ("paper-sec5-free", "controller", "mode", "bogus", "mode"),
+                 ("paper-sec5-free", "scenario", "snapshots", "1", "snapshots"),
+                 ("paper-sec5-free", "scenario", "n_cells", "1", "cells"),
+                 ("paper-sec5-free", "scenario", "profile", "polynomial", "poly_coeffs"),
+                 ("paper-sec5-free", "scenario", "profile", "samples", "sample_values"),
+                 ("paper-sec5-free", "controller", "free_u_gap_tol", "-1.0",
+                  "free_u_gap_tol must be >= 0"),
+                 ("paper-sec5-fixed", "controller", "fixed_u_gap_tol", "-1.0",
+                  "fixed_u_gap_tol must be >= 0"),
+                 ("paper-sec5-free", "oracle", "n_cells", "abc",
+                  "bad value 'abc' for key [oracle] n_cells"),
+                 ("paper-sec5-free", "oracle", "enabled", "maybe",
+                  "bad value 'maybe' for key [oracle] enabled")]
+        for i, (name, section, key, value, names) in enumerate(edits):
+            p = tmp_path / f"c{i}.ini"
+            p.write_text(with_ini_value(serialize_config(preset(name)), section, key, value))
+            sources.append((["--config", str(p)], names))
+        out = tmp_path / "o"
+        for source, names in sources:
+            err = self.assert_error_exit(capsys, "run", *source, "--out", str(out))
+            assert names in err, (source, err)
             assert not out.exists(), source
 
     def test_inadmissible_second_law_writes_no_directory(self, tmp_path, capsys):
@@ -789,26 +829,34 @@ class TestCli:
         err = self.assert_error_exit(capsys, "compare", str(run_copy), str(run_copy))
         assert "density.csv" in err
 
-    @pytest.mark.parametrize("keep", ["mid_row", "header_only"])
-    def test_compare_truncated_csv(self, run_copy, keep, capsys):
-        path = run_copy / "control.csv"
-        data = path.read_bytes()
-        end = data.index(b"\n") + 1 if keep == "header_only" else \
-            data.rindex(b"\n", 0, len(data) // 2) + 5
-        path.write_bytes(data[:end])
+    @pytest.mark.parametrize("name,cut,says", [
+        pytest.param("control.csv", lambda lines: lines[:len(lines) // 2]
+                     + [lines[len(lines) // 2][:4]], "cannot read", id="mid_row"),
+        pytest.param("control.csv", lambda lines: lines[:1], "cannot read", id="header_only"),
+        pytest.param("density.csv", lambda lines: lines[:5] + lines[6:],
+                     "one row per (t, x) pair", id="dropped_row"),
+        pytest.param("flows.csv", lambda lines: [line.rsplit(b",", 1)[0] + b"\n"
+                                                 for line in lines],
+                     "rows of 3 values", id="two_columns")])
+    def test_compare_truncated_csv(self, run_copy, name, cut, says, capsys):
+        path = run_copy / name
+        path.write_bytes(b"".join(cut(path.read_bytes().splitlines(keepends=True))))
         err = self.assert_error_exit(capsys, "compare", str(run_copy), str(run_copy))
-        assert "control.csv" in err
+        assert name in err and says in err, err
 
-    def test_compare_density_row_out_of_x_order(self, quick_free, run_copy, capsys):
-        # two nodes of the first time row swapped: read by sorted x, each of
-        # the two values would pair with the other's node
+    @pytest.mark.parametrize("i,j,says", [(2, 3, "node grid"), (1, -1, "unexpected row order")],
+                             ids=["same_time", "different_times"])
+    def test_compare_density_rows_out_of_order(self, quick_free, run_copy, i, j, says, capsys):
+        # two nodes of the first time row swapped (read by sorted x, each of
+        # the two values would pair with the other's node), or the first and
+        # last rows, which hold different times
         path = run_copy / "density.csv"
         lines = path.read_bytes().splitlines(keepends=True)
-        lines[2], lines[3] = lines[3], lines[2]
+        lines[i], lines[j] = lines[j], lines[i]
         path.write_bytes(b"".join(lines))
         original = quick_free[0].law("free_inlet").directory
         err = self.assert_error_exit(capsys, "compare", original, str(run_copy))
-        assert "density.csv" in err and "node grid" in err
+        assert "density.csv" in err and says in err, err
 
     def test_compare_control_on_another_grid(self, quick_free, run_copy, capsys):
         trace = runner.load_trace(str(run_copy))
