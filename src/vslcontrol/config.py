@@ -29,7 +29,7 @@ from .picard import PicardSettings
 from .profile import (DensityProfile, Scenario, bump_profile, polynomial_profile,
                       uniform_profile)
 
-LAWS = ("free_inlet", "fixed_inlet", "both")
+LAWS = ("free_inlet", "fixed_inlet")  # [controller] law is one of these or "both"
 MODES = ("strict", "override")
 PROFILES = ("bump", "polynomial", "uniform", "samples")
 
@@ -38,12 +38,12 @@ PROFILES = ("bump", "polynomial", "uniform", "samples")
 class RunConfig:
     """Flat, primitive-valued mirror of one run's inputs."""
 
-    # diagram
-    flow_scale: float = 1.0
-    density_scale: float = 1.0
-    shape: float = 1.0
-    vsl_sensitivity: float = 0.0
-    rho_max: float = 1.6
+    # diagram: the library's own defaults, as for [picard] and [oracle]
+    flow_scale: float = ExponentialDiagram.flow_scale
+    density_scale: float = ExponentialDiagram.density_scale
+    shape: float = ExponentialDiagram.shape
+    vsl_sensitivity: float = ExponentialDiagram.vsl_sensitivity
+    rho_max: float = ExponentialDiagram.rho_max
     # scenario
     length: float = 1.0
     rho_star: float = 0.7
@@ -66,19 +66,20 @@ class RunConfig:
     fixed_u_gap_tol: float = 0.045
     note: str = ""
     # picard
-    picard_time_samples: int = 64
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 200
+    picard_time_samples: int = PicardSettings.time_samples
+    picard_tol: float = PicardSettings.tol
+    picard_max_iter: int = PicardSettings.max_iter
     # oracle
     oracle_enabled: bool = False
-    oracle_n_cells: int = 400
-    oracle_cfl_cap: float = 0.4
+    oracle_n_cells: int = OracleSettings.n_cells
+    oracle_cfl_cap: float = OracleSettings.cfl_cap
     # output
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.law not in LAWS:
-            raise ConfigError(f"law must be one of {LAWS}")
+        choices = LAWS + ("both",)
+        if self.law not in choices:
+            raise ConfigError(f"law must be one of {choices}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.profile_kind not in PROFILES:
@@ -97,6 +98,11 @@ class RunConfig:
         for name in ("free_u_gap_tol", "fixed_u_gap_tol"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
+
+    @property
+    def laws(self) -> tuple[str, ...]:
+        """The laws this config runs, in LAWS order."""
+        return LAWS if self.law == "both" else (self.law,)
 
 
 # The INI surface follows RunConfig's field order.  Each section opens at
@@ -210,9 +216,7 @@ def save_config(cfg: RunConfig, path: str) -> None:
 # builders
 
 def build_diagram(cfg: RunConfig) -> ExponentialDiagram:
-    return ExponentialDiagram(flow_scale=cfg.flow_scale, density_scale=cfg.density_scale,
-                              shape=cfg.shape, vsl_sensitivity=cfg.vsl_sensitivity,
-                              rho_max=cfg.rho_max)
+    return _section_settings(ExponentialDiagram, cfg, "")
 
 
 def build_profile(cfg: RunConfig) -> DensityProfile:

@@ -276,11 +276,9 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
     gap_tol = 1e-8 * max(1.0, sup0)
     return law_trace(
         gains, d, targets, x, rho_out, U_TOL, metadata={
-            "law": gains.law,
             "sigma": gains.sigma,
             "gamma": gains.gamma,
             "length": gains.length,
-            "rho_star": gains.rho_star,
             "decay_rate_bound": gains.decay_rate,
             "certified": gains.certified,
             "conditions": [str(c) for c in gains.conditions],

@@ -218,10 +218,8 @@ def simulate(scenario: Scenario, gain: FreeInletGain,
     rate = decay_rate_bound(gain, d, float(np.min(scenario.rho0.values)))
     return law_trace(
         gain, d, targets, x, rho_out, 0.0, metadata={
-            "law": gain.law,
             "gain": gain.gain,
             "length": gain.length,
-            "rho_star": scenario.rho_star,
             "decay_rate_bound": rate,
             "bottleneck_floor": rate / gain.gain,
             "lipschitz_slope": d.max_abs_slope,

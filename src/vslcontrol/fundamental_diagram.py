@@ -307,7 +307,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    where: tuple | None = None
+    where: str | None = None
 
     def __str__(self) -> str:
         loc = "" if self.where is None else f" at {self.where}"

@@ -214,9 +214,7 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
 
     trace = law_trace(
         gains, d, targets, x, rho_out, ORACLE_U_TOL, metadata={
-            "law": gains.law,
             "oracle": True,
-            "rho_star": scenario.rho_star,
             "n_cells": n,
             "steps": taken,
             "cfl": cfl,

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixed_inlet, free_inlet, pde_oracle
-from .config import (RunConfig, build_diagram, build_free_gain,
+from .config import (LAWS, RunConfig, build_diagram, build_free_gain,
                      build_oracle_settings, build_picard, build_scenario,
                      save_config)
 from .errors import VslControlError
@@ -93,12 +93,11 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     """
     base = out_dir if out_dir is not None else cfg.output_dir
     scenario = build_scenario(cfg)
-    laws = ("free_inlet", "fixed_inlet") if cfg.law == "both" else (cfg.law,)
-    gains = {law: _build_gains(cfg, scenario, law) for law in laws}
+    gains = {law: _build_gains(cfg, scenario, law) for law in cfg.laws}
     picard = build_picard(cfg)
     oracle = build_oracle_settings(cfg) if cfg.oracle_enabled else None
     solved = []
-    for law in laws:
+    for law in cfg.laws:
         free = law == "free_inlet"
         trace = (free_inlet if free else fixed_inlet).simulate(scenario, gains[law], picard)
         checks = (_free_checks if free else _fixed_checks)(cfg, scenario, gains[law], trace)
@@ -110,11 +109,11 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
 
     # a file or symlink where a law directory goes would make os.mkdir
     # fail: refuse it before anything in --out changes
-    for path in (os.path.join(base, law) for law in laws):
+    for path in (os.path.join(base, law) for law in cfg.laws):
         if os.path.islink(path) or (os.path.lexists(path) and not os.path.isdir(path)):
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
     os.makedirs(base, exist_ok=True)
-    for stale in (os.path.join(base, law) for law in ("free_inlet", "fixed_inlet")):
+    for stale in (os.path.join(base, law) for law in LAWS):
         if os.path.isdir(stale) and not os.path.islink(stale):
             shutil.rmtree(stale)
     save_config(cfg, os.path.join(base, "config.ini"))
@@ -334,7 +333,8 @@ def _write_trace(out: str, diagram: ExponentialDiagram, trace: SimulationTrace,
 def _write_metadata(out: str, trace: SimulationTrace,
                     checks: tuple[CheckResult, ...]) -> None:
     payload = dict(trace.metadata)
-    payload["invariant_checks"] = {c.name: bool(c.passed) for c in checks}
+    payload["invariant_checks"] = {
+        c.name: {"passed": bool(c.passed), "detail": c.detail, "where": c.where} for c in checks}
     with open(os.path.join(out, "metadata.json"), "w", encoding="utf-8",
               newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -358,8 +358,7 @@ def _write_report(out: str, cfg: RunConfig, gains, trace: SimulationTrace,
     lines.append("")
     lines.append("constants:")
     for key in ("decay_rate_bound", "bottleneck_floor", "lipschitz_slope",
-                "capacity", "critical_density", "window", "slope_reserve",
-                "min_concavity", "max_back_slope", "signed_sup_gap"):
+                "capacity", "critical_density", "window", "signed_sup_gap"):
         if key in trace.metadata:
             lines.append(f"  {key} = {trace.metadata[key]!r}")
     picard = trace.metadata.get("picard", {})
@@ -393,10 +392,7 @@ def certification_lines(cfg: RunConfig, gains=None) -> list[str]:
     constants come from those gains; without them it covers the config's
     laws, and the fixed law is calibrated here in override mode.
     """
-    if gains is not None:
-        laws = (gains.law,)
-    else:
-        laws = ("free_inlet", "fixed_inlet") if cfg.law == "both" else (cfg.law,)
+    laws = cfg.laws if gains is None else (gains.law,)
     d = build_diagram(cfg)
     lines = ["certification:"]
     lines.extend(f"  diagram {c}" for c in validate_assumptions(d))
@@ -438,6 +434,8 @@ def _read_table(path: str, columns: int) -> np.ndarray:
         raise VslControlError(f"cannot read {path}: {exc}") from exc
     if data.shape[1] != columns:
         raise VslControlError(f"{path} does not hold rows of {columns} values")
+    if not np.all(np.isfinite(data)):  # no run writes one: every law refuses NaN
+        raise VslControlError(f"{path} holds a value that is not finite")
     return data
 
 
@@ -463,9 +461,9 @@ def _expect_same(path: str, name: str, got: np.ndarray, want: np.ndarray) -> Non
 def load_trace(directory: str) -> SimulationTrace:
     """Rebuild a SimulationTrace from a run directory's CSV files.
 
-    A missing, truncated or malformed file raises VslControlError naming it,
-    and so does a file whose times (or, for control.csv, nodes) are not
-    those of density.csv.
+    A missing, truncated or malformed file, or one with a non-finite value,
+    raises VslControlError naming it, and so does a file whose times (or,
+    for control.csv, nodes) are not those of density.csv.
     """
     times, x, rho = _read_long(os.path.join(directory, "density.csv"))
     cpath = os.path.join(directory, "control.csv")

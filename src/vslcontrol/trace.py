@@ -61,7 +61,8 @@ def law_trace(gains, diagram, times: np.ndarray, x: np.ndarray, rho: np.ndarray,
 
     u and the boundary flows come from the law bound once to the grid,
     gains.controller(diagram, x, u_tol), evaluated on each row, which also
-    runs the law's domain and escape checks.
+    runs the law's domain and escape checks.  The trace's metadata is
+    `metadata` stamped with the record's law and rho_star.
     """
     evaluate = gains.controller(diagram, x, u_tol)
     u = np.empty_like(rho)
@@ -76,5 +77,6 @@ def law_trace(gains, diagram, times: np.ndarray, x: np.ndarray, rho: np.ndarray,
     return SimulationTrace(
         times=times, x=x, rho=rho, u=u, rho_star=gains.rho_star,
         inlet_flow=inlet, outlet_flow=outlet,
-        bottleneck_x=None if extras[0] is None else x[extras], metadata=metadata)
+        bottleneck_x=None if extras[0] is None else x[extras],
+        metadata={**metadata, "law": gains.law, "rho_star": gains.rho_star})
 

@@ -451,8 +451,10 @@ class TestSpeedLimits:
                     speed_limits(d, np.array([[0.5, bad]]), 0.5)
 
     def test_blocks_give_the_same_bits(self, monkeypatch):
-        # a 40 x 301 field is two blocks of speed_limits; per-row calls,
-        # ragged blocks of 7 cells and scan blocks of 5 densities agree
+        # a 40 x 301 field is two blocks of speed_limits; per-row calls
+        # agree, and so do ragged blocks of 7 cells and scan blocks of 5
+        # densities on rows 0 and 6: the zero densities, and blocks whose
+        # cells all start warm, all start cold, and both
         d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
         rng = np.random.default_rng(5)
         rho = rng.uniform(0.0, 1.6, (40, 301))
@@ -461,11 +463,22 @@ class TestSpeedLimits:
         whole = speed_limits(d, rho, u)
         assert rho.size > fundamental_diagram.HEAP_BLOCK and np.sum(rho > d.delta) > 128
         rows = np.array([speed_limits(d, r, v) for r, v in zip(rho, u)])
+        np.testing.assert_array_equal(rows.view(np.int64), whole.view(np.int64))
+        kinds = set()
+        bracket = warmstart.bracket
+
+        def counted(*args):
+            lo, hi = bracket(*args)
+            kinds.add((bool(np.any(lo > 0.0)), bool(np.any(lo == 0.0))))
+            return lo, hi
+
+        monkeypatch.setattr(warmstart, "bracket", counted)
         monkeypatch.setattr(fundamental_diagram, "HEAP_BLOCK", 7)
         monkeypatch.setattr(fundamental_diagram, "_SCAN_ROWS", 5)
-        small = speed_limits(d, rho, u)
-        for got in (rows, small):
-            np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
+        some = [0, 6]
+        small = speed_limits(d, rho[some], u[some])
+        np.testing.assert_array_equal(small.view(np.int64), whole[some].view(np.int64))
+        assert kinds == {(True, False), (False, True), (True, True)}
 
 
 class TestBisectionFixedPoint:

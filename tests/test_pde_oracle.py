@@ -8,7 +8,8 @@ Proves:
   3.  short-horizon integration tracks the semi-analytic solution on a
       coarse grid under both laws
   4.  the divergence guard: a state whose deviation leaves
-      ESCAPE_FACTOR * max(sup0, 0.05 * rho_max) raises SolverDivergenceError
+      ESCAPE_FACTOR * max(sup0, 0.05 * rho_max), or that turns NaN under a
+      stub law with a NaN flow, raises SolverDivergenceError
   5.  compare: identical traces give zero gaps, mismatched time grids and
       traces of different roads are rejected (in either order), different
       space grids of one road are resampled
@@ -372,11 +373,18 @@ class RampLaw:
     def __init__(self, slope):
         self.slope = slope
 
-    def controls(self, diagram, x, rho, u_tol):
-        return 1.0 - self.slope * x, np.asarray(diagram.flow(rho), dtype=float), None
+    def controller(self, diagram, x, u_tol):
+        u = 1.0 - self.slope * x
+        return lambda rho: (u, np.asarray(diagram.flow(rho), dtype=float), None)
+
+
+class NaNFlowLaw(RampLaw):
+    """RampLaw with a NaN flow, which no law returns: the state turns NaN
+    in the first step, and nothing checks it until the interval ends."""
 
     def controller(self, diagram, x, u_tol):
-        return lambda rho: self.controls(diagram, x, rho, u_tol)
+        u = 1.0 - self.slope * x
+        return lambda rho: (u, np.full(x.size, np.nan), None)
 
 
 class TestStepSize:
@@ -473,11 +481,14 @@ class TestStepBudget:
 
 
 class TestDivergenceGuard:
-    def test_deviation_beyond_the_escape_band_raises(self, diagram):
+    @pytest.mark.parametrize("law,says", [
         # the ramp piles density up without end: the sup deviation passes
         # ESCAPE_FACTOR * max(0, 0.05 * rho_max) = 4 * 0.08 = 0.32 near t = 2
+        (RampLaw(0.5), "escaped the band 0.32 near t = 2"),
+        (NaNFlowLaw(0.5), "state became non-finite near t = 0.25")], ids=["ramp", "nan_flow"])
+    def test_state_outside_the_band_raises(self, diagram, law, says):
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
                       rho0=uniform_profile(1.0, 60, 0.7), horizon=8.0, output_interval=0.25)
         with pytest.raises(SolverDivergenceError) as info:
-            pde_oracle.integrate(sc, RampLaw(0.5), OracleSettings(n_cells=60))
-        assert "escaped the band 0.32 near t = 2" in str(info.value)
+            pde_oracle.integrate(sc, law, OracleSettings(n_cells=60))
+        assert says in str(info.value)

@@ -4,7 +4,9 @@ Proves:
   1.  serialize/parse is the identity on every preset and on overridden
       configs, including None sentinels, tuple-valued fields and notes of
       several lines, whose written config.ini re-runs; the serialized
-      default config and presets keep their pinned SHA-256
+      default config and presets keep their pinned SHA-256; the diagram,
+      Picard and oracle settings built from RunConfig() are their classes'
+      defaults
   2.  unknown keys, keys under [DEFAULT], bad enum values, malformed
       numbers (the error names their [section] key) and a negative
       terminal-gap tolerance raise ConfigError, while a zero tolerance is
@@ -12,8 +14,11 @@ Proves:
       README sentence "The `[section]` keys are ..." names exactly that
       section's keys; the default config as written with [picard] window,
       safety and retry_cap raises ConfigError naming [picard] window
-  3.  run() writes the documented file set; norms.csv respects the decay
+  3.  run() writes the documented file set, and its result has no entry
+      for a law it did not solve; norms.csv respects the decay
       bound row by row; load_trace round-trips the arrays bit for bit;
+      a trace refuses times that do not increase and arrays of the wrong
+      shape;
       report.txt states the grid the trace was computed on; limits.csv of
       a run whose densities pass delta (a = 1) keeps its pinned SHA-256,
       and at a = 0 no law or oracle directory has one, control.csv
@@ -41,11 +46,14 @@ Proves:
       diagram with no peak (rho_max 0.9) is certified as failing and its
       run exits 2; on every preset the certification block of report.txt,
       written from the run's own gains (one calibration per run), equals
-      certify's output
-  7.  the CLI returns 0 on clean runs, 2 on usage errors, and prints one
-      status line per law; --strict and --override exclude each other on
+      certify's output, and metadata.json records each check's pass flag,
+      detail and location as its report.txt line states them
+  7.  the CLI returns 0 on clean runs, 1 on a failed check, 2 on usage
+      errors, and prints one status line per law and one line per failed
+      check; --strict and --override exclude each other on
       run, and certify takes neither; a compare of a run directory with a missing,
-      truncated or incomplete file, with density.csv one row short or with
+      truncated or incomplete file, with a NaN in density.csv or an
+      infinity in control.csv, with density.csv one row short or with
       its rows out of x order or out of time order, with flows.csv cut to
       two columns, with control.csv on another node grid, or with control.csv,
       flows.csv or bottleneck.csv at other times, a compare of runs on
@@ -112,10 +120,13 @@ from conftest import load_benchmark_module
 from vslcontrol import cli, csvformat, fixed_inlet, free_inlet, pde_oracle, runner
 from vslcontrol import trace as trace_module
 from vslcontrol.config import (_FIELD_TYPES, _LAYOUT, ConfigError, PRESETS, RunConfig,
-                               build_picard, build_scenario, load_config, parse_config,
-                               preset, save_config, serialize_config, with_overrides)
-from vslcontrol.errors import SolverDivergenceError
-from vslcontrol.fundamental_diagram import speed_limits
+                               build_diagram, build_oracle_settings, build_picard,
+                               build_scenario, load_config, parse_config, preset,
+                               save_config, serialize_config, with_overrides)
+from vslcontrol.errors import DomainError, SolverDivergenceError
+from vslcontrol.fundamental_diagram import CheckResult, ExponentialDiagram, speed_limits
+from vslcontrol.pde_oracle import OracleSettings
+from vslcontrol.picard import PicardSettings
 
 # short horizons need a looser terminal u-gap than the presets' long-run targets
 QUICK = dict(n_cells=60, horizon=3.0, snapshots=7,
@@ -185,6 +196,14 @@ class TestConfigRoundTrip:
         assert load_config(str(written)).note == "first line\nsecond line"
         assert cli.main(["run", "--config", str(written), "--out", str(tmp_path / "b")]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_defaults_are_the_library_classes(self):
+        # RunConfig restates no default of the classes it builds
+        cfg = RunConfig()
+        for built, cls in ((build_diagram(cfg), ExponentialDiagram),
+                           (build_picard(cfg), PicardSettings),
+                           (build_oracle_settings(cfg), OracleSettings)):
+            assert dataclasses.asdict(built) == dataclasses.asdict(cls()), cls.__name__
 
     def test_file_round_trip(self, tmp_path):
         cfg = preset("paper-fig7")
@@ -276,6 +295,8 @@ class TestRunDirectory:
     def test_file_set(self, quick_free):
         res, _ = quick_free
         law_dir = res.law("free_inlet").directory
+        with pytest.raises(KeyError):
+            res.law("fixed_inlet")  # a law the run did not solve
         assert os.path.isfile(os.path.join(res.directory, "config.ini"))
         for name in ("density.csv", "control.csv", "norms.csv",
                      "flows.csv", "bottleneck.csv", "metadata.json", "report.txt"):
@@ -358,6 +379,16 @@ class TestRunDirectory:
         np.testing.assert_array_equal(loaded.u, law.trace.u)
         np.testing.assert_array_equal(loaded.times, law.trace.times)
         assert loaded.metadata["law"] == "free_inlet"
+
+    @pytest.mark.parametrize("change,says", [
+        (lambda tr: {"times": tr.times[::-1]}, "snapshot times must increase strictly"),
+        (lambda tr: {"rho": tr.rho[:, 1:]}, "rho must have shape"),
+        (lambda tr: {"inlet_flow": tr.inlet_flow[1:]}, "inlet_flow must have one entry"),
+    ], ids=["times", "rho", "inlet_flow"])
+    def test_trace_refuses_arrays_that_disagree(self, quick_free, change, says):
+        trace = quick_free[0].law("free_inlet").trace
+        with pytest.raises(DomainError, match=says):
+            dataclasses.replace(trace, **change(trace))
 
     def test_oracle_gap_recorded(self, quick_fixed):
         res, cfg = quick_fixed
@@ -623,9 +654,15 @@ class TestDiagramConditions:
         monkeypatch.setattr(fixed_inlet, "calibrate", counted)
         res = runner.run(cfg, str(tmp_path / name))
         assert len(calls) == (cfg.law == "fixed_inlet")  # one calibration per run
-        text = Path(res.law(cfg.law).directory, "report.txt").read_text()
+        law_dir = res.law(cfg.law).directory
+        text = Path(law_dir, "report.txt").read_text()
         block = text[text.index("certification:\n"):text.index("\n\nconstants:")] + "\n"
         assert block == runner.certify(cfg)
+        # metadata.json records each check as its report line states it
+        checks = json.loads(Path(law_dir, "metadata.json").read_text())["invariant_checks"]
+        lines = text[text.index("invariants:\n"):].splitlines()[1:len(checks) + 1]
+        assert set(lines) == {f"  {CheckResult(name, **c)}" for name, c in checks.items()}
+        assert all(c["passed"] for c in checks.values())
 
     def test_non_concave_free_run_reports_but_runs(self, tmp_path, capsys):
         cfg = with_overrides(preset("paper-sec5-free"), rho_max=2.5)
@@ -668,12 +705,22 @@ class TestCli:
         assert rc == 0
         assert "curvature_margin" in out
 
-    def test_config_file_input(self, tmp_path, capsys):
-        cfg = with_overrides(preset("paper-sec5-free"), **QUICK)
+    @pytest.mark.parametrize("tol,rc,failed", [
+        (QUICK["free_u_gap_tol"], 0, []),
+        # no run of 3 time units brings u back to 1 exactly
+        (0.0, 1, ["control_gap_at_horizon"])], ids=["passes", "fails_a_check"])
+    def test_config_file_input(self, tmp_path, capsys, tol, rc, failed):
+        # one status line per law, then one line per failed check
+        cfg = with_overrides(preset("paper-sec5-free"), **{**QUICK, "free_u_gap_tol": tol})
         p = str(tmp_path / "c.ini")
         save_config(cfg, p)
-        rc = cli.main(["run", "--config", p, "--out", str(tmp_path / "o")])
-        assert rc == 0
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", p, "--out", str(out)]) == rc
+        lines = capsys.readouterr().out.splitlines()
+        state = "INVARIANT VIOLATION" if failed else "ok"
+        assert lines[0] == f"free_inlet: {state} ({out / 'free_inlet'})"
+        assert [line.split(":")[0] for line in lines[1:]] == [f"  {c}" for c in failed]
+        assert all(": FAIL (" in line for line in lines[1:])
 
     def test_compare_command(self, tmp_path, capsys):
         cfg = with_overrides(preset("paper-sec5-free"), **QUICK)
@@ -830,6 +877,12 @@ class TestCli:
         assert "density.csv" in err
 
     @pytest.mark.parametrize("name,cut,says", [
+        pytest.param("density.csv", lambda lines: lines[:3] + [lines[3].rsplit(b",", 1)[0]
+                                                               + b",nan\n"] + lines[4:],
+                     "not finite", id="nan"),
+        pytest.param("control.csv", lambda lines: lines[:-1] + [lines[-1].rsplit(b",", 1)[0]
+                                                                + b",inf\n"],
+                     "not finite", id="inf"),
         pytest.param("control.csv", lambda lines: lines[:len(lines) // 2]
                      + [lines[len(lines) // 2][:4]], "cannot read", id="mid_row"),
         pytest.param("control.csv", lambda lines: lines[:1], "cannot read", id="header_only"),
