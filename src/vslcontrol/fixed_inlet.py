@@ -165,8 +165,9 @@ def calibrate(diagram: ExponentialDiagram, rho_star: float, length: float,
     min_concavity = diagram.min_concavity
     if slope_star > sl:
         # f' falls on [rho_star, rho_cr], where it ends at 0 < sl: the first
-        # a with f'(rho_star + a) <= sl, to the bisection's fixed point
-        reserve = float(_bisect_all(lambda mid: diagram.flow_slope(rho_star + mid) <= sl,
+        # a with f'(rho_star + a) <= sl, to the bisection's fixed point;
+        # [rho_star, rho_cr] lies inside [0, rho_max], so f' goes unchecked
+        reserve = float(_bisect_all(lambda mid: diagram._flow_slope_raw(rho_star + mid) <= sl,
                                     np.zeros(1), np.array([diagram.critical_density - rho_star]),
                                     100)[0])
         # -f' rises up to the inflection density and falls after it

@@ -129,9 +129,13 @@ class ExponentialDiagram:
     def flow_slope(self, rho):
         r = self._check_density(rho)
         # a float goes through numpy's array power and exp, as in flow
-        v = (self.density_scale * np.atleast_1d(r)) ** self.shape
-        out = self.flow_scale * np.exp(-v / self.shape) * (1.0 - v)
+        out = self._flow_slope_raw(np.atleast_1d(r))
         return out if r.ndim else float(out[0])
+
+    def _flow_slope_raw(self, r: np.ndarray) -> np.ndarray:
+        """f' on the array r, unchecked: the caller knows r lies in [0, rho_max]."""
+        v = (self.density_scale * r) ** self.shape
+        return self.flow_scale * np.exp(-v / self.shape) * (1.0 - v)
 
     # f''(rho) = -A exp(-(b rho)^shape / shape) (b rho)^shape (1 + shape - (b rho)^shape) / rho
     def flow_curvature(self, rho):

@@ -54,7 +54,8 @@ def bracket(diagram: ExponentialDiagram, ar: np.ndarray, br: np.ndarray,
     For a cell with hi = 1 (rho <= delta) this returns the bracket that the
     loop from [0, 1] holds just before its first test whose outcome is not
     proven, so the same loop ends there with the same bits.  Every other
-    cell, and one that fails a check below, gets [0, hi].
+    cell gets [0, hi] without running newton_limit or the checks below,
+    and so does one that fails a check.
 
     Monotone.  For rho <= delta, d ln F / dl = 1/l - a w / s, with
     s = 1 + a (1 - l) >= 1, w = (b rho / s)^shape and
@@ -105,13 +106,24 @@ def bracket(diagram: ExponentialDiagram, ar: np.ndarray, br: np.ndarray,
     """
     eps = 2.0 ** -47 * (1.0 + (diagram.density_scale * diagram.delta) ** diagram.shape
                         * (1.0 + 1.0 / diagram.shape))
+    sat = (hi == 1.0) & (eps <= 2.0 ** -42)
+    if sat.all():
+        return _proven_bracket(diagram, ar, br, y, eps)
+    lo, up = np.zeros_like(hi), hi.copy()
+    if sat.any():
+        lo[sat], up[sat] = _proven_bracket(diagram, ar[sat], br[sat], y[sat], eps)
+    return lo, up
+
+
+def _proven_bracket(diagram: ExponentialDiagram, ar: np.ndarray, br: np.ndarray,
+                    y: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """`bracket` for cells with hi = 1, given eps <= 2^-42."""
     with np.errstate(all="ignore"):
         lo = newton_limit(diagram, ar, br, y)
         up = np.minimum(lo * (1.0 + 2.0 ** -41), 1.0)
         lo *= 1.0 - 2.0 ** -41
         f = diagram._limited_flow(ar, br, lo)
-        ok = ((hi == 1.0) & (eps <= 2.0 ** -42) & (lo >= 2.0 ** -40)
-              & (lo * (1.0 + 2.0 ** -42) < up) & (f >= np.finfo(float).tiny))
+        ok = (lo >= 2.0 ** -40) & (lo * (1.0 + 2.0 ** -42) < up) & (f >= np.finfo(float).tiny)
         ok &= f * (1.0 + eps) < y * (1.0 - eps)
         del f
         ok &= (up == 1.0) | (diagram._limited_flow(ar, br, up) * (1.0 - eps) >= y * (1.0 + eps))
@@ -134,7 +146,7 @@ def bracket(diagram: ExponentialDiagram, ar: np.ndarray, br: np.ndarray,
     width = np.ldexp(1.0, np.frexp(width - 0.5)[1])
     lo = p - go * width
     up = np.ldexp(lo + width, -level)
-    up[cold] = hi[cold]
+    up[cold] = 1.0
     lo = np.ldexp(lo, -level, out=lo)
     lo[cold] = 0.0
     return lo, up

@@ -27,9 +27,11 @@ information).  Criteria:
       test_properties.py) rather than running the battery again
 
 Criterion 07's 400-cell oracle runs, and fig7's, also bound the oracle's
-time error: halving oracle_cfl_cap moves the densities by under 5 % of the
-400-cell gap to the closed form.  The same three runs conserve mass to
-rounding: their mass_balance_residual is at most 1e-12.
+time error: halving the default oracle_cfl_cap moves the densities by under
+5 % of the 400-cell gap to the closed form, and so it does on the
+benchmark's 60-cell oracle-batch scenarios.  The same three runs conserve
+mass to rounding: their mass_balance_residual is at most 1e-12.  At the
+default settings sec5-free's oracle takes 2240 steps.
 
 The preset runs also pin the determinism contract: their density.csv,
 control.csv and norms.csv hash to the SHA-256 digests the benchmark checks
@@ -54,7 +56,8 @@ from numpy._core._multiarray_umath import __cpu_features__ as _cpu_features
 
 from conftest import load_benchmark_module
 from test_properties import N_CASES, PROPERTY_CHECKS, run_property
-from vslcontrol import DensityProfile, fixed_inlet, free_inlet, pde_oracle, runner
+from vslcontrol import (DensityProfile, ExponentialDiagram, FreeInletGain, OracleSettings,
+                        Scenario, bump_profile, fixed_inlet, free_inlet, pde_oracle, runner)
 from vslcontrol.config import (build_free_gain, build_oracle_settings,
                                build_picard, build_scenario, preset,
                                with_overrides)
@@ -94,7 +97,7 @@ def fig7_run(tmp_path_factory):
     return res, cfg
 
 
-def _semi_and_oracle(cfg, n_cells: int, cfl_cap: float = 0.8):
+def _semi_and_oracle(cfg, n_cells: int, cfl_cap: float = OracleSettings.cfl_cap):
     """The semi-analytic trace and the oracle trace of cfg at n_cells cells."""
     c2 = with_overrides(cfg, n_cells=n_cells, oracle_n_cells=n_cells,
                         oracle_cfl_cap=cfl_cap, oracle_enabled=True)
@@ -202,16 +205,49 @@ def test_criterion_07_oracle_equivalence(oracle_runs):
 
 def test_oracle_time_error_is_below_its_space_error(free_run, fixed_run, fig7_run,
                                                     oracle_runs):
-    # halving cfl_cap halves every step, so the oracle's densities move by
-    # its time error alone: well under its 400-cell gap to the closed form
+    # halving the default cfl_cap halves every step, so the oracle's
+    # densities move by its time error alone: well under its 400-cell gap
+    # to the closed form
     cases = {"free": (free_run[1], oracle_runs["free"][400]),
              "fixed": (fixed_run[1], oracle_runs["fixed"][400]),
              "fig7": (fig7_run[1], oracle_runs["fig7"][400])}
     for label, (cfg, (semi, coarse)) in cases.items():
-        _, fine = _semi_and_oracle(cfg, 400, cfl_cap=0.4)
+        _, fine = _semi_and_oracle(cfg, 400, cfl_cap=OracleSettings.cfl_cap / 2.0)
         gap = pde_oracle.compare(semi, coarse).max_density_gap
         moved = float(np.max(np.abs(fine.rho - coarse.rho)))
         assert moved < 0.05 * gap, f"{label}: moved {moved:.3g}, gap {gap:.3g}"
+
+
+def test_oracle_time_error_on_short_bumps():
+    # the benchmark's oracle-batch scenarios: 60 cells, horizon 0.4, bump
+    # amplitudes across (0.5, 3.5), free gains across (0.2, 1.3) and the
+    # fixed law at the preset's gains; halving the default cap moves the
+    # densities by under 5 % of each 60-cell gap to the closed form
+    cfg = preset("paper-sec5-fixed")
+    d = ExponentialDiagram(rho_max=cfg.rho_max)
+    fixed = fixed_inlet.calibrate(d, cfg.rho_star, cfg.length, cfg.sigma, cfg.gamma, cfg.mode)
+    laws = [FreeInletGain(k, cfg.length, cfg.rho_star) for k in np.linspace(0.2, 1.3, 4)]
+    for gains in laws + [fixed]:
+        law = free_inlet if isinstance(gains, FreeInletGain) else fixed_inlet
+        for amplitude in (0.5, 2.0, 3.5):
+            p = bump_profile(cfg.length, 60, cfg.rho_star, amplitude=amplitude)
+            sc = Scenario(diagram=d, length=cfg.length, rho_star=cfg.rho_star, rho0=p,
+                          horizon=0.4, output_interval=0.2)
+            coarse = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=60))
+            fine = pde_oracle.integrate(sc, gains, OracleSettings(
+                n_cells=60, cfl_cap=OracleSettings.cfl_cap / 2.0))
+            gap = pde_oracle.compare(law.simulate(sc, gains), coarse).max_density_gap
+            moved = float(np.max(np.abs(fine.rho - coarse.rho)))
+            assert moved < 0.05 * gap, f"{gains}, amplitude {amplitude}: moved {moved:.3g}"
+
+
+def test_default_oracle_step_count(free_run, oracle_runs):
+    # a timing-free guard on the oracle's cost: sec5-free with the oracle
+    # on at its default settings, criterion 07's 400-cell run, takes 2240
+    # steps (4480 at cfl_cap 0.4)
+    cfg = with_overrides(free_run[1], oracle_enabled=True)
+    assert cfg.n_cells == 400 and build_oracle_settings(cfg) == OracleSettings()
+    assert oracle_runs["free"][400][1].metadata["steps"] == 2240
 
 
 def test_oracle_conserves_mass_to_rounding(oracle_runs):

@@ -120,6 +120,34 @@ class TestCalibrate:
         coarse = float(np.max(-d.flow_slope(band)))
         assert coarse < g.max_back_slope == -d.flow_slope(d.inflection_density)
 
+    def test_checked_slope_calls_do_not_grow_with_the_steps(self, diagram, monkeypatch):
+        # the reserve bisection evaluates f' unchecked inside [rho_star,
+        # rho_cr]; only f'(rho_star) and the back slope go through the
+        # checked flow_slope, however many steps the bisection takes
+        calls, steps, counts = [], [], []
+        checked_slope = ExponentialDiagram.flow_slope
+        bisect = fixed_inlet._bisect_all
+
+        def counted(self, rho):
+            calls.append(1)
+            return checked_slope(self, rho)
+
+        monkeypatch.setattr(ExponentialDiagram, "flow_slope", counted)
+        for max_steps in (100, 10):
+            def capped(up, lo, hi, _, max_steps=max_steps):
+                def counted_up(mid):
+                    steps[-1] += 1
+                    return up(mid)
+                return bisect(counted_up, lo, hi, max_steps)
+
+            monkeypatch.setattr(fixed_inlet, "_bisect_all", capped)
+            calls.clear()
+            steps.append(0)
+            fixed_inlet.calibrate(diagram, 0.7, 1.0, 0.12, 0.1, mode="override")
+            counts.append(len(calls))
+        assert steps[0] > steps[1] == 10
+        assert counts[0] == counts[1] == 2
+
     def test_reserve_solves_slope_equation(self, fixed_gains, diagram):
         got = float(diagram.flow_slope(0.7 + fixed_gains.slope_reserve))
         assert got == pytest.approx(0.12, abs=1e-9)

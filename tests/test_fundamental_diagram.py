@@ -46,7 +46,8 @@ Proves:
       stops before its cap but the cold call of tiny controls; on a
       fine-grid-shaped field below delta at least 95 % of the cells start
       warm, each warm call evaluates the predicate at most 16 times (14 here), and
-      A rho and b rho are computed once per block, outside the steps
+      A rho and b rho are computed once per block, outside the steps; only
+      cells with l_sat = 1 run the warm start's guess
  14.  min_concavity, min(-f'') in closed form, is never above the min
       over a 2,000,001-point grid and within 1e-12 of it, for shapes 0.3
       to 3 and random shapes, with rho_max before the inflection density,
@@ -731,6 +732,34 @@ class TestWarmBracket:
         np.testing.assert_array_equal(speed_limits(d, rho, u).view(np.int64),
                                       want.view(np.int64))
         assert [warm for _, _, warm in evals] == [False]
+
+    def test_only_cells_at_full_limit_are_guessed(self, monkeypatch):
+        # cells with l_sat < 1 get [0, l_sat] without a guess or a check;
+        # the cells with l_sat = 1 still start warm, and all keep their bits
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        rng = np.random.default_rng(19)
+        rho = rng.uniform(0.1, 1.6, 2000)
+        u = rng.uniform(0.05, 1.0, rho.size)
+        ar, br = d.flow_scale * rho, d.density_scale * rho
+        hi = d.saturating_limit(rho)
+        y = np.minimum(u * d.flow(rho), d._vsl_flow_raw(rho, hi))
+        sizes = []
+        guess = warmstart.newton_limit
+
+        def counted(d, ar, *args):
+            sizes.append(ar.size)
+            return guess(d, ar, *args)
+
+        monkeypatch.setattr(warmstart, "newton_limit", counted)
+        lo, up = warmstart.bracket(d, ar, br, y, hi)
+        sat = hi == 1.0
+        assert 0 < np.count_nonzero(sat) < rho.size
+        assert sizes == [np.count_nonzero(sat)]
+        assert np.all(lo[~sat] == 0.0) and np.array_equal(up[~sat], hi[~sat])
+        assert np.mean(lo[sat] > 0.0) > 0.95
+        got = _bisect_all(lambda mid: d._limited_flow(ar, br, mid) >= y, lo, up, 100)
+        want = TestBisectionFixedPoint.full_speed_limits(d, rho, u)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_loaded_on_the_first_inversion_only(self):
         # a process that inverts no limit response (the oracle workloads,

@@ -63,7 +63,7 @@ def short_scenario(diagram, n_cells=80, horizon=2.0):
 class TestSettings:
     def test_defaults(self):
         s = OracleSettings()
-        assert s.n_cells == 400 and s.cfl_cap == 0.4
+        assert s.n_cells == 400 and s.cfl_cap == 0.8
         assert [f.name for f in fields(OracleSettings)] == ["n_cells", "cfl_cap"]
 
     def test_rejections(self):
@@ -185,7 +185,7 @@ class TestDispatch:
             pde_oracle.integrate(sc, wrong, OracleSettings(n_cells=40))
 
 
-def reference_rows(scenario, gains, n_cells, cfl_cap=0.4):
+def reference_rows(scenario, gains, n_cells, cfl_cap=OracleSettings.cfl_cap):
     """The oracle as a plain loop: a freshly bound law and np.gradient every stage
     of the SSP-RK3 step rho + (dt/6) (k1 + k2 + 4 k3).
 
@@ -295,7 +295,8 @@ class TestLeanPath:
         monkeypatch.setattr(type(gains), "controller", counted)
         sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
                       rho0=bump_profile(1.0, 400, 0.7), horizon=0.2, output_interval=0.1)
-        tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=400))
+        # a cap below the default's, for steps enough to tell 3 per step apart
+        tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=400, cfl_cap=0.4))
         assert tr.metadata["steps"] >= 20
         assert len(calls) == 3 * tr.metadata["steps"] + tr.times.size
 

@@ -159,9 +159,11 @@ def with_ini_value(text: str, section: str, key: str, value: str) -> str:
 
 def retired_picard_text() -> str:
     """serialize_config(RunConfig()) as written while [picard] still had the
-    keys window, safety and retry_cap, checked against its former digest."""
+    keys window, safety and retry_cap, and [oracle] cfl_cap defaulted to
+    0.4, checked against its former digest."""
     text = serialize_config(RunConfig()).replace("[picard]\n", "[picard]\nwindow = auto\n")
     text = text.replace("max_iter = 200\n", "max_iter = 200\nsafety = 0.5\nretry_cap = 5\n")
+    text = text.replace("cfl_cap = 0.8\n", "cfl_cap = 0.4\n")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "b0ba1ad5e6c793b962d41177c9a0ba6046f84fdabe03d74fb2971fb2ada2359d")
     return text
@@ -269,10 +271,10 @@ class TestConfigRoundTrip:
     # keys; these digests pin the INI text itself (the benchmark's input
     # digests are built from it).
     SERIALIZED_SHA256 = {
-        None: "a3594db914b12f13110390693645614bb45314efdcbc755f7c4a517993438530",
-        "paper-sec5-free": "f2cf74b7da0812a8315d383a4a4ae5d747f9f402cf23edd8c66ff1ba2b92bb1b",
-        "paper-sec5-fixed": "2444637d1da02c3eb5c1226f9f8e1affc2b27379c10239014aee4d8f2d8a4015",
-        "paper-fig7": "aaed9b39271781bbb8dd3dfb4f3fdd7f615abd847350c48b97b6a9395d2b7154",
+        None: "932e7c94eb87ec82a96aa29881ae43d486af6df380e5732f1ae6121193e622e7",
+        "paper-sec5-free": "8000d3f67c323e8fd070bb89e8f1d39e2e045dcf3fcce34889c75a3a7296b7e1",
+        "paper-sec5-fixed": "32c54fef6921a3c7f3c3217894aeffdeff0893a80f87f0ac71c7dcb7a2bd2cb8",
+        "paper-fig7": "07ae5ec88f161f0c86b736434e0cfca8b1f26fabc67528596c423faad451114d",
     }
 
     @pytest.mark.parametrize("name", list(SERIALIZED_SHA256), ids=str)
