@@ -16,6 +16,7 @@ whatever [controller] mode says, so only `run` takes --strict/--override.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import runner
@@ -34,7 +35,10 @@ def _load(args: argparse.Namespace):
     return load_config(args.config) if args.config else preset(args.preset)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and kept for the
+    process: parse_args leaves a parser as it found it."""
     parser = argparse.ArgumentParser(
         prog="vslcontrol",
         description="Variable-speed-limit feedback for the LWR traffic model: "
@@ -57,8 +61,11 @@ def main(argv=None) -> int:
     cmp_p = sub.add_parser("compare", help="sup-norm gaps between two run directories")
     cmp_p.add_argument("dir_a")
     cmp_p.add_argument("dir_b")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             cfg = _load(args)

@@ -25,12 +25,14 @@ reduces to rho_t = -sigma (rho - rho_star) + gamma x S(t), so simulation is
 a single whole-horizon fixed-point problem for S, solved by
 `picard.iterate` with contraction factor gamma L / sigma < 1.
 
-Each update needs, at every time sample, max_i (dev0_i + gamma x_i J(t)):
-the upper envelope of n lines in J.  The upper hull of the points
-(x_i, dev0_i), built once per simulation, leaves each time sample a
-contiguous run of one or two candidate lines on smooth data, and the max
-over that run is the max over all n lines bit for bit.  An update thus
-costs O(n + n_t (log n + w)), w the widest run, instead of O(n_t n).
+Each update needs, at every time sample, max_i |dev0_i + gamma x_i J(t)|:
+the upper envelope of the n lines dev0_i + gamma x_i J in J, and, where
+dev0 has a negative entry, of their n negatives.  The upper hull of the
+points (x_i, dev0_i), and of (x_i, -dev0_i) for the negatives, built once
+per simulation, leaves each time sample a contiguous run of one or two
+candidate lines on smooth data, and the max over that run is the max over
+all n lines bit for bit.  An update thus costs O(n + n_t (log n + w)),
+w the widest run, instead of O(n_t n).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import CertificationError, DomainError, StateEscapeError
 from .fundamental_diagram import ExponentialDiagram, _bisect_all
 from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
-from .quadrature import cumulative_trapezoid, integral_to, running_trapezoid
+from .quadrature import bound_trapezoid, cumulative_trapezoid, integral_to
 from .trace import SimulationTrace, law_trace
 
 U_TOL = 1e-9  # tolerance band on u <= 1 for semi-analytic states
@@ -97,31 +99,36 @@ class FixedInletGains:
     conditions: tuple[ConditionResult, ...] = field(default=())
 
     def controller(self, diagram: ExponentialDiagram, x: np.ndarray, u_tol: float = U_TOL
-                   ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, None]]:
-        """The law on the nodes x: evaluate(rho) -> (u, f(rho), None).
+                   ) -> Callable[..., tuple[np.ndarray, np.ndarray, None]]:
+        """The law on the nodes x: evaluate(rho, span=None) -> (u, f(rho), None).
 
         u is exactly 1 at x = 0 on admissible data.  Every evaluation runs
         the diagram's domain check and raises StateEscapeError when the flow
         is not positive or u leaves (0, 1 + u_tol], a NaN counting as both;
-        u is clipped to 1.  u and f(rho) live in buffers bound here: they
-        are valid until the next call of evaluate.
+        u is clipped to 1.  span, when given, is the caller's own
+        (rho.item(rho.argmin()), rho.item(rho.argmax())) of this rho: the
+        domain check and the sup norm take it instead of a pass of their
+        own.  u and f(rho) live in buffers bound here, with the trapezoid's
+        views of them: they are valid until the next call of evaluate.
         """
         budget = _flow_budget(self, diagram, x)
-        rho_star, dx, ceiling = self.rho_star, np.diff(x), 1.0 + u_tol
+        rho_star, ceiling = self.rho_star, 1.0 + u_tol
         u, fv, work = np.empty(x.size), np.empty(x.size), np.empty(x.size)
+        integrate = bound_trapezoid(np.diff(x), work, u)
 
-        def evaluate(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
-            lo, hi = diagram.density_range(rho)
+        def evaluate(rho: np.ndarray, span: tuple[float, float] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, None]:
+            lo, hi = diagram.density_range(rho) if span is None else diagram.check_range(*span)
             # fl(rho_i - rho_star) is monotone in rho_i, so the sup of
             # |rho - rho_star| sits at the state's min or max, exactly
             sup = max(abs(lo - rho_star), abs(hi - rho_star))
             np.subtract(rho, rho_star, out=work)
-            budget(running_trapezoid(dx, work, out=u), sup, out=u, scratch=work)
+            budget(integrate(), sup, out=u, scratch=work)
             diagram.flow_into(rho, fv, work)
-            if not _least(fv) > 0.0:
+            if not fv.item(fv.argmin()) > 0.0:
                 raise StateEscapeError("flow vanished; control undefined")
             np.divide(u, fv, out=u)
-            if not (_least(u) > 0.0 and _most(u) <= ceiling):
+            if not (u.item(u.argmin()) > 0.0 and u.item(u.argmax()) <= ceiling):
                 bad = ~((u > 0.0) & (u <= ceiling))
                 i = int(np.argmax(np.where(bad, np.abs(u - 0.5), -1.0)))
                 raise StateEscapeError(
@@ -272,9 +279,6 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
         Jt = integral_to(tn, wJ, cumJ, float(t))
         damp = float(np.exp(-gains.sigma * t))
         rho_out[j] = gains.rho_star + damp * dev0 + gains.gamma * x * (damp * Jt)
-    dev = rho_out - gains.rho_star
-    gap = float(np.max(np.max(np.abs(dev), axis=1) - np.max(dev, axis=1)))
-    gap_tol = 1e-8 * max(1.0, sup0)
     return law_trace(
         gains, d, targets, x, rho_out, U_TOL, metadata={
             "sigma": gains.sigma,
@@ -286,8 +290,6 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
             "slope_reserve": gains.slope_reserve,
             "min_concavity": gains.min_concavity,
             "max_back_slope": gains.max_back_slope,
-            "signed_sup_gap": gap,
-            "signed_sup_gap_flagged": bool(gap > gap_tol),
             "picard": {
                 "windows": 1,
                 "max_iterations": iters,
@@ -302,34 +304,52 @@ def simulate(scenario: Scenario, gains: FixedInletGains,
 def _sup_path(gains: FixedInletGains, x: np.ndarray, dev0: np.ndarray, sup0: float,
               tn: np.ndarray, settings: PicardSettings
               ) -> tuple[np.ndarray, int, float, dict[str, int]]:
-    """Whole-horizon Picard iteration for the signed sup path g on tn.
+    """Whole-horizon Picard iteration for the sup path g on tn.
 
-    g(t) = exp(-sigma t) max_i (dev0_i + gamma x_i J(t)), with J the running
-    integral of exp(sigma s) g(s).  Returns g, the iteration count, the
-    worst ratio of successive sup-norm updates, and the envelope counts:
-    envelope_lines, the most lines an update kept, and envelope_width, the
-    most candidates one time row scanned.
+    g(t) = exp(-sigma t) max_i |dev0_i + gamma x_i J(t)|, the law's own sup
+    norm, with J the running integral of exp(sigma s) g(s).  Returns g, the
+    iteration count, the worst ratio of successive sup-norm updates, and
+    the envelope counts: envelope_lines, the most lines one family kept in
+    an update, and envelope_width, the most candidates one family's time
+    row scanned.
 
-    Each row's max is the upper envelope of the n lines dev0_i + x_i gJ at
-    that row's gJ = gamma J(t).  It is evaluated as fl(fl(gJ x_i) + dev0_i)
-    on the lines that can come within rounding of the envelope there (see
-    _Envelope), so it equals the max over all n lines bit for bit.  That
-    costs O(n) once and O(n + n_t (log n + w)) per iteration, w the widest
-    row's candidate count, against O(n_t n) for the whole matrix.  The time
-    steps and every buffer are made once per solve, not once per update.
+    max_i |a_i| is the max over two families of lines: a_i = dev0_i + x_i gJ
+    and -a_i = -dev0_i - x_i gJ, at each row's gJ = gamma J(t) >= 0.  Each
+    family's max is its upper envelope, evaluated as fl(fl(gJ x_i) + dev0_i)
+    (the second as fl(fl(-gJ x_i) + -dev0_i) = -a_i exactly) on the lines
+    that can come within rounding of the envelope there (see _Envelope), so
+    it equals the max over all n lines bit for bit.  The second family is
+    built only when dev0 has a negative entry: where dev0 >= 0, every a_i
+    is >= 0 and every -a_i <= 0, so the first family's max is already the
+    max of |a_i|.  That costs O(n) once and O(n + n_t (log n + w)) per
+    iteration, w the widest row's candidate count, against O(n_t n) for the
+    whole matrix.  The time steps and every buffer are made once per solve,
+    not once per update.
     """
     dt, grow, shrink = np.diff(tn), np.exp(gains.sigma * tn), np.exp(-gains.sigma * tn)
     grow_g, gJ, peak = np.empty(tn.size), np.empty(tn.size), np.empty(tn.size)
+    integrate = bound_trapezoid(dt, grow_g, gJ)
     envelope = _Envelope(x, dev0)
+    if np.any(dev0 < 0.0):  # the negatives' family, queried at -gJ
+        neg_dev0, neg_gJ, neg_peak = -dev0, np.empty(tn.size), np.empty(tn.size)
+        negatives = _Envelope(x, neg_dev0)
+    else:
+        negatives = None
     counts = {"envelope_lines": 0, "envelope_width": 0}
 
-    def update(g: np.ndarray) -> np.ndarray:
-        running_trapezoid(dt, np.multiply(grow, g, out=grow_g), out=gJ)
-        np.multiply(gains.gamma, gJ, out=gJ)
-        lines, start, width = envelope.candidates(gJ)
+    def family_max(family: _Envelope, ds: np.ndarray, at: np.ndarray, out: np.ndarray) -> None:
+        lines, start, width = family.candidates(at)
         counts["envelope_lines"] = max(counts["envelope_lines"], lines.size)
         counts["envelope_width"] = max(counts["envelope_width"], int(width.max()))
-        _gathered_max(gJ, x[lines], dev0[lines], start, width, peak)
+        _gathered_max(at, x[lines], ds[lines], start, width, out)
+
+    def update(g: np.ndarray) -> np.ndarray:
+        np.multiply(grow, g, out=grow_g)
+        np.multiply(gains.gamma, integrate(), out=gJ)
+        family_max(envelope, dev0, gJ, peak)
+        if negatives is not None:
+            family_max(negatives, neg_dev0, np.negative(gJ, out=neg_gJ), neg_peak)
+            np.maximum(peak, neg_peak, out=peak)
         return shrink * peak
 
     return (*iterate(update, np.full(tn.size, sup0), settings, "whole-horizon iteration"),
@@ -427,14 +447,6 @@ def _gathered_max(gJ: np.ndarray, xs: np.ndarray, ds: np.ndarray, start: np.ndar
         vals += ds[idx]
         np.maximum.reduceat(vals, offsets, out=out[s:e])
         s = e
-
-
-def _least(a: np.ndarray) -> float:
-    return a.item(a.argmin())
-
-
-def _most(a: np.ndarray) -> float:
-    return a.item(a.argmax())
 
 
 def _flow_budget(gains: FixedInletGains, diagram: ExponentialDiagram, x: np.ndarray

@@ -60,7 +60,7 @@ from .errors import ConvergenceError, DomainError, StateEscapeError
 from .fundamental_diagram import ExponentialDiagram
 from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
-from .quadrature import integral_to, running_trapezoid
+from .quadrature import bound_trapezoid, integral_to, running_trapezoid
 from .trace import SimulationTrace, law_trace
 
 # certified contraction factor of every window
@@ -102,25 +102,33 @@ class FreeInletGain:
         return 1.0 / (length * rho_star)
 
     def controller(self, diagram: ExponentialDiagram, x: np.ndarray, u_tol: float = 0.0
-                   ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, int]]:
-        """The law on the nodes x: evaluate(rho) -> (u, f(rho), bottleneck index).
+                   ) -> Callable[..., tuple[np.ndarray, np.ndarray, int]]:
+        """The law on the nodes x: evaluate(rho, span=None) -> (u, f(rho), bottleneck index).
 
         The bottleneck index is the smallest minimizer of f(rho) M, where
         u equals 1 exactly.  u never exceeds 1 by construction, so u_tol is
         accepted only to share the fixed law's signature.  Every evaluation
         runs the diagram's domain check and the positivity check, which a
-        NaN fails.  u and f(rho) live in buffers bound here: they are valid
-        until the next call of evaluate.
+        NaN fails.  span, when given, is the caller's own
+        (rho.item(rho.argmin()), rho.item(rho.argmax())) of this rho, and
+        the domain check runs on it instead of a pass of its own.  u and
+        f(rho) live in buffers bound here, with the trapezoid's views of
+        them: they are valid until the next call of evaluate.
         """
-        k, rho_star, dx = self.gain, self.rho_star, np.diff(x)
+        k, rho_star = self.gain, self.rho_star
         u, fv, work = np.empty(x.size), np.empty(x.size), np.empty(x.size)
+        integrate = bound_trapezoid(np.diff(x), work, u)
 
-        def evaluate(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-            diagram.density_range(rho)
+        def evaluate(rho: np.ndarray, span: tuple[float, float] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
+            if span is None:
+                diagram.density_range(rho)
+            else:
+                diagram.check_range(*span)
             diagram.flow_into(rho, fv, work)
             np.subtract(rho, rho_star, out=work)
             # u holds k D, then 1 + k D, then the weighted flow f M, then u
-            np.multiply(k, running_trapezoid(dx, work, out=u), out=u)
+            np.multiply(k, integrate(), out=u)
             np.add(1.0, u, out=u)
             weighted = np.divide(fv, u, out=u)
             idx = int(weighted.argmin())

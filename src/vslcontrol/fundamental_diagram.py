@@ -101,8 +101,9 @@ class ExponentialDiagram:
     def flow_into(self, r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """f(r) written into out, with work as scratch; returns out.
 
-        Unchecked: the caller has run density_range on r.  The one formula
-        of f: flow allocates the two arrays, a bound law reuses its own.
+        Unchecked: the caller has checked r's range (density_range, or
+        check_range on its own min/max pass).  The one formula of f: flow
+        allocates the two arrays, a bound law reuses its own.
         -v / shape is v / -shape bit for bit.
 
         Two evaluation orders, one set of bits.  In general the exponent is
@@ -251,20 +252,34 @@ class ExponentialDiagram:
         points = [lo, hi, infl] if lo <= infl <= hi else [lo, hi]
         return float(np.max(np.abs(self.flow_slope(np.array(points)))))
 
+    @cached_property
+    def density_bounds(self) -> tuple[float, float]:
+        """(-tol, rho_max + tol), tol = DENSITY_TOL_REL * max(1, rho_max): the
+        interval density_range and check_range accept."""
+        tol = DENSITY_TOL_REL * max(1.0, self.rho_max)
+        return -tol, self.rho_max + tol
+
     def density_range(self, r: np.ndarray) -> tuple[float, float]:
         """(min, max) of the nonempty float array r, which must lie in [0, rho_max].
 
-        The one density-domain rule: entries may stray DENSITY_TOL_REL *
-        max(1, rho_max) outside the interval.  argmin and argmax point at
-        the first NaN if there is one, and NaN fails both comparisons, so
-        one pass each rejects every array holding a NaN or an entry out of
-        range, with DomainError.  (They cost a third of np.minimum.reduce
-        on an oracle-sized state.)
+        One pass each for the min and the max, then check_range on them.
+        argmin and argmax point at the first NaN if there is one, so the
+        pair holds it and the check rejects the array.  (They cost a third
+        of np.minimum.reduce on an oracle-sized state.)
         """
-        lo = r.item(r.argmin())
-        hi = r.item(r.argmax())
-        tol = DENSITY_TOL_REL * max(1.0, self.rho_max)
-        if not (lo >= -tol and hi <= self.rho_max + tol):
+        return self.check_range(r.item(r.argmin()), r.item(r.argmax()))
+
+    def check_range(self, lo: float, hi: float) -> tuple[float, float]:
+        """(lo, hi), the min and max of a density array, or DomainError.
+
+        The one density-domain rule: entries may stray DENSITY_TOL_REL *
+        max(1, rho_max) outside [0, rho_max] (density_bounds).  NaN fails
+        both comparisons.  A caller that already holds an array's
+        (r.item(r.argmin()), r.item(r.argmax())) checks it here without a
+        second pass; density_range makes the pair for any other caller.
+        """
+        floor, top = self.density_bounds
+        if not (lo >= floor and hi <= top):
             raise DomainError(f"density outside [0, {self.rho_max}]")
         return lo, hi
 

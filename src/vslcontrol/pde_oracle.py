@@ -19,9 +19,13 @@ pin.
 The law is bound to the oracle grid once per run (gains.controller), and
 the run binds its buffers once: the state, a stage state, the flux and
 k1..k3.  A right-hand side pays only for what changes with the state: one
-evaluation of the law, whose one min/max pass over the stage state serves
-its domain check (and the fixed law's sup norm), and a slice stencil equal,
-operation for operation, to -np.gradient(q, h, edge_order=2).  A step
+evaluation of the law and a slice stencil equal, operation for operation,
+to -np.gradient(q, h, edge_order=2).  Every state gets one min/max pass,
+which serves the law's domain check (and the fixed law's sup norm).  The
+stage states of stages 2 and 3 get theirs inside the law.  The state a
+step starts from got its pass at the end of the step before, and that one
+pass serves the CFL range test, the interval-end checks and the next
+stage-1 evaluation, which takes it as evaluate(rho, span).  A step
 combines its three stages in place with the operations of one written
 formula, so every bit is that of the plain loop.
 
@@ -84,7 +88,8 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     scenario's road.  It is bound to the oracle grid once, by
     gains.controller; every stage then takes u and f(rho) from that bound
     law, which checks the density domain, the flow's positivity and the
-    range of u on each call, from one min/max pass over the stage state.
+    range of u on each call, from one min/max pass over the stage state
+    (stage 1 hands it the pass the state already had).
     The inlet node is frozen when gains.pins_inlet.  The initial profile
     is linearly resampled onto the oracle grid.  The state, stage and
     k1..k3 buffers are bound once per run, and each step is one SSP-RK3
@@ -147,10 +152,12 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     q_left, q_right, q_head, q_tail = q[:-2], q[2:], q[:3], q[-3:]
     inner = [k[1:-1] for k in (k1, k2, k3)]
 
-    def rhs(at: np.ndarray, out: np.ndarray, interior: np.ndarray) -> float:
+    def rhs(at: np.ndarray, out: np.ndarray, interior: np.ndarray,
+            span: tuple[float, float] | None = None) -> float:
         """The right-hand side at `at`, into out; returns its sum under
-        trapezoid weights, which telescopes to inlet minus outlet flow."""
-        u, fv, _ = law(at)
+        trapezoid weights, which telescopes to inlet minus outlet flow.
+        span is at's (min, max) when the caller holds it, for the law."""
+        u, fv, _ = law(at, span)
         np.multiply(u, fv, out=q)
         np.divide(np.subtract(q_left, q_right, out=interior), two_h, out=interior)
         q0, q1, q2 = q_head.tolist()
@@ -164,12 +171,13 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
         out[-1] = outlet_c[0] * q0 + outlet_c[1] * q1 + outlet_c[2] * q2
         return inflow - 0.25 * (5.0 * q2 - 2.0 * q1 + q0)
 
-    def ssp_rk3_step(dt: float) -> float:
+    def ssp_rk3_step(dt: float, span: tuple[float, float]) -> float:
         """One SSP-RK3 step of the state, in place, with the operations of
         state + (dt/6) (k1 + k2 + 4 k3) and its stage states state + dt k1
         and state + (dt/4) (k1 + k2); k1 + k2 is formed once.  Returns the
-        step's net inflow, (dt/6) (B1 + B2 + 4 B3) from the stages' balances."""
-        b1 = rhs(state, k1, inner[0])
+        step's net inflow, (dt/6) (B1 + B2 + 4 B3) from the stages' balances.
+        span is the state's (min, max), which stage 1 hands to the law."""
+        b1 = rhs(state, k1, inner[0], span)
         b2 = rhs(np.add(state, np.multiply(dt, k1, out=stage), out=stage), k2, inner[1])
         np.add(k1, k2, out=k1)
         b3 = rhs(np.add(state, np.multiply(dt / 4.0, k1, out=stage), out=stage), k3, inner[2])
@@ -182,9 +190,9 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
     taken = 0
     cfl = net = 0.0
     # the range of the latest state: one min/max pass after every step
-    # serves the range check and, at an interval's end, the finite and
-    # escape checks
-    seen_lo, seen_hi = rho.item(rho.argmin()), rho.item(rho.argmax())
+    # serves the range check, the next step's stage-1 evaluation and, at an
+    # interval's end, the finite and escape checks
+    seen_lo, seen_hi = state.item(state.argmin()), state.item(state.argmax())
     for j in range(1, targets.size):
         n_left, dt = 1, interval  # the time left: n_left steps of dt
         while n_left:
@@ -197,7 +205,7 @@ def integrate(scenario: Scenario, gains, settings: OracleSettings = OracleSettin
             dt = time_left / n_left
             cfl = max(cfl, dt * s / h)
             while n_left:
-                net += ssp_rk3_step(dt)
+                net += ssp_rk3_step(dt, (seen_lo, seen_hi))
                 taken += 1
                 n_left -= 1
                 seen_lo, seen_hi = state.item(state.argmin()), state.item(state.argmax())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 
@@ -24,13 +26,29 @@ def running_trapezoid(dx: np.ndarray, y: np.ndarray, out: np.ndarray | None = No
     """
     if out is None:
         out = np.empty_like(np.asarray(y, dtype=float))
-    out[0] = 0.0
-    cells = out[1:]
-    np.add(y[1:], y[:-1], out=cells)
-    np.multiply(0.5, cells, out=cells)
-    np.multiply(cells, dx, out=cells)
-    np.add.accumulate(cells, out=cells)  # cumsum's loop, with less call overhead
-    return out
+    return bound_trapezoid(dx, y, out)()
+
+
+def bound_trapezoid(dx: np.ndarray, y: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+    """running_trapezoid(dx, y, out) as a call that takes no arguments.
+
+    For a caller that integrates whatever y holds now into the same out,
+    over and over: the slice views of y and out are made here, once, and
+    each call runs the trapezoid's one formula on them, four ufuncs, and
+    returns out.  y and out are buffers the caller owns and rewrites
+    between calls; out is a float array like y, not y itself.
+    """
+    y_hi, y_lo, cells = y[1:], y[:-1], out[1:]
+
+    def integrate() -> np.ndarray:
+        out[0] = 0.0
+        np.add(y_hi, y_lo, out=cells)
+        np.multiply(0.5, cells, out=cells)
+        np.multiply(cells, dx, out=cells)
+        np.add.accumulate(cells, out=cells)  # cumsum's loop, with less call overhead
+        return out
+
+    return integrate
 
 
 def integral_to(x: np.ndarray, y: np.ndarray, cum: np.ndarray, xq: float) -> float:

@@ -358,7 +358,7 @@ def _write_report(out: str, cfg: RunConfig, gains, trace: SimulationTrace,
     lines.append("")
     lines.append("constants:")
     for key in ("decay_rate_bound", "bottleneck_floor", "lipschitz_slope",
-                "capacity", "critical_density", "window", "signed_sup_gap"):
+                "capacity", "critical_density", "window"):
         if key in trace.metadata:
             lines.append(f"  {key} = {trace.metadata[key]!r}")
     picard = trace.metadata.get("picard", {})

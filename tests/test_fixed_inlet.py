@@ -22,8 +22,7 @@ Proves:
       outside the certified band
   5.  simulate: inlet density pinned, inlet control exactly 1, sup decay
       under exp(-(sigma - gamma L) t), Picard contraction ratio below the
-      gamma L / sigma bound, signed and absolute sup envelopes agree for
-      one-signed data, forward invariance along the trace
+      gamma L / sigma bound, forward invariance along the trace
   6.  domain errors: gamma L >= sigma, inadmissible start, bad mode,
       non-finite sigma, gamma or length in either calibration mode, and
       sigma * horizon past log(float max), refused before the Picard solve;
@@ -288,10 +287,6 @@ class TestSimulate:
         assert picard["max_contraction_ratio"] <= picard["factor_bound"] + 1e-9
         assert picard["windows"] == 1
 
-    def test_signed_envelope_matches_for_one_signed_data(self, fixed_trace):
-        assert fixed_trace.metadata["signed_sup_gap"] == 0.0
-        assert fixed_trace.metadata["signed_sup_gap_flagged"] is False
-
     def test_forward_invariance_along_trace(self, fixed_trace, fixed_gains, diagram):
         for j in range(fixed_trace.times.size):
             p = DensityProfile(1.0, fixed_trace.rho[j], 0.7)
@@ -400,14 +395,14 @@ class TestBlockedPicardMax:
 
     @staticmethod
     def full_sup_path(gains, x, dev0, sup0, tn, settings):
-        """The max of every line on every time row, 512 rows at a time."""
+        """The max of |.| of every line on every time row, 512 rows at a time."""
         grow, shrink = np.exp(gains.sigma * tn), np.exp(-gains.sigma * tn)
         g = np.full(tn.size, sup0)
         prev_diff, worst_ratio = None, 0.0
         for it in range(settings.max_iter):
             J = cumulative_trapezoid(tn, grow * g)
             peak = np.concatenate([
-                (gains.gamma * J[s:s + 512, None] * x[None, :] + dev0[None, :]).max(axis=1)
+                np.abs(gains.gamma * J[s:s + 512, None] * x[None, :] + dev0[None, :]).max(axis=1)
                 for s in range(0, tn.size, 512)])
             g_new = shrink * peak
             diff = float(np.max(np.abs(g_new - g)))
@@ -485,6 +480,31 @@ class TestBlockedPicardMax:
         rows = (beta[:, None] + ulps * np.spacing(beta)[:, None]).ravel()
         got, want = self.envelope_max(x, dev0, rows)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("seed", [5, 17, 2024])
+    def test_two_signed_rows_equal_dense_abs_max(self, fixed_gains, monkeypatch, seed):
+        # one update of _sup_path on a seeded deviation whose negative side
+        # is the larger, at seeded iterates: the max over both families of
+        # lines is the dense max of |.| over every line, bit for bit
+        rng = np.random.default_rng(seed)
+        x = np.linspace(0.0, 1.0, 201)
+        dev0 = 0.05 * np.sin(rng.uniform(2.0, 8.0) * np.pi * x) - rng.uniform(0.02, 0.1) * x
+        dev0[0] = 0.0
+        tn = np.linspace(0.0, 2.0, 161)
+        updates = []
+        monkeypatch.setattr(fixed_inlet, "iterate",
+                            lambda update, g0, *rest: (updates.append(update) or g0, 1, 0.0))
+        fixed_inlet._sup_path(fixed_gains, x, dev0, float(np.abs(dev0).max()), tn,
+                              PicardSettings())
+        grow, shrink = np.exp(fixed_gains.sigma * tn), np.exp(-fixed_gains.sigma * tn)
+        signed_differs = False
+        for g in rng.uniform(0.0, 0.2, (4, tn.size)):
+            lines = (fixed_gains.gamma * cumulative_trapezoid(tn, grow * g))[:, None] * x + dev0
+            want = shrink * np.abs(lines).max(axis=1)
+            got = updates[0](g)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            signed_differs |= not np.array_equal(shrink * lines.max(axis=1), want)
+        assert signed_differs  # the rows exercise the negative family
 
     def test_non_finite_rows_equal_full_max(self):
         # an iterate that overflowed: inf * x_0 = nan at the inlet, as before

@@ -23,7 +23,9 @@ Proves:
       checked ExponentialDiagram.flow is called as often whatever the step
       count, so no stage goes back to the allocating, separately checked
       flow; a run evaluates the bound law exactly three times per step,
-      plus once per snapshot for the trace
+      plus once per snapshot for the trace, and runs density_range twice
+      per step: stage 1 takes the range of the pass that ended the step
+      before
   9.  a bound law still runs its domain and escape checks on every call;
       both laws refuse a NaN flow with StateEscapeError
   10. each step is sized from the density range of the state it starts
@@ -287,9 +289,9 @@ class TestLeanPath:
         def counted(self, *args):
             evaluate = controller(self, *args)
 
-            def counting(rho):
+            def counting(rho, span=None):
                 calls.append(1)
-                return evaluate(rho)
+                return evaluate(rho, span)
             return counting
 
         monkeypatch.setattr(type(gains), "controller", counted)
@@ -299,6 +301,39 @@ class TestLeanPath:
         tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=400, cfl_cap=0.4))
         assert tr.metadata["steps"] >= 20
         assert len(calls) == 3 * tr.metadata["steps"] + tr.times.size
+
+    @pytest.mark.parametrize("law", ["free", "fixed"])
+    def test_two_density_passes_per_step(self, diagram, free_gain, fixed_gains, law,
+                                         monkeypatch):
+        # stage 1 takes the state's range from the min/max pass that ended
+        # the step before, so density_range runs for stages 2 and 3 only,
+        # plus law_trace's once per snapshot and once per checked call of
+        # flow or slope_bound
+        gains = free_gain if law == "free" else fixed_gains
+        sizes, others = [], []
+        density_range = ExponentialDiagram.density_range
+
+        def counted_range(self, r):
+            sizes.append(r.size)
+            return density_range(self, r)
+
+        def counted(method):
+            def wrapper(self, *args):
+                others.append(method.__name__)
+                return method(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(ExponentialDiagram, "density_range", counted_range)
+        for name in ("flow", "slope_bound"):
+            method = getattr(ExponentialDiagram, name)
+            monkeypatch.setattr(ExponentialDiagram, name, counted(method))
+        sc = Scenario(diagram=diagram, length=1.0, rho_star=0.7,
+                      rho0=bump_profile(1.0, 400, 0.7), horizon=0.2, output_interval=0.1)
+        tr = pde_oracle.integrate(sc, gains, OracleSettings(n_cells=400, cfl_cap=0.4))
+        steps = tr.metadata["steps"]
+        assert steps >= 20
+        assert sizes.count(tr.x.size) == 2 * steps + tr.times.size
+        assert len(sizes) == 2 * steps + tr.times.size + len(others)
 
 
 class TestChecksEveryCall:
@@ -376,7 +411,7 @@ class RampLaw:
 
     def controller(self, diagram, x, u_tol):
         u = 1.0 - self.slope * x
-        return lambda rho: (u, np.asarray(diagram.flow(rho), dtype=float), None)
+        return lambda rho, span=None: (u, np.asarray(diagram.flow(rho), dtype=float), None)
 
 
 class NaNFlowLaw(RampLaw):
@@ -385,7 +420,7 @@ class NaNFlowLaw(RampLaw):
 
     def controller(self, diagram, x, u_tol):
         u = 1.0 - self.slope * x
-        return lambda rho: (u, np.full(x.size, np.nan), None)
+        return lambda rho, span=None: (u, np.full(x.size, np.nan), None)
 
 
 class TestStepSize:

@@ -64,7 +64,8 @@ Proves:
       exit 2 with one error line and no exception out of cli.main; the
       [project.scripts] entry
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
-      runs as its own process; a preset run imports no scipy module
+      runs as its own process; a preset run imports no scipy module; two
+      main calls build one parser and print the same text
   8.  a non-finite float in any config key, a gain outside its window, a
       strict calibration failure, a missing --config file, a bad mode, one
       snapshot, one cell, a polynomial or sampled profile without its
@@ -97,8 +98,12 @@ Proves:
       1e-6 road fails decay_bound; the fixed preset at [picard] tol = 1e-2,
       with its sup path solved at gamma / 2, and the free preset solved
       with 1.03 k all pass every check
+ 13.  a fixed-law run whose deviation is largest below rho_star (a
+      polynomial profile under override gains) exits 0 with every check
+      passing, and its oracle gap shrinks x3.5 or more from 50 to 100 cells
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -601,6 +606,25 @@ class TestMeasuredWrongAnswers:
         assert self.exit_code(tmp_path, "paper-sec5-free") == 1
 
 
+class TestNegativeSideDominates:
+    """The fixed-law run whose deviation is largest below rho_star (ROADMAP
+    item 18): its simulator solves the law's own sup norm, |.|."""
+
+    def test_oracle_gap_shrinks_with_the_grid(self, tmp_path):
+        gaps = []
+        for n in (50, 100):
+            cfg = with_overrides(preset("paper-sec5-fixed"), profile_kind="polynomial",
+                                 poly_coeffs=(0.7, 0.0, -0.1), sigma=0.33, gamma=0.297,
+                                 horizon=2.0, snapshots=5, n_cells=n, oracle_enabled=True,
+                                 oracle_n_cells=n)
+            result = runner.run(cfg, str(tmp_path / str(n)))
+            assert result.exit_code == 0
+            assert all(c.passed for c in result.laws[0].checks)
+            gaps.append(result.laws[0].oracle_gap)
+        # a simulator of the signed max stays 2.31e-2 off at every grid
+        assert gaps[0] >= 3.5 * gaps[1]
+
+
 class TestCertify:
     def test_reports_failure_without_raising(self):
         text = runner.certify(preset("paper-sec5-fixed"))
@@ -706,6 +730,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "curvature_margin" in out
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        # the parser with its three subcommand parsers is built on the first
+        # main call of a process; a second call reuses it
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        try:
+            texts = []
+            for _ in range(2):
+                assert cli.main(["certify", "--preset", "paper-sec5-fixed"]) == 0
+                texts.append(capsys.readouterr().out)
+        finally:
+            cli._parser.cache_clear()
+        assert texts[0] == texts[1] and "curvature_margin" in texts[0]
+        assert built == ["vslcontrol", "vslcontrol run", "vslcontrol certify",
+                         "vslcontrol compare"]
 
     @pytest.mark.parametrize("tol,rc,failed", [
         (QUICK["free_u_gap_tol"], 0, []),
