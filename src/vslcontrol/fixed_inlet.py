@@ -32,7 +32,8 @@ points (x_i, dev0_i), and of (x_i, -dev0_i) for the negatives, built once
 per simulation, leaves each time sample a contiguous run of one or two
 candidate lines on smooth data, and the max over that run is the max over
 all n lines bit for bit.  An update thus costs O(n + n_t (log n + w)),
-w the widest run, instead of O(n_t n).
+w the widest run, instead of O(n_t n).  A small matrix (n_t n at most
+HEAP_BLOCK entries) is cheaper whole, so it takes every line in one pass.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificationError, DomainError, StateEscapeError
-from .fundamental_diagram import ExponentialDiagram, _bisect_all
+from .fundamental_diagram import HEAP_BLOCK, ExponentialDiagram, _bisect_all
 from .picard import PicardSettings, iterate
 from .profile import DensityProfile, Scenario, check_pairing
 from .quadrature import bound_trapezoid, cumulative_trapezoid, integral_to
@@ -325,31 +326,52 @@ def _sup_path(gains: FixedInletGains, x: np.ndarray, dev0: np.ndarray, sup0: flo
     iteration, w the widest row's candidate count, against O(n_t n) for the
     whole matrix.  The time steps and every buffer are made once per solve,
     not once per update.
+
+    A matrix of at most HEAP_BLOCK entries (n_t n), where the envelope's
+    fixed cost per update would outweigh the whole matrix, takes the dense
+    pass instead: each row's max of |fl(fl(gJ x_i) + dev0_i)| over every
+    line, which is the max over the two families (where dev0 >= 0 every
+    value is >= 0 and |.| changes nothing).  It builds no envelope and
+    reports envelope_lines = envelope_width = n: every line is kept and
+    every row scans all of them.
     """
     dt, grow, shrink = np.diff(tn), np.exp(gains.sigma * tn), np.exp(-gains.sigma * tn)
     grow_g, gJ, peak = np.empty(tn.size), np.empty(tn.size), np.empty(tn.size)
     integrate = bound_trapezoid(dt, grow_g, gJ)
-    envelope = _Envelope(x, dev0)
-    if np.any(dev0 < 0.0):  # the negatives' family, queried at -gJ
-        neg_dev0, neg_gJ, neg_peak = -dev0, np.empty(tn.size), np.empty(tn.size)
-        negatives = _Envelope(x, neg_dev0)
-    else:
-        negatives = None
-    counts = {"envelope_lines": 0, "envelope_width": 0}
+    if tn.size * x.size <= HEAP_BLOCK:  # small: every line on every row, in one pass
+        lines = np.empty((tn.size, x.size))
+        counts = {"envelope_lines": x.size, "envelope_width": x.size}
 
-    def family_max(family: _Envelope, ds: np.ndarray, at: np.ndarray, out: np.ndarray) -> None:
-        lines, start, width = family.candidates(at)
-        counts["envelope_lines"] = max(counts["envelope_lines"], lines.size)
-        counts["envelope_width"] = max(counts["envelope_width"], int(width.max()))
-        _gathered_max(at, x[lines], ds[lines], start, width, out)
+        def row_max(at: np.ndarray, out: np.ndarray) -> None:
+            np.multiply(at[:, None], x, out=lines)
+            np.add(lines, dev0, out=lines)
+            np.max(np.abs(lines, out=lines), axis=1, out=out)
+    else:
+        envelope = _Envelope(x, dev0)
+        if np.any(dev0 < 0.0):  # the negatives' family, queried at -gJ
+            neg_dev0, neg_gJ, neg_peak = -dev0, np.empty(tn.size), np.empty(tn.size)
+            negatives = _Envelope(x, neg_dev0)
+        else:
+            negatives = None
+        counts = {"envelope_lines": 0, "envelope_width": 0}
+
+        def family_max(family: _Envelope, ds: np.ndarray, at: np.ndarray,
+                       out: np.ndarray) -> None:
+            lines, start, width = family.candidates(at)
+            counts["envelope_lines"] = max(counts["envelope_lines"], lines.size)
+            counts["envelope_width"] = max(counts["envelope_width"], int(width.max()))
+            _gathered_max(at, x[lines], ds[lines], start, width, out)
+
+        def row_max(at: np.ndarray, out: np.ndarray) -> None:
+            family_max(envelope, dev0, at, out)
+            if negatives is not None:
+                family_max(negatives, neg_dev0, np.negative(at, out=neg_gJ), neg_peak)
+                np.maximum(out, neg_peak, out=out)
 
     def update(g: np.ndarray) -> np.ndarray:
         np.multiply(grow, g, out=grow_g)
         np.multiply(gains.gamma, integrate(), out=gJ)
-        family_max(envelope, dev0, gJ, peak)
-        if negatives is not None:
-            family_max(negatives, neg_dev0, np.negative(gJ, out=neg_gJ), neg_peak)
-            np.maximum(peak, neg_peak, out=peak)
+        row_max(gJ, peak)
         return shrink * peak
 
     return (*iterate(update, np.full(tn.size, sup0), settings, "whole-horizon iteration"),

@@ -45,10 +45,11 @@ import numpy as np
 from .errors import AssumptionError, DomainError
 
 DENSITY_TOL_REL = 1e-9  # slack on rho-domain checks, absorbs solver roundoff
-_SCAN_ROWS = 128  # densities per block of the saturating-limit scan (128 x 600 residuals)
-# cells per block of speed_limits' bisection: 64 KiB of float64, under
-# malloc's default 128 KiB mmap threshold, so each block's arrays come from
-# the heap and are reused instead of being mapped and faulted in afresh
+_SCAN_ROWS = 128  # densities per block of the saturating-limit scan
+# entries per block of work (speed_limits' bisection, the CSV writers, the
+# fixed law's dense sup pass): 64 KiB of float64, under malloc's default
+# 128 KiB mmap threshold, so each block's arrays come from the heap and are
+# reused instead of being mapped and faulted in afresh
 HEAP_BLOCK = 8192
 
 
@@ -300,7 +301,23 @@ class ExponentialDiagram:
         Elementwise, like flow; a 0-d input gives a float.  Equals 1 for
         rho <= delta.  Above delta it is the smallest l solving
         (1 + a(1-l))^shape (1 + shape (b rho)^-shape ln l) = 1, located by a
-        geometric scan on [1e-9, 1] followed by bisection to the fixed point.
+        scan of a geometric grid on [1e-9, 1] for the first point whose
+        residual is >= 0, followed by bisection to the fixed point.
+
+        The scan covers only the suffix of the grid where that point can
+        lie.  At grid point l_j the residual is fl(fl(A_j B_j) - 1), with
+        A_j = fl((1 + a(1 - l_j))^shape) > 0 and B_j = fl(1 + fl(k ln l_j)),
+        k = shape / (b rho)^shape > 0; ln l_j and A_j are taken once per
+        call.  A hit needs fl(A_j B_j) >= 1, hence B_j > 0, hence
+        fl(k ln l_j) > -1.  The scan starts at the first index whose log is
+        >= fl(-1/k) (the grid's logs increase).  Every log before it is
+        < fl(-1/k), so < -1/k exactly, since a float between -1/k and its
+        rounding would be nearer to -1/k.  There k ln l_j < -1, and as
+        rounding is monotone and -1 a float, fl(k ln l_j) <= -1: no hit.  A
+        block of cells starts where its smallest k does, the earliest of its
+        starts.  Each residual keeps its operand order, so the first hit,
+        and every bit, is that of the scan of all 600 points.  On a
+        fine-grid bump the suffix holds about 34 of them.
         """
         r = self._check_density(rho)
         if np.any(r <= 0.0):
@@ -310,12 +327,16 @@ class ExponentialDiagram:
         if np.any(mask):
             k = self.shape / (self.density_scale * r[mask]) ** self.shape
             grid = np.geomspace(1e-9, 1.0, 600)
+            log_grid = np.log(grid)
+            lift = (1.0 + self.vsl_sensitivity * (1.0 - grid)) ** self.shape
             # the residual is 0 at l = 1, so every row has a hit; the scan
             # takes _SCAN_ROWS densities at a time, so its memory is bounded
-            first = np.concatenate([
-                np.argmax(self._saturation_residual(k[s:s + _SCAN_ROWS, None], grid) >= 0.0,
-                          axis=1)
-                for s in range(0, k.size, _SCAN_ROWS)])
+            first = np.empty(k.size, dtype=np.intp)
+            for s in range(0, k.size, _SCAN_ROWS):
+                kb = k[s:s + _SCAN_ROWS, None]
+                m = int(log_grid.searchsorted(-1.0 / kb.min()))
+                hit = lift[m:] * (1.0 + kb * log_grid[m:]) - 1.0 >= 0.0
+                first[s:s + _SCAN_ROWS] = m + np.argmax(hit, axis=1)
             out[mask] = _bisect_all(lambda mid: self._saturation_residual(k, mid) >= 0.0,
                                     grid[np.maximum(first - 1, 0)], grid[first], 80)
         return out if out.ndim else float(out)

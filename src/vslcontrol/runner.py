@@ -21,7 +21,7 @@ digits come from exact vectorised arithmetic, and every other value (0,
 -0.0, subnormal, smaller or larger, nan, inf) goes through FMT % v one at a
 time.  Either way the bytes are those of FMT % v.  The long-format files
 format the x column and the times once per file and the grid in blocks of
-whole time rows, about _WRITE_BLOCK values each, written as one buffer.
+whole time rows, about HEAP_BLOCK values each, written as one buffer.
 The other CSV files are column tables written by `_write_columns` through
 the same formatter.  The run writes nothing until every law is solved and
 checked, then replaces the law directories an earlier run left, and it
@@ -271,21 +271,20 @@ def _u_gap_check(trace: SimulationTrace, tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 # artifact writers
 
-# values per written block.  Formatting and line assembly hold about 180
-# bytes per value at once: 0.6 MB for a block of fine-grid rows, less than
-# speed_limits holds on the same field (1.4 MB), so the writers do not set
-# a run's peak memory.
-_WRITE_BLOCK = HEAP_BLOCK // 2
+# The writers take HEAP_BLOCK values per block.  Formatting and line
+# assembly hold about 130 bytes per value at once (tracemalloc peak): 1.0 MB
+# for a block of five fine-grid rows, less than speed_limits holds on the
+# same field (1.7-1.8 MB), so the writers do not set a run's peak memory.
 
 
 def _write_long(path: str, header: str, times: np.ndarray, x: np.ndarray,
                 grid: np.ndarray) -> None:
     """One CSV row t,x,value per grid entry, t-major."""
     # x and t are formatted once per file; the grid in blocks of whole
-    # time rows, about _WRITE_BLOCK values each, written as one buffer
+    # time rows, about HEAP_BLOCK values each, written as one buffer
     from . import csvformat  # loaded on the first write, see csvformat
     xs, ts = csvformat.format_block(x), csvformat.format_block(times)
-    rows = max(1, _WRITE_BLOCK // max(x.size, 1))
+    rows = max(1, HEAP_BLOCK // max(x.size, 1))
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for s in range(0, times.size, rows):
@@ -299,7 +298,7 @@ def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
     """One CSV row per index of the equal-length columns, each cell in FMT."""
     from . import csvformat  # loaded on the first write, see csvformat
     table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-    rows = max(1, _WRITE_BLOCK // table.shape[1])
+    rows = max(1, HEAP_BLOCK // table.shape[1])
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for s in range(0, table.shape[0], rows):

@@ -39,7 +39,9 @@ Proves:
       fine-grid benchmark's bump scans at most two lines a time row.  At
       horizon 600 on 1600 cells the memory peak of simulate stays under a
       quarter of that matrix, also when a plateau ties hundreds of lines
-      at J = 0
+      at J = 0.  A matrix of HEAP_BLOCK entries takes the dense pass and
+      one of HEAP_BLOCK + 1 the envelope, both with the full matrix's bits,
+      on a bump and on a deviation whose negative side dominates
   8.  known defect, pinned as a strict xfail: on rho0 = 0.7 + 0.1 x^2, which
       attains the decay bound exactly, the trapezoid Picard grid overshoots
       the bound by O(dt^2) and decay_bound fails; ROADMAP item 1's exact
@@ -505,6 +507,24 @@ class TestBlockedPicardMax:
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
             signed_differs |= not np.array_equal(shrink * lines.max(axis=1), want)
         assert signed_differs  # the rows exercise the negative family
+
+    @pytest.mark.parametrize("two_signed", [False, True])
+    @pytest.mark.parametrize("rows, nodes", [(64, 128), (3, 2731)])
+    def test_small_matrix_equals_full_matrix(self, fixed_gains, two_signed, rows, nodes):
+        # n_t n = 64 x 128 = HEAP_BLOCK takes the dense pass, which reports
+        # every line kept and scanned; 3 x 2731 = HEAP_BLOCK + 1 the
+        # envelope.  Both give the full matrix's bits, on a bump and on a
+        # deviation whose negative side dominates
+        assert rows * nodes - fixed_inlet.HEAP_BLOCK == (rows == 3)
+        x = np.linspace(0.0, 1.0, nodes)
+        if two_signed:
+            dev0 = 0.05 * np.sin(5.0 * np.pi * x) - 0.08 * x
+            assert -dev0.min() > dev0.max() > 0.0
+        else:
+            dev0 = 4.0 * x ** 2 * (1.2 - x) ** 2
+        counts = self.assert_same_path(fixed_gains, x, dev0, (rows - 1) / 64.0)
+        dense = counts == {"envelope_lines": nodes, "envelope_width": nodes}
+        assert dense == (rows == 64)
 
     def test_non_finite_rows_equal_full_max(self):
         # an iterate that overflowed: inf * x_0 = nan at the inlet, as before

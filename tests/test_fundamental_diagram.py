@@ -74,6 +74,15 @@ Proves:
       calls, flow_into takes 3 passes at shape 1 and A = 1, 4 at A != 1
       and 6 at shape 2, and _limited_flow 7 without np.power at shape 1
       and 9 with it at shape 2.5
+ 19.  saturating_limit's scan of the suffix where a root can lie finds the
+      full 600-point scan's first hit and keeps every bit: for shape in
+      {0.5, 1, 2, 3}, a in {0.3, 1, 2, 5} and b in {0.7, 1, 1.3}, at
+      nextafter(delta, inf), rho_max = 4 delta and 300 seeded densities,
+      roots at the scan's first point and scans that start at 0
+      included; with k so small that 1 + k ln l > 0 on the whole grid
+      the scan covers all 600 points; for -1/k within 8 ulps of a grid
+      log no point before the start has 1 + k ln l > 0; on the fine-grid
+      bump the scan evaluates at most 64 residuals per cell above delta
 """
 
 import os
@@ -84,7 +93,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram, speed_limits,
+from vslcontrol import (AssumptionError, DomainError, ExponentialDiagram, bump_profile,
+                        speed_limits,
                         validate_assumptions)
 from vslcontrol import fundamental_diagram, warmstart
 from vslcontrol.config import RunConfig
@@ -486,23 +496,28 @@ class TestBisectionFixedPoint:
     """saturating_limit and speed_limits against the fixed-count loops they stop early."""
 
     @staticmethod
-    def full_saturating_limits(d, r):
+    def residual(d, rho, l):
+        a, shape = d.vsl_sensitivity, d.shape
+        core = (d.density_scale * rho) ** shape
+        return (1.0 + a * (1.0 - l)) ** shape * (1.0 + shape / core * np.log(l)) - 1.0
+
+    @classmethod
+    def full_scan(cls, d, rm):
+        """(grid, first): each density's first hit in a scan of all 600 points."""
+        grid = np.geomspace(1e-9, 1.0, 600)
+        return grid, np.argmax(cls.residual(d, rm[:, None], grid[None, :]) >= 0.0, axis=1)
+
+    @classmethod
+    def full_saturating_limits(cls, d, r):
         out = np.ones_like(r)
         mask = r > d.delta
         rm = r[mask]
-        a, shape = d.vsl_sensitivity, d.shape
-
-        def residual(rho, l):
-            core = (d.density_scale * rho) ** shape
-            return (1.0 + a * (1.0 - l)) ** shape * (1.0 + shape / core * np.log(l)) - 1.0
-
-        grid = np.geomspace(1e-9, 1.0, 600)
-        first = np.argmax(residual(rm[:, None], grid[None, :]) >= 0.0, axis=1)
+        grid, first = cls.full_scan(d, rm)
         lo = np.where(first > 0, grid[np.maximum(first - 1, 0)], grid[0])
         hi = grid[first]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            up = residual(rm, mid) >= 0.0
+            up = cls.residual(d, rm, mid) >= 0.0
             hi = np.where(up, mid, hi)
             lo = np.where(up, lo, mid)
         out[mask] = 0.5 * (lo + hi)
@@ -633,6 +648,133 @@ class TestBisectionFixedPoint:
         calls.clear()
         _bisect_all(up, np.array([0.25, 0.0]), np.array([0.25, np.nan]), 50)
         assert len(calls) == 50
+
+
+class ScanLog(np.ndarray):
+    """A grid that records the size of each 2-d comparison made from it."""
+
+    sizes: list[int] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        plain = lambda v: v.view(np.ndarray) if isinstance(v, ScanLog) else v  # noqa: E731
+        if out is not None:
+            kwargs["out"] = tuple(plain(o) for o in out)
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if ufunc is np.greater_equal and np.ndim(result) == 2:
+            ScanLog.sizes.append(result.size)
+        return out[0] if out is not None else np.asarray(result).view(ScanLog)
+
+    @classmethod
+    def record(cls, monkeypatch) -> list[int]:
+        """Make np.geomspace return ScanLog grids; the list that fills."""
+        geomspace = np.geomspace
+        monkeypatch.setattr(np, "geomspace", lambda *a, **k: geomspace(*a, **k).view(cls))
+        cls.sizes = []
+        return cls.sizes
+
+
+class TestSuffixScan:
+    """saturating_limit's scan of the grid suffix where a root can lie, against
+    the scan of all 600 points."""
+
+    @staticmethod
+    def scanned_brackets(monkeypatch):
+        """The [lo, hi] of each 80-step bisection: grid[first - 1], grid[first]."""
+        brackets = []
+        bisect = fundamental_diagram._bisect_all
+
+        def recorded(up, lo, hi, steps):
+            if steps == 80:
+                brackets.append((lo, hi))
+            return bisect(up, lo, hi, steps)
+
+        monkeypatch.setattr(fundamental_diagram, "_bisect_all", recorded)
+        return brackets
+
+    def assert_full_scan(self, d, rho, monkeypatch):
+        brackets = self.scanned_brackets(monkeypatch)
+        got = np.asarray(d.saturating_limit(rho))
+        (lo, hi), = [tuple(map(np.asarray, b)) for b in brackets]
+        want = TestBisectionFixedPoint.full_saturating_limits(d, rho)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        grid, first = TestBisectionFixedPoint.full_scan(d, rho[rho > d.delta])
+        np.testing.assert_array_equal(hi, grid[first])  # the grid increases: same first
+        np.testing.assert_array_equal(lo, grid[np.maximum(first - 1, 0)])
+        return first
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("b", [0.7, 1.0, 1.3])
+    def test_equals_the_full_scan(self, shape, a, b, monkeypatch):
+        # rho_max at 4 delta: shapes 2 and 3 reach k so small that the scan
+        # starts at 0, and at shape 3, a = 0.3 and a = 5, roots lie at the
+        # scan's first point, the first grid log >= -1/k.  300 seeded
+        # densities, in random order, put cells with different starts in
+        # one scan block, where the earliest start covers the others; scan
+        # blocks of one density then test each cell's own start
+        d = ExponentialDiagram(density_scale=b, shape=shape, vsl_sensitivity=a,
+                               rho_max=4.0 / (b * a ** (1.0 / shape)))
+        assert d.delta < d.rho_max
+        rng = np.random.default_rng(int(100 * shape + 10 * a + b))
+        rho = np.concatenate([[np.nextafter(d.delta, np.inf), d.rho_max],
+                              rng.uniform(d.delta, d.rho_max, 300)])
+        self.assert_full_scan(d, rho, monkeypatch)
+        monkeypatch.undo()
+        monkeypatch.setattr(fundamental_diagram, "_SCAN_ROWS", 1)
+        self.assert_full_scan(d, rho, monkeypatch)
+
+    def test_tiny_k_scans_from_the_first_point(self, monkeypatch):
+        # k = 1/60 and 1/30: -1/k lies below ln 1e-9, so 1 + k ln l > 0 on
+        # the whole grid and both scans cover all 600 points; at k = 1/60
+        # the first grid point is already a hit
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=60.0)
+        rho = np.array([60.0, 30.0])
+        assert np.all(-(d.density_scale * rho) ** d.shape / d.shape < np.log(1e-9))
+        sizes = ScanLog.record(monkeypatch)
+        d.saturating_limit(rho)
+        assert sizes == [2 * 600]
+        monkeypatch.undo()
+        first = self.assert_full_scan(d, rho, monkeypatch)
+        assert first[0] == 0 < first[1]
+
+    def test_grid_logs_increase(self):
+        # the premise of the scan's searchsorted start
+        assert np.all(np.diff(np.log(np.geomspace(1e-9, 1.0, 600))) > 0.0)
+
+    def test_no_hit_before_the_start_at_ulp_distance(self):
+        # the start's proof at its edge: for k whose -1/k lies within 8 ulps
+        # of a grid log, on either side, every point before the start has
+        # fl(1 + fl(k ln l)) <= 0, so no residual there can be >= 0
+        log_grid = np.log(np.geomspace(1e-9, 1.0, 600))
+        edge = log_grid[1:-1]
+        k = -1.0 / edge
+        ks = [k]
+        for direction in (np.inf, 0.0):
+            step = k
+            for _ in range(8):
+                step = np.nextafter(step, direction)
+                ks.append(step)
+        k = np.concatenate(ks)
+        start = log_grid.searchsorted(-1.0 / k)
+        assert np.all(start >= 1)
+        assert np.all(1.0 + k * log_grid[start - 1] <= 0.0)
+        # the ulp steps move -1/k across grid logs: both sides are covered
+        assert len(set((start - 1 - np.tile(np.arange(edge.size), 17)).tolist())) == 2
+
+    def test_a_fine_grid_bump_scans_a_short_suffix(self, monkeypatch):
+        # the fine-grid benchmark's widest, highest bump at a = 1: 939 cells
+        # above delta = 1, in eight scan blocks.  Each root lies at grid
+        # index 595-599, and the scans cover 34 of 600 points per cell
+        d = ExponentialDiagram(vsl_sensitivity=1.0, rho_max=1.6)
+        rho = bump_profile(1.0, 1600, 0.7, amplitude=4.0, width=1.2).values
+        cells = int(np.count_nonzero(rho > d.delta))
+        want = d.saturating_limit(rho)
+        sizes = ScanLog.record(monkeypatch)
+        got = d.saturating_limit(rho)
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+        assert cells > 5 * fundamental_diagram._SCAN_ROWS
+        assert len(sizes) == -(-cells // fundamental_diagram._SCAN_ROWS)
+        assert sum(sizes) <= 64 * cells, sum(sizes) / cells
 
 
 class TestWarmBracket:

@@ -90,7 +90,9 @@ Proves:
       their neighbours, specials); on fine-grid-shaped density, control
       and limit grids no value takes the per-value fallback, and on the
       writer tests' specials exactly the values outside [1e-4, 1e17) do;
-      importing the package does not load the formatter, the first write does
+      importing the package does not load the formatter, the first write does;
+      writing a fine-grid-shaped long file peaks (tracemalloc) below
+      speed_limits on the same field
  11.  every name in vslcontrol.__all__ resolves, and the README's "Library
       entry points" block runs as written
  12.  known wrong answers, as strict xfails until the ROADMAP item named
@@ -113,6 +115,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1152,6 +1155,32 @@ class TestLongWriter:
         runner._write_long(str(got), "t,x,v", times, x, grid)
         self.reference(str(want), "t,x,v", times, x, grid)
         assert got.read_bytes() == want.read_bytes()
+
+    def test_peak_memory_below_speed_limits(self, tmp_path):
+        # the writers do not set a run's peak memory: one fine-grid-shaped
+        # long file (61 x 1601, written HEAP_BLOCK values at a time) peaks
+        # below speed_limits on the same field, whose cells pass delta
+        cfg = RunConfig(law="fixed_inlet", n_cells=1600, horizon=60.0, snapshots=61,
+                        vsl_sensitivity=1.0, mode="override",
+                        bump_amplitude=3.5, bump_width=1.17)
+        scenario = build_scenario(cfg)
+        trace = fixed_inlet.simulate(scenario, runner._build_gains(cfg, scenario, "fixed_inlet"),
+                                     build_picard(cfg))
+        d = scenario.diagram
+        assert trace.rho.shape == (61, 1601) and np.any(trace.rho > d.delta)
+        path = str(tmp_path / "density.csv")
+        work = [lambda: runner._write_long(path, "t,x,density", trace.times, trace.x, trace.rho),
+                lambda: speed_limits(d, trace.rho, trace.u)]
+        peaks = []
+        for call in work:
+            call()  # loads csvformat or warmstart before the measured call
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1], peaks
 
 
 class TestColumnWriter:
