@@ -26,14 +26,15 @@ a single whole-horizon fixed-point problem for S, solved by
 `picard.iterate` with contraction factor gamma L / sigma < 1.
 
 Each update needs, at every time sample, max_i |dev0_i + gamma x_i J(t)|:
-the upper envelope of the n lines dev0_i + gamma x_i J in J, and, where
-dev0 has a negative entry, of their n negatives.  The upper hull of the
-points (x_i, dev0_i), and of (x_i, -dev0_i) for the negatives, built once
-per simulation, leaves each time sample a contiguous run of one or two
-candidate lines on smooth data, and the max over that run is the max over
-all n lines bit for bit.  An update thus costs O(n + n_t (log n + w)),
-w the widest run, instead of O(n_t n).  A small matrix (n_t n at most
-HEAP_BLOCK entries) is cheaper whole, so it takes every line in one pass.
+the upper envelope of the n lines dev0_i + gamma x_i J in J and, where
+dev0 has a negative entry, of their negatives, the lines of the mirrored
+points (-x_i, -dev0_i); x_0 = 0 merges the inlet's pair into (0, |dev0_0|).
+The upper hull of the points, built once per simulation, leaves each time
+sample a contiguous run of one or two candidate lines on smooth data, and
+the max over that run is the max over all lines bit for bit.  An update
+thus costs O(n + n_t (log n + w)), w the widest run, instead of O(n_t n).
+A small matrix (n_t n at most HEAP_BLOCK entries) is cheaper whole, so it
+takes every line in one pass.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .trace import SimulationTrace, law_trace
 
 U_TOL = 1e-9  # tolerance band on u <= 1 for semi-analytic states
 EXP_LIMIT = math.log(np.finfo(float).max)  # exp overflows past this, about 709.78
-_BLOCK_ELEMENTS = 65536  # entries in one work block of simulate's Picard max (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,8 @@ class FixedInletGains:
         """
         budget = _flow_budget(self, diagram, x)
         rho_star, ceiling = self.rho_star, 1.0 + u_tol
+        escaped = "the state left the admissible family" + (
+            "" if self.certified else "; the gains are not certified")
         u, fv, work = np.empty(x.size), np.empty(x.size), np.empty(x.size)
         integrate = bound_trapezoid(np.diff(x), work, u)
 
@@ -133,7 +135,7 @@ class FixedInletGains:
                 bad = ~((u > 0.0) & (u <= ceiling))
                 i = int(np.argmax(np.where(bad, np.abs(u - 0.5), -1.0)))
                 raise StateEscapeError(
-                    f"control {u[i]:.6g} left (0, 1] at x = {x[i]:.6g}; profile not admissible")
+                    f"control {u[i]:.6g} left (0, 1] at x = {x[i]:.6g}; {escaped}")
             return np.minimum(u, 1.0, out=u), fv, None
 
         return evaluate
@@ -310,30 +312,24 @@ def _sup_path(gains: FixedInletGains, x: np.ndarray, dev0: np.ndarray, sup0: flo
     g(t) = exp(-sigma t) max_i |dev0_i + gamma x_i J(t)|, the law's own sup
     norm, with J the running integral of exp(sigma s) g(s).  Returns g, the
     iteration count, the worst ratio of successive sup-norm updates, and
-    the envelope counts: envelope_lines, the most lines one family kept in
-    an update, and envelope_width, the most candidates one family's time
-    row scanned.
+    the envelope counts: envelope_lines, the most lines kept in an update,
+    and envelope_width, the most candidates one time row scanned.
 
-    max_i |a_i| is the max over two families of lines: a_i = dev0_i + x_i gJ
-    and -a_i = -dev0_i - x_i gJ, at each row's gJ = gamma J(t) >= 0.  Each
-    family's max is its upper envelope, evaluated as fl(fl(gJ x_i) + dev0_i)
-    (the second as fl(fl(-gJ x_i) + -dev0_i) = -a_i exactly) on the lines
-    that can come within rounding of the envelope there (see _Envelope), so
-    it equals the max over all n lines bit for bit.  The second family is
-    built only when dev0 has a negative entry: where dev0 >= 0, every a_i
-    is >= 0 and every -a_i <= 0, so the first family's max is already the
-    max of |a_i|.  That costs O(n) once and O(n + n_t (log n + w)) per
-    iteration, w the widest row's candidate count, against O(n_t n) for the
-    whole matrix.  The time steps and every buffer are made once per solve,
-    not once per update.
+    Each row's max_i |a_i|, a_i = fl(fl(gJ x_i) + dev0_i) at gJ = gamma J(t)
+    >= 0, is one upper envelope's max over the lines near it (see
+    _Envelope), bit for bit.  Where dev0 >= 0 every a_i is >= 0: the points
+    are (x_i, dev0_i).  Otherwise they are mirrored, xs = (-x_n .. -x_1, 0,
+    x_1 .. x_n) and ds = (-dev0_n .. -dev0_1, |dev0_0|, dev0_1 .. dev0_n),
+    queried at gJ itself: that needs x_0 = 0, as on every simulate grid,
+    where a_0 = dev0_0, and fl(fl(gJ (-x_i)) + (-dev0_i)) = -a_i exactly.
+    On one-signed data the mirror would keep lines the max never reaches.
+    An update costs O(n + n_t (log n + w)), w the widest row's candidate
+    count, against O(n_t n) for the whole matrix; its buffers are made once.
 
     A matrix of at most HEAP_BLOCK entries (n_t n), where the envelope's
     fixed cost per update would outweigh the whole matrix, takes the dense
-    pass instead: each row's max of |fl(fl(gJ x_i) + dev0_i)| over every
-    line, which is the max over the two families (where dev0 >= 0 every
-    value is >= 0 and |.| changes nothing).  It builds no envelope and
-    reports envelope_lines = envelope_width = n: every line is kept and
-    every row scans all of them.
+    pass instead: each row's max of |a_i| over every line.  It builds no
+    envelope and reports envelope_lines = envelope_width = n.
     """
     dt, grow, shrink = np.diff(tn), np.exp(gains.sigma * tn), np.exp(-gains.sigma * tn)
     grow_g, gJ, peak = np.empty(tn.size), np.empty(tn.size), np.empty(tn.size)
@@ -347,26 +343,12 @@ def _sup_path(gains: FixedInletGains, x: np.ndarray, dev0: np.ndarray, sup0: flo
             np.add(lines, dev0, out=lines)
             np.max(np.abs(lines, out=lines), axis=1, out=out)
     else:
-        envelope = _Envelope(x, dev0)
-        if np.any(dev0 < 0.0):  # the negatives' family, queried at -gJ
-            neg_dev0, neg_gJ, neg_peak = -dev0, np.empty(tn.size), np.empty(tn.size)
-            negatives = _Envelope(x, neg_dev0)
-        else:
-            negatives = None
-        counts = {"envelope_lines": 0, "envelope_width": 0}
-
-        def family_max(family: _Envelope, ds: np.ndarray, at: np.ndarray,
-                       out: np.ndarray) -> None:
-            lines, start, width = family.candidates(at)
-            counts["envelope_lines"] = max(counts["envelope_lines"], lines.size)
-            counts["envelope_width"] = max(counts["envelope_width"], int(width.max()))
-            _gathered_max(at, x[lines], ds[lines], start, width, out)
-
-        def row_max(at: np.ndarray, out: np.ndarray) -> None:
-            family_max(envelope, dev0, at, out)
-            if negatives is not None:
-                family_max(negatives, neg_dev0, np.negative(at, out=neg_gJ), neg_peak)
-                np.maximum(out, neg_peak, out=out)
+        xs, ds = x, dev0
+        if np.any(dev0 < 0.0):  # the lines a_i and -a_i, mirrored through x_0 = 0
+            xs = np.concatenate((-x[:0:-1], x))
+            ds = np.concatenate((-dev0[:0:-1], [abs(dev0[0])], dev0[1:]))
+        envelope = _Envelope(xs, ds)
+        row_max, counts = envelope.row_max, envelope.counts
 
     def update(g: np.ndarray) -> np.ndarray:
         np.multiply(grow, g, out=grow_g)
@@ -379,7 +361,7 @@ def _sup_path(gains: FixedInletGains, x: np.ndarray, dev0: np.ndarray, sup0: flo
 
 
 class _Envelope:
-    """Which of the lines dev0_i + x_i J can reach max_i (dev0_i + x_i J).
+    """max_i fl(fl(J x_i) + dev0_i) on the lines that can reach it.
 
     x is strictly increasing.  The upper hull of the points (x_i, dev0_i)
     gives the lines on the envelope: hull vertex k is on top for J between
@@ -391,7 +373,7 @@ class _Envelope:
     [beta_{k-1}, beta_k].  Both bounds need no exact hull: they hold for
     any vertex subsequence, so rounding in the hull test costs nothing.
 
-    Per iteration, row t gets the margin m_t = 1e-12 (|gJ_t| max|x| +
+    Per update, row t gets the margin m_t = 1e-12 (|gJ_t| max|x| +
     max|dev0|), thousands of times the rounding error of one
     fl(fl(gJ_t x_i) + dev0_i).  The kept lines are the hull lines and the
     lines with gap_i <= max_t m_t; row t scans the kept lines whose
@@ -402,9 +384,11 @@ class _Envelope:
     right, a running max of the upper ends), which only widens them, so
     each row's candidates are one contiguous run of the kept lines, found
     by two searchsorted calls with the row's widening on the query side.
+    counts holds the most lines kept and the most one row scanned so far.
     """
 
     def __init__(self, x: np.ndarray, dev0: np.ndarray):
+        self.x, self.dev0 = x, dev0
         hull = _upper_hull(x, dev0)
         self.on_hull = np.zeros(x.size, dtype=bool)
         self.on_hull[hull] = True
@@ -417,19 +401,41 @@ class _Envelope:
         self.hi = np.maximum.accumulate(beta[seg + 1])
         self.scale = (float(np.abs(x).max()), float(np.abs(dev0).max()))
         self.dx = float(np.diff(x).min())
+        self.counts = {"envelope_lines": 0, "envelope_width": 0}
 
-    def candidates(self, gJ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lines, start, width): row t scans lines[start[t]:start[t] + width[t]]."""
+    def row_max(self, gJ: np.ndarray, out: np.ndarray) -> None:
+        """out[t] = max_i fl(fl(gJ[t] x_i) + dev0_i), bit for bit.
+
+        Rows go in gather runs whose candidates number at most HEAP_BLOCK
+        (or one row), so memory stays O(n_t + n) however wide the rows are.
+        """
         margin = 1e-12 * (np.abs(gJ) * self.scale[0] + self.scale[1])
         m = float(margin.max())
-        if not m < math.inf:  # a diverged iterate: every line, so NaN and inf propagate as before
-            n = self.gap.size
-            return np.arange(n), np.zeros(gJ.size, dtype=np.intp), np.full(gJ.size, n)
-        lines = np.flatnonzero(self.on_hull | (self.gap <= m))
-        pad = margin / self.dx
-        start = self.hi[lines].searchsorted(gJ - pad, side="left")
-        stop = self.lo[lines].searchsorted(gJ + pad, side="right")
-        return lines, start, stop - start
+        if m < math.inf:
+            lines = np.flatnonzero(self.on_hull | (self.gap <= m))
+            pad = margin / self.dx
+            start = self.hi[lines].searchsorted(gJ - pad, side="left")
+            width = self.lo[lines].searchsorted(gJ + pad, side="right") - start
+        else:  # a diverged iterate: every line, so NaN and inf propagate as before
+            lines = np.arange(self.x.size)
+            start, width = np.zeros(gJ.size, dtype=np.intp), np.full(gJ.size, lines.size)
+        counts = self.counts
+        counts["envelope_lines"] = max(counts["envelope_lines"], lines.size)
+        counts["envelope_width"] = max(counts["envelope_width"], int(width.max()))
+        xs, ds = self.x[lines], self.dev0[lines]
+        ends = np.add.accumulate(width)
+        s = 0
+        while s < gJ.size:
+            base = int(ends[s - 1]) if s else 0
+            e = max(s + 1, int(ends.searchsorted(base + HEAP_BLOCK, side="right")))
+            w = width[s:e]
+            offsets = ends[s:e] - w - base
+            idx = (start[s:e] - offsets).repeat(w)
+            idx += np.arange(idx.size)
+            vals = gJ[s:e].repeat(w) * xs[idx]
+            vals += ds[idx]
+            np.maximum.reduceat(vals, offsets, out=out[s:e])
+            s = e
 
 
 def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -447,28 +453,6 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             hull.pop()
         hull.append(i)
     return np.array(hull)
-
-
-def _gathered_max(gJ: np.ndarray, xs: np.ndarray, ds: np.ndarray, start: np.ndarray,
-                  width: np.ndarray, out: np.ndarray) -> None:
-    """out[t] = max of fl(fl(gJ[t] xs[j]) + ds[j]) over start[t] <= j < start[t] + width[t].
-
-    Rows go in runs whose candidates number at most _BLOCK_ELEMENTS (or
-    one row), so memory stays O(n_t + n) however wide the rows are.
-    """
-    ends = np.add.accumulate(width)
-    s = 0
-    while s < gJ.size:
-        base = int(ends[s - 1]) if s else 0
-        e = max(s + 1, int(ends.searchsorted(base + _BLOCK_ELEMENTS, side="right")))
-        w = width[s:e]
-        offsets = ends[s:e] - w - base
-        idx = (start[s:e] - offsets).repeat(w)
-        idx += np.arange(idx.size)
-        vals = gJ[s:e].repeat(w) * xs[idx]
-        vals += ds[idx]
-        np.maximum.reduceat(vals, offsets, out=out[s:e])
-        s = e
 
 
 def _flow_budget(gains: FixedInletGains, diagram: ExponentialDiagram, x: np.ndarray

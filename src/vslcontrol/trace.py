@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StateEscapeError
 
 
 @dataclass(eq=False)
@@ -61,8 +61,9 @@ def law_trace(gains, diagram, times: np.ndarray, x: np.ndarray, rho: np.ndarray,
 
     u and the boundary flows come from the law bound once to the grid,
     gains.controller(diagram, x, u_tol), evaluated on each row, which also
-    runs the law's domain and escape checks.  The trace's metadata is
-    `metadata` stamped with the record's law and rho_star.
+    runs the law's domain and escape checks; an escape names the time of
+    its row.  The trace's metadata is `metadata` stamped with the record's
+    law and rho_star.
     """
     evaluate = gains.controller(diagram, x, u_tol)
     u = np.empty_like(rho)
@@ -70,7 +71,10 @@ def law_trace(gains, diagram, times: np.ndarray, x: np.ndarray, rho: np.ndarray,
     outlet = np.empty(len(times))
     extras = []
     for j, row in enumerate(rho):
-        u[j], fv, extra = evaluate(row)
+        try:
+            u[j], fv, extra = evaluate(row)
+        except StateEscapeError as exc:
+            raise StateEscapeError(f"at t = {times[j]:.6g}: {exc}") from exc
         inlet[j] = u[j, 0] * fv[0]
         outlet[j] = u[j, -1] * fv[-1]
         extras.append(extra)

@@ -32,7 +32,7 @@ Proves:
   7.  the Picard max over the upper envelope's candidate lines gives the
       g, iteration count, contraction ratio, rho and u of the full (time
       samples x nodes) matrix bit for bit: in gather runs of 2807
-      entries, in one run of every row and on 1601 nodes; on eight
+      entries and, on 1601 nodes, in one run of every row; on eight
       profiles whose lines tie, cross or crowd the envelope; and at
       horizon 150 on 1601 nodes.  Rows within 64 ulps of a hull
       breakpoint, and rows at inf or NaN, get the full max too.  The
@@ -41,7 +41,10 @@ Proves:
       quarter of that matrix, also when a plateau ties hundreds of lines
       at J = 0.  A matrix of HEAP_BLOCK entries takes the dense pass and
       one of HEAP_BLOCK + 1 the envelope, both with the full matrix's bits,
-      on a bump and on a deviation whose negative side dominates
+      on a bump and on a deviation whose negative side dominates.  A
+      two-signed solve builds one envelope, on the points mirrored through
+      x = 0, and keeps the full matrix's bits with the inlet's deviation at
+      +-1e-10 and at +-0.2, where the inlet line is the early rows' max
   8.  known defect, pinned as a strict xfail: on rho0 = 0.7 + 0.1 x^2, which
       attains the decay bound exactly, the trapezoid Picard grid overshoots
       the bound by O(dt^2) and decay_bound fails; ROADMAP item 1's exact
@@ -429,15 +432,13 @@ class TestBlockedPicardMax:
     @staticmethod
     def envelope_max(x, dev0, gJ):
         """(the envelope's max, the full max) of the rows gJ."""
-        lines, start, width = fixed_inlet._Envelope(x, dev0).candidates(gJ)
         got = np.empty(gJ.size)
-        fixed_inlet._gathered_max(gJ, x[lines], dev0[lines], start, width, got)
+        fixed_inlet._Envelope(x, dev0).row_max(gJ, got)
         return got, (gJ[:, None] * x + dev0).max(axis=1)
 
     @pytest.mark.parametrize("n_cells, block", [
         (400, 401 * 7),       # candidate runs of at most 2807 entries
-        (400, 401 * 10 ** 4),  # one gather run holds every row's candidates
-        (1600, None),          # the default block on 1601 nodes
+        (1600, None),          # the default block on 1601 nodes: one run of every row
         (60, None),            # oracle-batch's grid: the whole matrix is 641 x 61
     ])
     def test_equals_full_matrix(self, diagram, fixed_gains, monkeypatch, n_cells, block):
@@ -445,7 +446,7 @@ class TestBlockedPicardMax:
                       rho0=bump_profile(1.0, n_cells, 0.7), horizon=10.0,
                       output_interval=0.5)
         if block is not None:
-            monkeypatch.setattr(fixed_inlet, "_BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(fixed_inlet, "HEAP_BLOCK", block)
         counts = self.assert_same_path(fixed_gains, sc.rho0.x, sc.rho0.values - 0.7, 10.0)
         assert counts["envelope_lines"] < n_cells + 1 and counts["envelope_width"] <= 2
 
@@ -463,10 +464,12 @@ class TestBlockedPicardMax:
     @pytest.mark.parametrize("name", list(_profile_deviations(400)))
     def test_adversarial_profiles_equal_full_matrix(self, fixed_gains, monkeypatch, name, block):
         if block is not None:
-            monkeypatch.setattr(fixed_inlet, "_BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(fixed_inlet, "HEAP_BLOCK", block)
         dev0 = _profile_deviations(400)[name]
         counts = self.assert_same_path(fixed_gains, np.linspace(0.0, 1.0, 401), dev0, 10.0)
-        assert 1 <= counts["envelope_width"] <= counts["envelope_lines"] <= 401
+        # two-signed data's envelope holds the 2n - 1 mirrored lines
+        lines = 401 if np.all(dev0 >= 0.0) else 2 * 401 - 1
+        assert 1 <= counts["envelope_width"] <= counts["envelope_lines"] <= lines
         if name == "zero":  # each row is a tie of all 401 lines
             assert counts["envelope_width"] == 401
 
@@ -486,8 +489,8 @@ class TestBlockedPicardMax:
     @pytest.mark.parametrize("seed", [5, 17, 2024])
     def test_two_signed_rows_equal_dense_abs_max(self, fixed_gains, monkeypatch, seed):
         # one update of _sup_path on a seeded deviation whose negative side
-        # is the larger, at seeded iterates: the max over both families of
-        # lines is the dense max of |.| over every line, bit for bit
+        # is the larger, at seeded iterates: the max over the lines and their
+        # mirrored negatives is the dense max of |.| over every line, bit for bit
         rng = np.random.default_rng(seed)
         x = np.linspace(0.0, 1.0, 201)
         dev0 = 0.05 * np.sin(rng.uniform(2.0, 8.0) * np.pi * x) - rng.uniform(0.02, 0.1) * x
@@ -506,7 +509,32 @@ class TestBlockedPicardMax:
             got = updates[0](g)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
             signed_differs |= not np.array_equal(shrink * lines.max(axis=1), want)
-        assert signed_differs  # the rows exercise the negative family
+        assert signed_differs  # the rows exercise the mirrored negatives
+
+    def test_two_signed_solve_builds_one_envelope(self, fixed_gains, monkeypatch):
+        # the lines a_i and their negatives -a_i share one envelope, that of
+        # the points mirrored through x_0 = 0
+        built, envelope = [], fixed_inlet._Envelope
+        monkeypatch.setattr(fixed_inlet, "_Envelope",
+                            lambda *args: built.append(args) or envelope(*args))
+        x = np.linspace(0.0, 1.0, 401)
+        dev0 = _profile_deviations(400)["sin"]
+        self.assert_same_path(fixed_gains, x, dev0, 10.0)
+        assert len(built) == 1
+        xs, ds = built[0]
+        np.testing.assert_array_equal(xs, np.concatenate((-x[:0:-1], x)))
+        np.testing.assert_array_equal(ds, np.concatenate((-dev0[:0:-1], dev0)))
+
+    @pytest.mark.parametrize("inlet", [1e-10, -1e-10, 0.2, -0.2])
+    def test_mirrored_inlet_point_equals_full_matrix(self, fixed_gains, inlet):
+        # the inlet's line and its negative meet in the one point
+        # (0, |dev0_0|); at +-0.2 that line is the early rows' max
+        x = np.linspace(0.0, 1.0, 401)
+        dev0 = _profile_deviations(400)["sin"]
+        dev0[0] = inlet
+        assert dev0.min() < 0.0 < dev0.max()
+        assert 641 * x.size > fixed_inlet.HEAP_BLOCK  # the envelope, not the dense pass
+        self.assert_same_path(fixed_gains, x, dev0, 10.0)
 
     @pytest.mark.parametrize("two_signed", [False, True])
     @pytest.mark.parametrize("rows, nodes", [(64, 128), (3, 2731)])

@@ -27,7 +27,9 @@ Proves:
       per step: stage 1 takes the range of the pass that ended the step
       before
   9.  a bound law still runs its domain and escape checks on every call;
-      both laws refuse a NaN flow with StateEscapeError
+      both laws refuse a NaN flow with StateEscapeError; the fixed law's
+      escape says the state left the admissible family and, for
+      uncertified gains only, that the gains are not certified
   10. each step is sized from the density range of the state it starts
       from: on criterion 07's free-law run the realised CFL stays under the
       cap in no more steps than the former widened speed band took; a
@@ -43,7 +45,7 @@ Proves:
 
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -380,8 +382,8 @@ class TestChecksEveryCall:
         row[50] = 0.3
         with pytest.raises(StateEscapeError) as info:
             evaluate(row)
-        assert str(info.value) == ("control 1.5405 left (0, 1] at x = 0.5; "
-                                   "profile not admissible")
+        assert str(info.value) == ("control 1.5405 left (0, 1] at x = 0.5; the state left "
+                                   "the admissible family; the gains are not certified")
         # the same row passes under a band that reaches u = 1.5405, clipped to 1
         u, _, _ = fixed_gains.controller(diagram, x, 0.541)(row)
         assert u.max() == 1.0
@@ -390,8 +392,14 @@ class TestChecksEveryCall:
         row[20] = 1e-12
         with pytest.raises(StateEscapeError) as info:
             evaluate(row)
-        assert str(info.value) == ("control 3.4579e+11 left (0, 1] at x = 0.2; "
-                                   "profile not admissible")
+        assert str(info.value) == ("control 3.4579e+11 left (0, 1] at x = 0.2; the state "
+                                   "left the admissible family; the gains are not certified")
+        # certified gains leave the gains out of the message
+        certified = replace(fixed_gains, certified=True)
+        with pytest.raises(StateEscapeError) as info:
+            certified.controller(diagram, x, pde_oracle.ORACLE_U_TOL)(row)
+        assert str(info.value) == ("control 3.4579e+11 left (0, 1] at x = 0.2; the state "
+                                   "left the admissible family")
 
 
 class RampLaw:

@@ -59,8 +59,10 @@ Proves:
       flows.csv or bottleneck.csv at other times, a compare of runs on
       different roads (either order), a compare of a law directory without
       metadata.json, a run into an existing file, a MemoryError in a solve,
-      a fixed-law run with sigma * horizon past log(float max) and an
-      oracle over its step budget (in well under a second, no --out)
+      a fixed-law run with sigma * horizon past log(float max), an
+      oracle over its step budget (in well under a second, no --out) and
+      a fixed-law state that escapes after t = 0 under uncertified gains
+      (the line names the snapshot time and the gains, no --out)
       exit 2 with one error line and no exception out of cli.main; the
       [project.scripts] entry
       point declared in pyproject.toml resolves to vslcontrol.cli:main and
@@ -1054,6 +1056,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: the oracle would take about 1.2e+13 steps"), err
         assert err.count("\n") == 1 and not out.exists()
+
+    def test_fixed_law_escape_names_time_and_gains(self, tmp_path, capsys):
+        # an admissible cubic start under gains whose curvature margin
+        # fails: the control leaves (0, 1] at the first snapshot after 0
+        path, out = tmp_path / "c.ini", tmp_path / "o"
+        path.write_text(
+            "[scenario]\nn_cells = 50\nhorizon = 7.314046703668047\nsnapshots = 7\n"
+            "profile = polynomial\n"
+            "poly_coeffs = 0.7,0.1570099873246555,-1.1957364099100254,1.8950631683883516\n"
+            "[controller]\nlaw = fixed_inlet\nsigma = 0.09593319439263814\n"
+            "gamma = 0.08037310843080396\nmode = override\n")
+        cfg = load_config(str(path))
+        scenario = build_scenario(cfg)
+        gains = runner._build_gains(cfg, scenario, "fixed_inlet")
+        assert fixed_inlet.admissible(gains, scenario.diagram, scenario.rho0).ok
+        assert [c.name for c in gains.conditions if not c.passed] == ["curvature_margin"]
+        err = self.assert_error_exit(capsys, "run", "--config", str(path), "--out", str(out))
+        assert err == ("error: at t = 1.21901: control 1.00186 left (0, 1] at x = 1; the state "
+                       "left the admissible family; the gains are not certified\n")
+        assert not out.exists()
 
     def test_run_imports_no_scipy(self, tmp_path):
         # numpy is the one runtime dependency; a full preset run in its own
